@@ -15,7 +15,9 @@ fn main() -> ExitCode {
         }
     };
     let mut out = std::io::stdout().lock();
-    let mut progress = std::io::stderr().lock();
+    // Unlocked on purpose: pool workers and shard threads write warnings,
+    // watchdog dumps and panic messages to stderr while `dispatch` runs.
+    let mut progress = std::io::stderr();
     match speakup_exp::driver::dispatch(&cmd, &mut out, &mut progress) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {

@@ -628,6 +628,10 @@ pub fn perf_json(run: &EntryRun) -> Json {
         .iter()
         .map(|r| {
             let events: u64 = r.shard_events.iter().sum();
+            let ends = r.window_ends;
+            // Every shard loop takes part in every window.
+            let windows =
+                (ends.by_peer + ends.by_own_send + ends.by_until) / r.shard_events.len() as u64;
             let dispatch = r
                 .dispatch_counts
                 .iter()
@@ -639,6 +643,22 @@ pub fn perf_json(run: &EntryRun) -> Json {
                 .field("wall_secs", r.wall_secs)
                 .field("events_per_sec", per_sec(events, r.wall_secs))
                 .field("dispatch", dispatch)
+                .field(
+                    "shard_events",
+                    r.shard_events
+                        .iter()
+                        .map(|&n| Json::from(n))
+                        .collect::<Vec<_>>(),
+                )
+                .field("cross_shard_events", r.cross_shard_events)
+                .field("windows", windows)
+                .field(
+                    "window_ends",
+                    Json::obj()
+                        .field("by_peer", ends.by_peer)
+                        .field("by_own_send", ends.by_own_send)
+                        .field("by_until", ends.by_until),
+                )
         })
         .collect();
     Json::obj().field("runs", runs)

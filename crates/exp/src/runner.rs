@@ -55,7 +55,7 @@ use speakup_core::types::ClientId;
 use speakup_net::fault::FaultSchedule;
 use speakup_net::link::LinkConfig;
 use speakup_net::packet::NodeId;
-use speakup_net::sim::Simulator;
+use speakup_net::sim::{Simulator, WindowEnds};
 use speakup_net::time::{SimDuration, SimTime};
 use speakup_net::topology::TopologyBuilder;
 use speakup_net::trace::Samples;
@@ -126,6 +126,13 @@ pub struct RunReport {
     /// Application callbacks per [`AppSlot`] variant (dispatch-share
     /// diagnostics; absent from the shard-count-invariant JSON report).
     pub dispatch_counts: Vec<(&'static str, u64)>,
+    /// What ended the run's lookahead windows, counted once per shard
+    /// per window: a run of `w` windows on `K` loops sums to `w × K`
+    /// (engine diagnostics, like everything from `shard_events` down:
+    /// `perf` section only).
+    pub window_ends: WindowEnds,
+    /// Events handed from one shard loop to another.
+    pub cross_shard_events: u64,
     /// Wall-clock seconds the simulation loop took (host- and
     /// load-dependent, so only surfaced by the CLI `perf` footer, never
     /// in the deterministic report payload).
@@ -879,6 +886,8 @@ pub fn run_sharded(scenario: &Scenario, shards: u32) -> RunReport {
         per_client,
         shard_events: sim.shard_event_counts(),
         dispatch_counts: sim.dispatch_counts(),
+        window_ends: sim.window_ends(),
+        cross_shard_events: sim.cross_shard_events(),
         wall_secs,
     };
     report

@@ -17,13 +17,26 @@
 //! is delayed by at least the *pairwise lookahead* `la[j][i]` — the
 //! min-plus closure, over the shard interaction graph, of the smallest
 //! propagation delay on any direct link from a `j`-owned node to an
-//! `i`-owned node (`la[i][i]` is the minimum echo cycle through peers).
-//! Each shard's window therefore ends at `min over j of
-//! (next_j + la[j][i])`, where `next_j` is shard `j`'s earliest pending
-//! event: a pair of distant shards can run hundreds of milliseconds
-//! ahead of each other even while a LAN-scale pair stays tightly
-//! coupled. Cross-shard traffic is exchanged at a barrier between
-//! windows.
+//! `i`-owned node. Cross-shard traffic is exchanged at a barrier between
+//! windows, where every shard also publishes `next_j`, its earliest
+//! pending event. Two things can reach shard `i`, and each bounds its
+//! window its own way:
+//!
+//! * **A peer's pending work.** The window opens at `min over j ≠ i of
+//!   (next_j + la[j][i])`: a pair of distant shards can run hundreds of
+//!   milliseconds ahead of each other even while a LAN-scale pair stays
+//!   tightly coupled, and an idle peer (`next_j = ∞`) imposes no bound.
+//! * **A reflection of `i`'s own sends.** Nothing is charged up front:
+//!   the moment `i` hands a peer an event, [`World::schedule`] lowers
+//!   the running limit to that event's arrival time, and the limit
+//!   resets at the next exchange, after which the peer's `next_j`
+//!   accounts for what it was handed. A shard that sends nothing owes
+//!   no barrier for echoes that cannot exist: it runs to its peers'
+//!   bound, or to the end of the run, in one window. (`arrival +
+//!   la[d][i]`, the reflection's earliest return, would be the latest
+//!   safe limit. But past `arrival` the peer holds work it cannot see
+//!   before the exchange: measured, the later limit locks two coupled
+//!   shards into strict alternation for no fewer windows.)
 //!
 //! ## Determinism — shard-count invariance
 //!
@@ -440,6 +453,10 @@ pub struct World {
     /// path allocates nothing.
     outboxes: Vec<Vec<Remote>>,
     cross_shard_events: u64,
+    /// Where the running window ends (exclusive). The shard loop opens
+    /// each window at the bound its peers impose; [`World::schedule`]
+    /// lowers it whenever this shard hands a peer an event.
+    limit: SimTime,
     /// Events this shard's loop has handled (load-balance diagnostics).
     events_processed: u64,
     /// Total packets dropped on this shard (overflow + fault).
@@ -505,6 +522,7 @@ impl World {
             actions_scratch: Vec::new(),
             outboxes: (0..num_shards).map(|_| Vec::new()).collect(),
             cross_shard_events: 0,
+            limit: SimTime::MAX,
             events_processed: 0,
             total_drops: 0,
         }
@@ -571,12 +589,15 @@ impl World {
     }
 
     /// Queue `event` for `to_shard` (locally, or via its outbox lane for
-    /// a barrier exchange).
+    /// a barrier exchange). A handoff ends the running window where the
+    /// event falls due: until the next exchange no peer's `next` accounts
+    /// for it (module docs, "Sharded execution").
     fn schedule(&mut self, time: SimTime, lane: u64, event: Event, to_shard: u32) {
         if to_shard == self.shard {
             self.queue.push_lane(time, lane, event);
         } else {
             self.cross_shard_events += 1;
+            self.limit = self.limit.min(time);
             self.outboxes[shard_idx(to_shard)].push(Remote { time, lane, event });
         }
     }
@@ -1207,7 +1228,24 @@ struct Shard<S: AppSet> {
     /// Callbacks delivered per app variant (dispatch-share diagnostics;
     /// indices parallel [`AppSet::variant_names`]).
     dispatch_counts: Vec<u64>,
+    /// What ended each window this shard ran.
+    window_ends: WindowEnds,
 }
+
+/// What ended the windows a simulation ran, one count per shard per
+/// window (windows × barrier cost is what sharding pays).
+#[derive(Clone, Copy, Default, Debug, PartialEq, Eq)]
+pub struct WindowEnds {
+    /// A peer's pending event could reach the shard at the bound.
+    pub by_peer: u64,
+    /// The shard handed a peer an event that could reflect back.
+    pub by_own_send: u64,
+    /// The run's end time came first.
+    pub by_until: u64,
+}
+
+/// Events between two heartbeats a shard publishes from inside a window.
+const HEARTBEAT_EVENTS: u32 = 1 << 16;
 
 impl<S: AppSet> Shard<S> {
     fn with_app<R>(&mut self, node: NodeId, f: impl FnOnce(&mut S, &mut Ctx) -> R) -> R {
@@ -1281,18 +1319,23 @@ impl<S: AppSet> Shard<S> {
         }
     }
 
-    /// Process local events with `time < window_end` and `time <= until`.
-    fn process_window(&mut self, window_end: SimTime, until: SimTime) {
-        // `t <= until` is `t < until + 1ns`; the add saturates, so
-        // `until = MAX` degenerates to the window bound alone (an event
-        // at exactly `u64::MAX` ns is unreachable either way).
-        let limit = window_end.min(until + SimDuration::from_nanos(1));
-        while let Some((t, ev)) = self.world.queue.pop_before(limit) {
-            debug_assert!(t >= self.world.now, "time went backwards");
-            self.world.now = t;
-            self.world.events_processed += 1;
-            self.world.handle_event(ev);
-            self.dispatch_notifies();
+    /// Process local events strictly before `world.limit` — re-read per
+    /// event, because a cross-shard send lowers it mid-window — and
+    /// publish the running event count to `heartbeat` as the window goes,
+    /// so a peer parked at the barrier can tell working from wedged.
+    fn process_window(&mut self, heartbeat: &AtomicU64) {
+        loop {
+            for _ in 0..HEARTBEAT_EVENTS {
+                let Some((t, ev)) = self.world.queue.pop_before(self.world.limit) else {
+                    return;
+                };
+                debug_assert!(t >= self.world.now, "time went backwards");
+                self.world.now = t;
+                self.world.events_processed += 1;
+                self.world.handle_event(ev);
+                self.dispatch_notifies();
+            }
+            heartbeat.store(self.world.events_processed, Ordering::Relaxed);
         }
     }
 }
@@ -1312,10 +1355,10 @@ struct SpinBarrier {
     poisoned: std::sync::atomic::AtomicBool,
     lock: Mutex<()>,
     cv: std::sync::Condvar,
-    /// How long a parked waiter tolerates peer silence before reporting
-    /// [`BarrierWait::TimedOut`]. Wall-clock, not sim-time: the hang
-    /// mode this guards against (a peer shard that stopped advancing)
-    /// never reaches another simulated instant.
+    /// How long a parked waiter tolerates peers making no progress
+    /// before reporting [`BarrierWait::TimedOut`]. Wall-clock, not
+    /// sim-time: the hang mode this guards against (a peer shard that
+    /// stopped advancing) never reaches another simulated instant.
     watchdog: std::time::Duration,
 }
 
@@ -1326,8 +1369,9 @@ enum BarrierWait {
     Released,
     /// A peer panicked and poisoned the barrier; bail out quietly.
     Poisoned,
-    /// No release within the watchdog deadline: some peer shard has
-    /// stopped advancing. The caller dumps diagnostics and aborts.
+    /// No release and no peer progress within the watchdog deadline:
+    /// some peer shard has stopped advancing. The caller dumps
+    /// diagnostics and aborts.
     TimedOut,
 }
 
@@ -1356,13 +1400,15 @@ impl SpinBarrier {
         }
     }
 
-    /// Wait for all `n` threads, with a deadline: a waiter parked past
-    /// the watchdog reports [`BarrierWait::TimedOut`] instead of
-    /// sleeping forever behind a wedged peer.
+    /// Wait for all `n` threads, with a deadline on peer *progress*: a
+    /// waiter parked for a whole watchdog period in which `progress()`
+    /// (the shards' published event counts) did not move reports
+    /// [`BarrierWait::TimedOut`] instead of sleeping forever behind a
+    /// wedged peer; one working through a long window re-arms it.
     // The clock here observes the *host*, never the simulation: timer
     // expiry only happens on the already-lost hang path.
     #[allow(clippy::disallowed_methods)] // see clippy.toml: watchdog deadline needs Instant
-    fn wait(&self) -> BarrierWait {
+    fn wait(&self, progress: impl Fn() -> u64) -> BarrierWait {
         let verdict = |poisoned: bool| {
             if poisoned {
                 BarrierWait::Poisoned
@@ -1389,17 +1435,24 @@ impl SpinBarrier {
                 }
                 std::hint::spin_loop();
             }
+            let mut seen = progress();
             // lint: allow(wall-clock) — watchdog deadline over host time; fires only on the hang path
-            let deadline = std::time::Instant::now() + self.watchdog;
+            let mut deadline = std::time::Instant::now() + self.watchdog;
             let mut guard = self.lock.lock().expect("barrier lock poisoned");
             while self.generation.load(Ordering::Acquire) == gen {
                 // lint: allow(wall-clock) — remaining watchdog budget, host time (see above)
                 let now = std::time::Instant::now();
-                let Some(left) = deadline
-                    .checked_duration_since(now)
-                    .filter(|d| !d.is_zero())
-                else {
-                    return BarrierWait::TimedOut;
+                let left = match deadline.checked_duration_since(now) {
+                    Some(left) if !left.is_zero() => left,
+                    _ => {
+                        let moved = progress();
+                        if moved == seen {
+                            return BarrierWait::TimedOut;
+                        }
+                        seen = moved;
+                        deadline = now + self.watchdog;
+                        self.watchdog
+                    }
                 };
                 guard = self
                     .cv
@@ -1450,9 +1503,9 @@ pub struct Simulator<S: AppSet = Box<dyn App>> {
     next_times: Vec<AtomicU64>,
     /// Per-shard progress counters for the barrier watchdog's dump.
     diag: Vec<ShardDiag>,
-    /// Deadline on every parked barrier wait: a peer silent this long is
-    /// declared wedged and the run aborts with a per-shard dump instead
-    /// of hanging forever.
+    /// Deadline on every parked barrier wait: when no shard has
+    /// processed an event for this long, a peer is declared wedged and
+    /// the run aborts with a per-shard dump instead of hanging forever.
     barrier_watchdog: std::time::Duration,
 }
 
@@ -1460,9 +1513,10 @@ pub struct Simulator<S: AppSet = Box<dyn App>> {
 /// whichever shard's watchdog fires (hence atomics).
 #[derive(Default)]
 struct ShardDiag {
-    /// End of the last lookahead window the shard processed (ns).
+    /// The limit the shard's current window opened at (ns).
     window_end: AtomicU64,
-    /// Events the shard has processed so far.
+    /// Events the shard has processed so far: stored after every window
+    /// and every [`HEARTBEAT_EVENTS`] inside one — the watchdog's pulse.
     events: AtomicU64,
 }
 
@@ -1513,6 +1567,7 @@ impl<S: AppSet> Simulator<S> {
                     apps,
                     started: false,
                     dispatch_counts: vec![0; S::variant_names().len()],
+                    window_ends: WindowEnds::default(),
                 }
             })
             .collect();
@@ -1528,8 +1583,8 @@ impl<S: AppSet> Simulator<S> {
     }
 
     /// Override the barrier watchdog deadline (default 60 s of host
-    /// time). Tests drop it to milliseconds; huge oversubscribed batch
-    /// runs may need to raise it.
+    /// time without any shard processing an event). Tests drop it to
+    /// milliseconds; huge oversubscribed batch runs may need to raise it.
     pub fn set_barrier_watchdog(&mut self, deadline: std::time::Duration) {
         self.barrier_watchdog = deadline;
     }
@@ -1582,10 +1637,9 @@ impl<S: AppSet> Simulator<S> {
     /// seeded links, and a flow control record (scheduled straight into
     /// the endpoint's queue at routed-path propagation delay) crosses
     /// each shard boundary over some link, so its delay is at least the
-    /// sum of the seeded crossings. Diagonal entries are deliberately
-    /// *not* zero: `la[i][i]` is the minimum echo cycle — how soon a
-    /// shard's own output can come back at it through its peers — which
-    /// is what bounds how far past its own queue a shard may safely run.
+    /// sum of the seeded crossings. The diagonal `la[i][i]` is the
+    /// minimum echo cycle through peers; no window bound reads it (a
+    /// shard's own sends bound its window, see [`World::schedule`]).
     fn pairwise_lookahead(topology: &Topology, assignment: &[u32], k: usize) -> Vec<u64> {
         let mut la = vec![NO_INTERACTION; k * k];
         if k == 1 {
@@ -1646,6 +1700,18 @@ impl<S: AppSet> Simulator<S> {
     /// Total events handed across shard boundaries so far.
     pub fn cross_shard_events(&self) -> u64 {
         self.shards.iter().map(|s| s.world.cross_shard_events).sum()
+    }
+
+    /// What ended the windows run so far, summed over shards (every
+    /// shard takes part in every window).
+    pub fn window_ends(&self) -> WindowEnds {
+        let mut sum = WindowEnds::default();
+        for s in &self.shards {
+            sum.by_peer += s.window_ends.by_peer;
+            sum.by_own_send += s.window_ends.by_own_send;
+            sum.by_until += s.window_ends.by_until;
+        }
+        sum
     }
 
     /// Events processed so far, per shard loop (who is doing the work).
@@ -1728,7 +1794,12 @@ impl<S: AppSet> Simulator<S> {
                 shard.world.outboxes.iter().all(Vec::is_empty),
                 "single shard has no peers"
             );
-            shard.process_window(SimTime::MAX, until);
+            // `t <= until` is `t < until + 1ns`; the add saturates, so
+            // `until = MAX` is no bound (an event at exactly `u64::MAX`
+            // ns is unreachable either way).
+            shard.world.limit = until + SimDuration::from_nanos(1);
+            shard.process_window(&self.diag[0].events);
+            shard.window_ends.by_until += 1;
             if shard.world.now < until {
                 shard.world.now = until;
             }
@@ -1799,12 +1870,13 @@ impl<S: AppSet> Simulator<S> {
         next_times: &[AtomicU64],
         diag: &[ShardDiag],
     ) -> bool {
-        match barrier.wait() {
+        let progress = || diag.iter().map(|d| d.events.load(Ordering::Relaxed)).sum();
+        match barrier.wait(progress) {
             BarrierWait::Released => true,
             BarrierWait::Poisoned => false,
             BarrierWait::TimedOut => {
                 let n = next_times.len();
-                eprintln!("barrier watchdog: shard {i} saw no release within the deadline");
+                eprintln!("barrier watchdog: shard {i} saw no peer progress within the deadline");
                 for (j, d) in diag.iter().enumerate() {
                     let next = next_times[j].load(Ordering::SeqCst);
                     let next = if next == u64::MAX {
@@ -1888,35 +1960,42 @@ impl<S: AppSet> Simulator<S> {
             if !Self::barrier_sync(i, barrier, lookahead, next_times, diag) {
                 return;
             }
-            // This shard's window ends where the earliest event another
-            // shard could hand it begins: the pairwise bound. The `j == i`
-            // term uses the diagonal echo-cycle distance (this shard's
-            // own output reflecting off a peer); pairs with no
-            // interaction (and idle peers, `next == MAX`) impose no
-            // bound at all, so distant or quiet shards never throttle
-            // this one the way the old single global lookahead did.
-            // One allocation-free pass: this runs once per window, often
-            // thousands of times per simulated second.
+            // This shard's window opens where the earliest event a
+            // *peer's* pending work could hand it begins: the pairwise
+            // bound. Pairs with no interaction (and idle peers, `next ==
+            // MAX`) impose none. Its own events bound nothing up front:
+            // `World::schedule` lowers the limit when it hands one over.
             let mut t_min = u64::MAX;
             let mut bound = u64::MAX;
             for (j, a) in next_times.iter().enumerate() {
                 let next_j = a.load(Ordering::SeqCst);
                 t_min = t_min.min(next_j);
                 let la = lookahead[j * n + i];
-                if la != NO_INTERACTION {
+                if j != i && la != NO_INTERACTION {
                     bound = bound.min(next_j.saturating_add(la));
                 }
             }
             if t_min > until.as_nanos() {
                 break;
             }
-            let window_end = SimTime::from_nanos(bound);
-            diag[i].window_end.store(bound, Ordering::SeqCst);
-            shard.process_window(window_end, until);
+            let opened = SimTime::from_nanos(bound).min(until + SimDuration::from_nanos(1));
+            shard.world.limit = opened;
+            diag[i]
+                .window_end
+                .store(opened.as_nanos(), Ordering::SeqCst);
+            shard.process_window(&diag[i].events);
             diag[i]
                 .events
                 .store(shard.world.events_processed, Ordering::SeqCst);
-            let advanced = window_end.min(until);
+            let reached = shard.world.limit;
+            if reached < opened {
+                shard.window_ends.by_own_send += 1;
+            } else if reached.as_nanos() == bound {
+                shard.window_ends.by_peer += 1;
+            } else {
+                shard.window_ends.by_until += 1;
+            }
+            let advanced = reached.min(until);
             if advanced > shard.world.now {
                 shard.world.now = advanced;
             }
@@ -2392,7 +2471,7 @@ mod tests {
         assert_eq!(sim.lookahead_between(1, 2), Some(ms(6)));
         assert_eq!(sim.lookahead_between(2, 1), Some(ms(6)));
         // Diagonals are echo cycles (out through a peer and back), not
-        // zero: they bound how far past its own queue a shard may run.
+        // zero — a closure fact only: no window bound reads them.
         assert_eq!(sim.lookahead_between(0, 0), Some(ms(4)));
         assert_eq!(sim.lookahead_between(1, 1), Some(ms(4)));
         assert_eq!(sim.lookahead_between(2, 2), Some(ms(8)));
@@ -2402,6 +2481,162 @@ mod tests {
         let (t, _, _) = star(2);
         let single = Simulator::new(t, 1);
         assert_eq!(single.lookahead_between(0, 0), None);
+    }
+
+    // ------------------------------------------------- window bounds
+
+    #[test]
+    fn a_shard_that_sends_nothing_runs_in_one_window() {
+        // Leaves tick local 1 ms timers on shard 1; the hub, alone on shard
+        // 0, has no app. Nothing is ever handed across, so no echo can
+        // exist: the leaf shard owes no barrier (a static echo-cycle
+        // bound stopped it every 4 ms, 500 times over) and the idle hub
+        // bounds nothing.
+        let run = |assignment: Option<Vec<u32>>| {
+            let (t, _hub, leaves) = star(4);
+            let mut sim = match assignment {
+                None => Simulator::new(t, 3),
+                Some(a) => Simulator::new_sharded(t, 3, a),
+            };
+            for &n in &leaves {
+                sim.add_app(
+                    n,
+                    Box::new(Heartbeat {
+                        period: SimDuration::from_millis(1),
+                        fires: Vec::new(),
+                        restarts: Vec::new(),
+                    }),
+                );
+            }
+            sim.run_until(SimTime::from_secs(2));
+            let fired: Vec<_> = leaves
+                .iter()
+                .map(|&n| {
+                    sim.app::<Heartbeat>(n)
+                        .expect("invariant: Heartbeat installed on every leaf")
+                        .fires
+                        .clone()
+                })
+                .collect();
+            (fired, sim.cross_shard_events(), sim.window_ends())
+        };
+        let single = run(None);
+        let sharded = run(Some(vec![0, 1, 1, 1, 1]));
+        assert_eq!(single.0, sharded.0, "tick timelines differ");
+        assert_eq!(single.0[0].len(), 2000);
+        assert_eq!(sharded.1, 0, "nothing crossed");
+        // One window, counted once per shard: the leaves ran to the end
+        // of the run, the hub opened at the leaves' first tick + 2 ms.
+        let one_each = WindowEnds {
+            by_peer: 1,
+            by_own_send: 0,
+            by_until: 1,
+        };
+        assert_eq!(sharded.2, one_each);
+    }
+
+    /// Uploads to `dst` at start (a handoff made before the first
+    /// exchange when `dst` is on another shard) and records what it
+    /// receives.
+    struct RingPeer {
+        dst: NodeId,
+        got: Vec<(SimTime, FlowId, u64)>,
+        drained_at: Option<SimTime>,
+    }
+    impl App for RingPeer {
+        fn start(&mut self, ctx: &mut Ctx) {
+            let f = ctx.open_default_flow(self.dst);
+            ctx.send(f, 200_000, 7);
+        }
+        fn on_message(&mut self, ctx: &mut Ctx, flow: FlowId, tag: u64) {
+            self.got.push((ctx.now(), flow, tag));
+        }
+        fn on_flow_drained(&mut self, ctx: &mut Ctx, _flow: FlowId) {
+            self.drained_at = Some(ctx.now());
+        }
+    }
+
+    #[test]
+    fn three_shard_ring_with_unequal_delays_matches_single_shard() {
+        // a -> b is 1 ms, but b's direct link back takes 10 ms: the
+        // shortest way anything a hands b can come back is b -> c -> a
+        // (2 ms), through a third shard. Every node uploads to the next
+        // one round the ring, so all three shards end windows on their
+        // own sends while ACKs and data take the long and short ways.
+        let run = |assignment: Option<Vec<u32>>| {
+            let mut tb = TopologyBuilder::new();
+            let (a, b, c) = (tb.node(), tb.node(), tb.node());
+            let ms = SimDuration::from_millis;
+            tb.link(a, b, LinkConfig::new(2_000_000, ms(1)));
+            tb.link(b, a, LinkConfig::new(2_000_000, ms(10)));
+            tb.duplex(b, c, LinkConfig::new(2_000_000, ms(1)));
+            tb.duplex(c, a, LinkConfig::new(2_000_000, ms(1)));
+            let t = tb.build();
+            let mut sim = match assignment {
+                None => Simulator::new(t, 17),
+                Some(a) => Simulator::new_sharded(t, 17, a),
+            };
+            for (n, dst) in [(a, b), (b, c), (c, a)] {
+                sim.add_app(
+                    n,
+                    Box::new(RingPeer {
+                        dst,
+                        got: Vec::new(),
+                        drained_at: None,
+                    }),
+                );
+            }
+            if sim.num_shards() == 3 {
+                assert_eq!(
+                    sim.lookahead_between(1, 0),
+                    Some(ms(2)),
+                    "closed, not direct"
+                );
+                assert_eq!(sim.lookahead_between(0, 1), Some(ms(1)));
+            }
+            sim.run_until(SimTime::from_secs(10));
+            let outcome: Vec<_> = [a, b, c]
+                .iter()
+                .map(|&n| {
+                    let p = sim
+                        .app::<RingPeer>(n)
+                        .expect("invariant: RingPeer installed on every node");
+                    (p.got.clone(), p.drained_at)
+                })
+                .collect();
+            (outcome, sim.window_ends())
+        };
+        let single = run(None);
+        let ring = run(Some(vec![0, 1, 2]));
+        assert!(
+            single
+                .0
+                .iter()
+                .all(|(got, drained)| got.len() == 1 && drained.is_some()),
+            "every upload completed"
+        );
+        assert_eq!(single.0, ring.0, "K = 3 must equal K = 1");
+        assert!(ring.1.by_own_send > 0, "handoffs ended windows");
+    }
+
+    #[test]
+    fn barrier_watchdog_rearms_while_a_peer_makes_progress() {
+        // A peer that works through five watchdog periods before it
+        // arrives, its event count moving all the while, is healthy: the
+        // parked waiter must re-arm each time instead of firing.
+        let deadline = std::time::Duration::from_millis(20);
+        let barrier = SpinBarrier::new(2, usize::MAX, deadline); // no spinning: park at once
+        let events = AtomicU64::new(0);
+        let waited = std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| barrier.wait(|| events.load(Ordering::Relaxed)));
+            for _ in 0..100 {
+                std::thread::sleep(std::time::Duration::from_millis(1));
+                events.fetch_add(1, Ordering::Relaxed);
+            }
+            assert_eq!(barrier.wait(|| 0), BarrierWait::Released);
+            waiter.join().expect("waiter thread exits")
+        });
+        assert_eq!(waited, BarrierWait::Released);
     }
 
     // ------------------------------------------- app control payloads
