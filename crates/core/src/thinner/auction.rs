@@ -14,30 +14,38 @@
 //!
 //! ## Scaling
 //!
-//! With 10^5-client crowds the thinner carries 10^4–10^5 live channels,
-//! so the two per-admission/per-tick operations that used to scan every
-//! contender — picking the winner and finding the next idle expiry —
-//! became the engine's bottleneck (admissions scale with capacity, which
-//! scales with population: an O(contenders) scan per admission is O(N²)
-//! per simulated second). Both are now lazy heaps over immutable
-//! snapshots: every registration or payment pushes a fresh `(paid, seq)`
-//! bid and a fresh expiry entry, and consumers pop past *stale* entries
-//! — those that no longer match the contender's live state — until the
-//! top is current. `paid` only grows and `seq` never changes, so a
-//! contender's newest entry always outranks its stale ones, making the
-//! first current entry the exact argmax/argmin the scans computed; the
-//! results (and therefore the goldens) are bit-identical, only the cost
-//! changes. Stale buildup is bounded by rebuilding a heap whenever it
-//! exceeds 4x the live-contender count (plus slack), which amortizes to
-//! O(1) per push.
+//! With 10^5-client crowds the thinner carries 10^4–10^5 live channels
+//! and credits payment to one of them every few hundred nanoseconds, so
+//! nothing on the payment or admission path may cost more than
+//! O(log contenders). Contenders live in an arena (a `Vec` plus a free
+//! list of reusable slots) reached through a lookup-only hash index;
+//! two indexed heaps (`SlotHeap`) order the arena's slots:
+//!
+//! * **Bids**, on `(paid desc, seq asc)`. `seq` is unique, so the order
+//!   is total and the top is §3.3's winner: the highest payer, ties to
+//!   the earliest registrant. A payment is one index lookup plus a
+//!   sift-up of the payer's entry; an auction reads the top.
+//! * **Idle deadlines**, one entry per contender, filed at registration
+//!   under `last_payment + timeout`. A payment moves the contender's
+//!   true deadline later but leaves the entry where it is, so an entry
+//!   is never later than the deadline it stands for. Whoever needs the
+//!   earliest true deadline re-files the top entry at its true deadline
+//!   until the top is exact; everything below it is filed no earlier,
+//!   hence due no earlier. A contender that keeps paying costs the
+//!   deadline heap nothing until its old entry surfaces.
+//!
+//! A contender that wins, cancels or expires is withdrawn from the
+//! index and both heaps at once, so neither heap ever holds an entry
+//! for a request that has left the auction.
 
 use super::digest::RemoteView;
+use super::slot_heap::SlotHeap;
 use super::FrontEnd;
 use crate::types::{Directive, RequestKey};
 use speakup_net::time::{SimDuration, SimTime};
 use speakup_net::trace::Samples;
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::HashMap;
 
 /// Configuration for the auction front end.
 #[derive(Clone, Copy, Debug)]
@@ -62,6 +70,7 @@ impl Default for AuctionConfig {
 /// A request contending in the auction.
 #[derive(Clone, Copy, Debug)]
 struct Contender {
+    req: RequestKey,
     /// Bytes paid so far.
     paid: u64,
     /// When the contender registered (tie-break: earlier wins).
@@ -72,45 +81,9 @@ struct Contender {
     last_payment: SimTime,
 }
 
-/// A snapshot of one contender's bid, for the lazy winner heap. Stale
-/// the moment the contender pays again (its live `paid` moves past this
-/// entry's) or leaves the auction.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-struct Bid {
-    paid: u64,
-    /// Registration sequence; the tie-break (earlier wins, so *smaller*
-    /// ranks higher).
-    seq: u64,
-    req: RequestKey,
-}
-
-impl Ord for Bid {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Max-heap: highest paid first, ties to the earliest registrant
-        // — the exact order `hold_auction`'s full scan used. `seq` is
-        // unique per contender, so the `req` leg never decides between
-        // two *live* entries; it only keeps the order total.
-        self.paid
-            .cmp(&other.paid)
-            .then(other.seq.cmp(&self.seq))
-            .then(other.req.cmp(&self.req))
-    }
-}
-
-impl PartialOrd for Bid {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// A snapshot of one contender's idle deadline, for the lazy expiry
-/// heap (min-ordered via [`Reverse`]). Stale once the contender pays
-/// again or leaves.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
-struct Expiry {
-    at: SimTime,
-    req: RequestKey,
-}
+/// Bid-heap key: the smallest is the highest payer, ties to the
+/// smallest (earliest) `seq`.
+type BidKey = (Reverse<u64>, u64);
 
 /// Observable counters for the auction front end.
 #[derive(Clone, Debug, Default)]
@@ -131,13 +104,19 @@ pub struct AuctionStats {
 pub struct AuctionFrontEnd {
     cfg: AuctionConfig,
     busy: Option<RequestKey>,
-    contenders: BTreeMap<RequestKey, Contender>,
-    /// Lazy max-heap of bid snapshots (see the module docs' scaling
-    /// note); the top *current* entry is the auction winner.
-    bids: BinaryHeap<Bid>,
-    /// Lazy min-heap of idle-deadline snapshots; the top current entry
-    /// is the next channel expiry.
-    expiries: BinaryHeap<Reverse<Expiry>>,
+    /// Contender arena. A slot is live while `index` maps its request
+    /// to it and dead (its contents meaningless) while it is on `free`.
+    arena: Vec<Contender>,
+    /// Dead arena slots, reused before the arena grows.
+    free: Vec<usize>,
+    /// Request → live arena slot. Only ever probed by key, so the
+    /// hasher's per-process seed cannot reach an output; it stays std's
+    /// keyed default because the proxy feeds wire-chosen ids in here.
+    index: HashMap<RequestKey, usize>,
+    /// Live slots by bid; the top is the auction winner.
+    bids: SlotHeap<BidKey>,
+    /// Live slots by filed idle deadline (see the module docs).
+    expiries: SlotHeap<SimTime>,
     next_seq: u64,
     going_rate: u64,
     /// This front end's replica id in a replicated deployment (the
@@ -159,9 +138,11 @@ impl AuctionFrontEnd {
         AuctionFrontEnd {
             cfg,
             busy: None,
-            contenders: BTreeMap::new(),
-            bids: BinaryHeap::new(),
-            expiries: BinaryHeap::new(),
+            arena: Vec::new(),
+            free: Vec::new(),
+            index: HashMap::new(),
+            bids: SlotHeap::new(),
+            expiries: SlotHeap::new(),
             next_seq: 0,
             going_rate: 0,
             replica: 0,
@@ -194,16 +175,12 @@ impl AuctionFrontEnd {
         self.busy.is_some()
     }
 
-    /// The current top live bid `(paid, seq)`, popping stale heap
-    /// snapshots on the way. `None` when no contender is registered.
-    pub fn top_bid(&mut self) -> Option<(u64, u64)> {
-        loop {
-            let top = *self.bids.peek()?;
-            if self.bid_is_current(&top) {
-                return Some((top.paid, top.seq));
-            }
-            self.bids.pop();
-        }
+    /// The current top bid `(paid, seq)`. `None` when no contender is
+    /// registered.
+    pub fn top_bid(&self) -> Option<(u64, u64)> {
+        self.bids
+            .peek()
+            .map(|((Reverse(paid), seq), _)| (paid, seq))
     }
 
     /// The next pending channel expiry, if any (digest building).
@@ -222,138 +199,110 @@ impl AuctionFrontEnd {
 
     /// Number of clients currently streaming payment.
     pub fn contender_count(&self) -> usize {
-        self.contenders.len()
+        self.index.len()
     }
 
     /// Total bytes currently bid across all contenders.
     pub fn outstanding_bid_bytes(&self) -> u64 {
-        self.contenders.values().map(|c| c.paid).sum()
+        self.bids
+            .entries()
+            .iter()
+            .map(|((Reverse(paid), _), _)| paid)
+            .sum()
     }
 
     /// Cumulative bytes a specific contender has paid, if contending.
     pub fn bid_of(&self, req: RequestKey) -> Option<u64> {
-        self.contenders.get(&req).map(|c| c.paid)
+        self.index.get(&req).map(|&slot| self.arena[slot].paid)
     }
 
-    /// Whether a bid snapshot still describes its contender. `paid`
-    /// only grows, so a matching amount means this is the newest entry.
-    fn bid_is_current(&self, b: &Bid) -> bool {
-        self.contenders
-            .get(&b.req)
-            .is_some_and(|c| c.paid == b.paid)
-    }
-
-    /// Whether an expiry snapshot still describes its contender.
-    fn expiry_is_current(&self, e: &Expiry) -> bool {
-        self.contenders
-            .get(&e.req)
-            .is_some_and(|c| c.last_payment + self.cfg.channel_timeout == e.at)
-    }
-
-    /// Record a contender's new bid and idle deadline in the lazy heaps,
-    /// rebuilding either heap once stale entries outnumber live ones 4:1
-    /// (amortized O(1); the slack keeps tiny auctions rebuild-free).
-    fn push_snapshots(&mut self, req: RequestKey, c: Contender) {
-        let cap = 4 * self.contenders.len() + 64;
-        if self.bids.len() + 1 > cap {
-            self.bids = self
-                .contenders
-                .iter()
-                .map(|(&req, c)| Bid {
-                    paid: c.paid,
-                    seq: c.seq,
-                    req,
-                })
-                .collect();
-        }
-        if self.expiries.len() + 1 > cap {
-            self.expiries = self
-                .contenders
-                .iter()
-                .map(|(&req, c)| {
-                    Reverse(Expiry {
-                        at: c.last_payment + self.cfg.channel_timeout,
-                        req,
-                    })
-                })
-                .collect();
-        }
-        self.bids.push(Bid {
-            paid: c.paid,
-            seq: c.seq,
+    /// Enter `req` into the auction at `now` with nothing paid.
+    fn register(&mut self, now: SimTime, req: RequestKey) {
+        let c = Contender {
             req,
-        });
-        self.expiries.push(Reverse(Expiry {
-            at: c.last_payment + self.cfg.channel_timeout,
-            req,
-        }));
+            paid: 0,
+            seq: self.next_seq,
+            opened: now,
+            last_payment: now,
+        };
+        self.next_seq += 1;
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.arena[slot] = c;
+                slot
+            }
+            None => {
+                self.arena.push(c);
+                self.arena.len() - 1
+            }
+        };
+        self.index.insert(req, slot);
+        self.bids.push(slot, (Reverse(c.paid), c.seq));
+        self.expiries.push(slot, now + self.cfg.channel_timeout);
+    }
+
+    /// Take the live contender in `slot` out of the auction.
+    fn withdraw(&mut self, slot: usize) -> Contender {
+        let c = self.arena[slot];
+        self.index.remove(&c.req);
+        self.bids.remove(slot);
+        self.expiries.remove(slot);
+        self.free.push(slot);
+        c
     }
 
     /// Hold the auction: admit the top payer (max paid; ties to the
-    /// earliest registrant), terminate its channel. Pops stale bid
-    /// snapshots until the top is current; every live contender has a
-    /// current snapshot ranking above its stale ones, so that top is
-    /// the same winner the old full scan picked.
+    /// earliest registrant), terminate its channel.
     fn hold_auction(&mut self, now: SimTime, out: &mut Vec<Directive>) {
         debug_assert!(self.busy.is_none());
-        let winner = loop {
-            let Some(top) = self.bids.peek().copied() else {
-                break None;
-            };
-            if self.bid_is_current(&top) {
-                break Some(top.req);
-            }
-            self.bids.pop();
-        };
-        let Some(winner) = winner else {
+        let Some(((Reverse(paid), seq), slot)) = self.bids.peek() else {
             return;
         };
         if let Some(remote) = &self.remote {
-            if remote.busy {
-                // The gated deployment models one cluster-wide server:
-                // defer while any peer is serving.
-                return;
-            }
-            let c = self.contenders.get(&winner).expect("winner exists");
-            if !remote.local_wins(c.paid, c.seq, self.replica) {
-                // A peer holds a better bid: defer until a fresher view
-                // (or more local payment) says otherwise.
+            // The gated deployment models one cluster-wide server: defer
+            // while any peer is serving, or while a peer holds a better
+            // bid — until a fresher view (or more local payment) says
+            // otherwise.
+            if remote.busy || !remote.local_wins(paid, seq, self.replica) {
                 return;
             }
         }
-        let c = self.contenders.remove(&winner).expect("winner exists");
+        let c = self.withdraw(slot);
         self.going_rate = c.paid;
         self.stats.auctions += 1;
         self.stats.winning_bids.push(c.paid as f64);
         self.stats
             .contention_time
             .push(now.saturating_since(c.opened).as_secs_f64());
-        self.busy = Some(winner);
-        out.push(Directive::TerminateChannel(winner));
-        out.push(Directive::Admit(winner));
+        self.busy = Some(c.req);
+        out.push(Directive::TerminateChannel(c.req));
+        out.push(Directive::Admit(c.req));
     }
 
+    /// The earliest true idle deadline: re-file the top entry until it
+    /// is exact (see the module docs).
     fn next_channel_expiry(&mut self) -> Option<SimTime> {
         loop {
-            let &Reverse(top) = self.expiries.peek()?;
-            if self.expiry_is_current(&top) {
-                return Some(top.at);
+            let (filed, slot) = self.expiries.peek()?;
+            let due = self.arena[slot].last_payment + self.cfg.channel_timeout;
+            if due == filed {
+                return Some(due);
             }
-            self.expiries.pop();
+            self.expiries.set_key(slot, due);
         }
     }
 }
 
 impl FrontEnd for AuctionFrontEnd {
     fn on_request(&mut self, now: SimTime, req: RequestKey, out: &mut Vec<Directive>) {
-        if self.contenders.contains_key(&req) || self.busy == Some(req) {
+        if self.index.contains_key(&req) || self.busy == Some(req) {
             return; // duplicate
         }
         let peers_clear = self
             .remote
             .as_ref()
             .is_none_or(|r| !r.busy && r.contenders == 0);
-        if self.busy.is_none() && self.contenders.is_empty() && peers_clear {
+        if self.busy.is_none() && self.index.is_empty() && peers_clear {
             // Unloaded server: serve immediately, price zero.
             self.busy = Some(req);
             self.going_rate = 0;
@@ -363,16 +312,7 @@ impl FrontEnd for AuctionFrontEnd {
             out.push(Directive::Admit(req));
             return;
         }
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let c = Contender {
-            paid: 0,
-            seq,
-            opened: now,
-            last_payment: now,
-        };
-        self.contenders.insert(req, c);
-        self.push_snapshots(req, c);
+        self.register(now, req);
         out.push(Directive::Encourage(req));
         // If the server is actually idle (possible when every prior
         // contender timed out between completions), hold an auction now.
@@ -383,11 +323,11 @@ impl FrontEnd for AuctionFrontEnd {
 
     fn on_payment(&mut self, now: SimTime, req: RequestKey, bytes: u64, out: &mut Vec<Directive>) {
         let _ = out;
-        if let Some(c) = self.contenders.get_mut(&req) {
+        if let Some(&slot) = self.index.get(&req) {
+            let c = &mut self.arena[slot];
             c.paid += bytes;
             c.last_payment = now;
-            let snapshot = *c;
-            self.push_snapshots(req, snapshot);
+            self.bids.set_key(slot, (Reverse(c.paid), c.seq));
         }
         // Payment for a non-contender (late bytes after termination) is
         // ignored — exactly the "wasted bytes" effect of §7.3.
@@ -401,31 +341,30 @@ impl FrontEnd for AuctionFrontEnd {
 
     fn on_cancel(&mut self, _now: SimTime, req: RequestKey, out: &mut Vec<Directive>) {
         let _ = out;
-        self.contenders.remove(&req);
+        if let Some(&slot) = self.index.get(&req) {
+            self.withdraw(slot);
+        }
     }
 
     fn on_tick(&mut self, now: SimTime, out: &mut Vec<Directive>) -> Option<SimTime> {
-        // Expire channels that stopped paying: drain every deadline
-        // snapshot that has come due, keeping only the current ones. A
-        // contender whose current snapshot is due is exactly one the
-        // old full scan would have caught (`now - last_payment >=
-        // timeout`); contenders that paid recently have their current
-        // snapshot still in the future. Two payments at the same
-        // instant leave duplicate current snapshots, hence the dedup.
+        // Expire channels that stopped paying (`now - last_payment >=
+        // timeout`). Every entry filed at or before `now` is looked at:
+        // its contender either is due, or paid since and is re-filed at
+        // its true deadline.
         let mut expired: Vec<RequestKey> = Vec::new();
-        while let Some(&Reverse(top)) = self.expiries.peek() {
-            if top.at > now {
+        while let Some((filed, slot)) = self.expiries.peek() {
+            if filed > now {
                 break;
             }
-            self.expiries.pop();
-            if self.expiry_is_current(&top) {
-                expired.push(top.req);
+            let due = self.arena[slot].last_payment + self.cfg.channel_timeout;
+            if due > now {
+                self.expiries.set_key(slot, due);
+            } else {
+                expired.push(self.withdraw(slot).req);
             }
         }
         expired.sort();
-        expired.dedup();
         for k in expired {
-            self.contenders.remove(&k);
             self.stats.channel_timeouts += 1;
             out.push(Directive::TerminateChannel(k));
             out.push(Directive::Drop(k));
@@ -435,7 +374,9 @@ impl FrontEnd for AuctionFrontEnd {
 
     fn reset(&mut self, _now: SimTime) {
         self.busy = None;
-        self.contenders.clear();
+        self.arena.clear();
+        self.free.clear();
+        self.index.clear();
         self.bids.clear();
         self.expiries.clear();
         self.next_seq = 0;
@@ -611,6 +552,23 @@ mod tests {
         f.on_payment(t(3), key(1, 1), 1000, &mut out);
         f.on_payment(t(3), key(2, 1), 10, &mut out);
         f.on_cancel(t(4), key(1, 1), &mut out);
+        out.clear();
+        f.on_server_done(t(5), key(0, 1), &mut out);
+        assert_eq!(admitted(&out), vec![key(2, 1)]);
+    }
+
+    #[test]
+    fn re_registering_after_cancel_queues_behind_earlier_equal_bids() {
+        // A request that withdraws and comes back is a newcomer: it must
+        // not keep the tie-break rank of its first registration.
+        let mut f = fe();
+        let mut out = Vec::new();
+        f.on_request(t(0), key(0, 1), &mut out);
+        f.on_request(t(1), key(1, 1), &mut out);
+        f.on_request(t(2), key(2, 1), &mut out);
+        f.on_cancel(t(3), key(1, 1), &mut out);
+        f.on_request(t(4), key(1, 1), &mut out);
+        assert_eq!(f.top_bid(), Some((0, 1)));
         out.clear();
         f.on_server_done(t(5), key(0, 1), &mut out);
         assert_eq!(admitted(&out), vec![key(2, 1)]);

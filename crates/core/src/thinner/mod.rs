@@ -29,6 +29,7 @@ mod none;
 mod profile;
 mod quantum;
 mod retry;
+mod slot_heap;
 
 pub use auction::{AuctionConfig, AuctionFrontEnd, AuctionStats};
 pub use digest::{

@@ -13,19 +13,18 @@
 //! In retry mode (§3.2) the client streams small retry messages in a
 //! congestion-controlled flow instead.
 
+use crate::agents::payer::Payer;
 use crate::tags::{pack, sizes, unpack, Kind};
 use speakup_core::client::{ClientProfile, ClientStats, RequestTracker};
 use speakup_core::types::{ClientId, RequestId};
 use speakup_net::packet::{FlowId, NodeId};
 use speakup_net::rng::Pcg32;
 use speakup_net::sim::{App, Ctx};
-use speakup_net::time::SimTime;
 use speakup_net::trace::Samples;
-use std::collections::BTreeMap;
 
+/// Every other timer token is a give-up timer carrying its request id
+/// directly (< 2^56).
 const TOKEN_FIRE: u64 = u64::MAX;
-/// Give-up timer tokens carry the request id directly (< 2^56).
-const RETRY_BATCH: u64 = 8;
 
 /// How the client pays when encouraged.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -36,15 +35,6 @@ pub enum PaymentMode {
     Posts,
     /// §3.2: stream small retries.
     Retries,
-}
-
-#[derive(Clone, Copy, Debug)]
-struct Channel {
-    flow: FlowId,
-    post_start: SimTime,
-    drained: bool,
-    got_continue: bool,
-    closed: bool,
 }
 
 /// Client-side measurements beyond [`ClientStats`].
@@ -60,15 +50,11 @@ pub struct ClientMetrics {
 pub struct ClientAgent {
     id: ClientId,
     thinner: NodeId,
-    mode: PaymentMode,
     tracker: RequestTracker,
     rng: Pcg32,
     up_flow: Option<FlowId>,
-    channels: BTreeMap<RequestId, Channel>,
-    flow_to_req: BTreeMap<FlowId, RequestId>,
-    /// Accumulated active-paying seconds and acked payment bytes, per
-    /// in-flight request.
-    paying: BTreeMap<RequestId, (f64, u64)>,
+    /// Payment channels and per-request payment totals.
+    payer: Payer,
     /// Client-side metrics.
     pub metrics: ClientMetrics,
 }
@@ -85,13 +71,10 @@ impl ClientAgent {
         ClientAgent {
             id,
             thinner,
-            mode,
             tracker: RequestTracker::new(profile),
             rng: Pcg32::new(seed, 0xc11e47 ^ id.0 as u64),
             up_flow: None,
-            channels: BTreeMap::new(),
-            flow_to_req: BTreeMap::new(),
-            paying: BTreeMap::new(),
+            payer: Payer::new(thinner, mode, &profile),
             metrics: ClientMetrics::default(),
         }
     }
@@ -119,81 +102,8 @@ impl ClientAgent {
         }
     }
 
-    fn start_post(&mut self, ctx: &mut Ctx, id: RequestId) {
-        let flow = ctx.open_default_flow(self.thinner);
-        let post_bytes = self.tracker.profile().post_bytes;
-        ctx.send(flow, sizes::PAYMENT_HEADER, pack(Kind::PaymentHeader, id));
-        ctx.send(flow, post_bytes, pack(Kind::PaymentChunk, id));
-        self.channels.insert(
-            id,
-            Channel {
-                flow,
-                post_start: ctx.now(),
-                drained: false,
-                got_continue: false,
-                closed: false,
-            },
-        );
-        self.flow_to_req.insert(flow, id);
-        self.paying.entry(id).or_insert((0.0, 0));
-    }
-
-    fn start_retries(&mut self, ctx: &mut Ctx, id: RequestId) {
-        let flow = ctx.open_default_flow(self.thinner);
-        for _ in 0..RETRY_BATCH {
-            ctx.send(
-                flow,
-                self.tracker.profile().retry_bytes,
-                pack(Kind::Retry, id),
-            );
-        }
-        self.channels.insert(
-            id,
-            Channel {
-                flow,
-                post_start: ctx.now(),
-                drained: false,
-                got_continue: false,
-                closed: false,
-            },
-        );
-        self.flow_to_req.insert(flow, id);
-        self.paying.entry(id).or_insert((0.0, 0));
-    }
-
-    fn try_repost(&mut self, ctx: &mut Ctx, id: RequestId) {
-        let Some(ch) = self.channels.get(&id) else {
-            return;
-        };
-        if ch.drained && ch.got_continue && !ch.closed {
-            self.close_channel(ctx, id, false);
-            if self.tracker.outstanding(id).is_some() {
-                self.start_post(ctx, id);
-            }
-        }
-    }
-
-    /// Stop paying for `id`. Accounts the active period; aborts the flow
-    /// if we are the ones walking away (`abort` true).
-    fn close_channel(&mut self, ctx: &mut Ctx, id: RequestId, abort: bool) {
-        let Some(ch) = self.channels.remove(&id) else {
-            return;
-        };
-        self.flow_to_req.remove(&ch.flow);
-        let acked = ctx.flow(ch.flow).acked_bytes();
-        let entry = self.paying.entry(id).or_insert((0.0, 0));
-        entry.1 += acked;
-        if !ch.drained {
-            entry.0 += ctx.now().saturating_since(ch.post_start).as_secs_f64();
-        }
-        if abort && !ctx.flow(ch.flow).is_aborted() {
-            ctx.abort_flow(ch.flow);
-        }
-    }
-
     fn finish_request(&mut self, ctx: &mut Ctx, id: RequestId, served: bool) {
-        self.close_channel(ctx, id, true);
-        let (pay_time, pay_bytes) = self.paying.remove(&id).unwrap_or((0.0, 0));
+        let (pay_time, pay_bytes) = self.payer.finish(ctx, id.0);
         let now = ctx.now();
         let next = if served {
             self.metrics.payment_time.push(pay_time);
@@ -238,8 +148,7 @@ impl App for ClientAgent {
             })
             .unwrap_or(false);
         if overdue {
-            self.close_channel(ctx, id, true);
-            self.paying.remove(&id);
+            self.payer.finish(ctx, id.0);
             if let Some(n) = self.tracker.on_gave_up(now, id) {
                 self.issue(ctx, n);
             }
@@ -249,20 +158,13 @@ impl App for ClientAgent {
     fn on_message(&mut self, ctx: &mut Ctx, _flow: FlowId, tag: u64) {
         let (kind, id) = unpack(tag);
         match kind {
-            Kind::Encourage
-                if self.tracker.outstanding(id).is_some() && !self.channels.contains_key(&id) =>
-            {
-                match self.mode {
-                    PaymentMode::None => {}
-                    PaymentMode::Posts => self.start_post(ctx, id),
-                    PaymentMode::Retries => self.start_retries(ctx, id),
-                }
+            Kind::Encourage if self.tracker.outstanding(id).is_some() => {
+                self.payer.on_encourage(ctx, id.0);
             }
             Kind::Continue => {
-                if let Some(ch) = self.channels.get_mut(&id) {
-                    ch.got_continue = true;
-                }
-                self.try_repost(ctx, id);
+                self.payer.on_continue(ctx, id.0, |id| {
+                    self.tracker.outstanding(RequestId(id)).is_some()
+                });
             }
             Kind::Response => self.finish_request(ctx, id, true),
             Kind::Dropped => self.finish_request(ctx, id, false),
@@ -271,49 +173,12 @@ impl App for ClientAgent {
     }
 
     fn on_flow_drained(&mut self, ctx: &mut Ctx, flow: FlowId) {
-        let Some(&id) = self.flow_to_req.get(&flow) else {
-            return;
-        };
-        match self.mode {
-            PaymentMode::Retries => {
-                // Keep the retry stream full while the request lives.
-                if self.tracker.outstanding(id).is_some() {
-                    let bytes = self.tracker.profile().retry_bytes;
-                    for _ in 0..RETRY_BATCH {
-                        ctx.send(flow, bytes, pack(Kind::Retry, id));
-                    }
-                }
-            }
-            _ => {
-                if let Some(ch) = self.channels.get_mut(&id) {
-                    if !ch.drained {
-                        ch.drained = true;
-                        let dt = ctx.now().saturating_since(ch.post_start).as_secs_f64();
-                        self.paying.entry(id).or_insert((0.0, 0)).0 += dt;
-                    }
-                }
-                self.try_repost(ctx, id);
-            }
-        }
+        self.payer.on_flow_drained(ctx, flow, |id| {
+            self.tracker.outstanding(RequestId(id)).is_some()
+        });
     }
 
     fn on_flow_aborted(&mut self, ctx: &mut Ctx, flow: FlowId) {
-        // The thinner terminated this payment channel (auction won, drop,
-        // or §5 completion). Stop paying; the verdict arrives separately.
-        let Some(&id) = self.flow_to_req.get(&flow) else {
-            return;
-        };
-        if let Some(ch) = self.channels.get_mut(&id) {
-            ch.closed = true;
-            if !ch.drained {
-                ch.drained = true;
-                let dt = ctx.now().saturating_since(ch.post_start).as_secs_f64();
-                self.paying.entry(id).or_insert((0.0, 0)).0 += dt;
-            }
-            let acked = ctx.flow(flow).acked_bytes();
-            self.paying.entry(id).or_insert((0.0, 0)).1 += acked;
-        }
-        self.flow_to_req.remove(&flow);
-        self.channels.remove(&id);
+        self.payer.on_flow_aborted(ctx, flow);
     }
 }

@@ -33,6 +33,7 @@
 //! [`ClientAgent`]: crate::agents::client::ClientAgent
 
 use crate::agents::client::{ClientMetrics, PaymentMode};
+use crate::agents::payer::Payer;
 use crate::tags::{pack, sizes, unpack, Kind};
 use speakup_core::client::{ClientProfile, ClientStats};
 use speakup_core::cohort::CohortTracker;
@@ -41,35 +42,22 @@ use speakup_net::ids::MemberId;
 use speakup_net::packet::{FlowId, NodeId};
 use speakup_net::rng::Pcg32;
 use speakup_net::sim::{App, Ctx};
-use speakup_net::time::{SimDuration, SimTime};
-use std::collections::BTreeMap;
+use speakup_net::time::SimDuration;
 
+/// Every other timer token is a give-up timer carrying its global
+/// request id directly (< 2^56).
 const TOKEN_FIRE: u64 = u64::MAX;
-/// Give-up timer tokens carry the global request id directly (< 2^56).
-const RETRY_BATCH: u64 = 8;
-
-#[derive(Clone, Copy, Debug)]
-struct Channel {
-    flow: FlowId,
-    post_start: SimTime,
-    drained: bool,
-    got_continue: bool,
-    closed: bool,
-}
 
 /// N identical clients behind one node. See module docs.
 pub struct CohortAgent {
     id: ClientId,
     thinner: NodeId,
-    mode: PaymentMode,
     tracker: CohortTracker,
     rng: Pcg32,
     up_flow: Option<FlowId>,
-    channels: BTreeMap<u64, Channel>,
-    flow_to_req: BTreeMap<FlowId, u64>,
-    /// Accumulated active-paying seconds and acked payment bytes, per
-    /// in-flight request (keyed by global request id).
-    paying: BTreeMap<u64, (f64, u64)>,
+    /// Every member's payment channels and per-request payment totals,
+    /// keyed by global request id.
+    payer: Payer,
     /// Cohort-aggregated client-side metrics.
     pub metrics: ClientMetrics,
 }
@@ -92,13 +80,10 @@ impl CohortAgent {
         CohortAgent {
             id,
             thinner,
-            mode,
             tracker: CohortTracker::new(profile, members),
             rng: Pcg32::new(seed, 0xc11e47 ^ id.0 as u64),
             up_flow: None,
-            channels: BTreeMap::new(),
-            flow_to_req: BTreeMap::new(),
-            paying: BTreeMap::new(),
+            payer: Payer::new(thinner, mode, &profile),
             metrics: ClientMetrics::default(),
         }
     }
@@ -147,85 +132,8 @@ impl CohortAgent {
         }
     }
 
-    fn start_post(&mut self, ctx: &mut Ctx, id: u64) {
-        let flow = ctx.open_default_flow(self.thinner);
-        let post_bytes = self.tracker.profile().post_bytes;
-        ctx.send(
-            flow,
-            sizes::PAYMENT_HEADER,
-            pack(Kind::PaymentHeader, RequestId(id)),
-        );
-        ctx.send(flow, post_bytes, pack(Kind::PaymentChunk, RequestId(id)));
-        self.channels.insert(
-            id,
-            Channel {
-                flow,
-                post_start: ctx.now(),
-                drained: false,
-                got_continue: false,
-                closed: false,
-            },
-        );
-        self.flow_to_req.insert(flow, id);
-        self.paying.entry(id).or_insert((0.0, 0));
-    }
-
-    fn start_retries(&mut self, ctx: &mut Ctx, id: u64) {
-        let flow = ctx.open_default_flow(self.thinner);
-        for _ in 0..RETRY_BATCH {
-            ctx.send(
-                flow,
-                self.tracker.profile().retry_bytes,
-                pack(Kind::Retry, RequestId(id)),
-            );
-        }
-        self.channels.insert(
-            id,
-            Channel {
-                flow,
-                post_start: ctx.now(),
-                drained: false,
-                got_continue: false,
-                closed: false,
-            },
-        );
-        self.flow_to_req.insert(flow, id);
-        self.paying.entry(id).or_insert((0.0, 0));
-    }
-
-    fn try_repost(&mut self, ctx: &mut Ctx, id: u64) {
-        let Some(ch) = self.channels.get(&id) else {
-            return;
-        };
-        if ch.drained && ch.got_continue && !ch.closed {
-            self.close_channel(ctx, id, false);
-            if self.tracker.outstanding(id).is_some() {
-                self.start_post(ctx, id);
-            }
-        }
-    }
-
-    /// Stop paying for `id`. Accounts the active period; aborts the flow
-    /// if we are the ones walking away (`abort` true).
-    fn close_channel(&mut self, ctx: &mut Ctx, id: u64, abort: bool) {
-        let Some(ch) = self.channels.remove(&id) else {
-            return;
-        };
-        self.flow_to_req.remove(&ch.flow);
-        let acked = ctx.flow(ch.flow).acked_bytes();
-        let entry = self.paying.entry(id).or_insert((0.0, 0));
-        entry.1 += acked;
-        if !ch.drained {
-            entry.0 += ctx.now().saturating_since(ch.post_start).as_secs_f64();
-        }
-        if abort && !ctx.flow(ch.flow).is_aborted() {
-            ctx.abort_flow(ch.flow);
-        }
-    }
-
     fn finish_request(&mut self, ctx: &mut Ctx, id: u64, served: bool) {
-        self.close_channel(ctx, id, true);
-        let (pay_time, pay_bytes) = self.paying.remove(&id).unwrap_or((0.0, 0));
+        let (pay_time, pay_bytes) = self.payer.finish(ctx, id);
         let now = ctx.now();
         let next = if served {
             self.metrics.payment_time.push(pay_time);
@@ -270,8 +178,7 @@ impl App for CohortAgent {
             })
             .unwrap_or(false);
         if overdue {
-            self.close_channel(ctx, token, true);
-            self.paying.remove(&token);
+            self.payer.finish(ctx, token);
             if let Some(n) = self.tracker.on_gave_up(now, token) {
                 self.issue(ctx, n);
             }
@@ -282,20 +189,12 @@ impl App for CohortAgent {
         let (kind, rid) = unpack(tag);
         let id = rid.0;
         match kind {
-            Kind::Encourage
-                if self.tracker.outstanding(id).is_some() && !self.channels.contains_key(&id) =>
-            {
-                match self.mode {
-                    PaymentMode::None => {}
-                    PaymentMode::Posts => self.start_post(ctx, id),
-                    PaymentMode::Retries => self.start_retries(ctx, id),
-                }
+            Kind::Encourage if self.tracker.outstanding(id).is_some() => {
+                self.payer.on_encourage(ctx, id);
             }
             Kind::Continue => {
-                if let Some(ch) = self.channels.get_mut(&id) {
-                    ch.got_continue = true;
-                }
-                self.try_repost(ctx, id);
+                self.payer
+                    .on_continue(ctx, id, |id| self.tracker.outstanding(id).is_some());
             }
             Kind::Response => self.finish_request(ctx, id, true),
             Kind::Dropped => self.finish_request(ctx, id, false),
@@ -304,49 +203,11 @@ impl App for CohortAgent {
     }
 
     fn on_flow_drained(&mut self, ctx: &mut Ctx, flow: FlowId) {
-        let Some(&id) = self.flow_to_req.get(&flow) else {
-            return;
-        };
-        match self.mode {
-            PaymentMode::Retries => {
-                // Keep the retry stream full while the request lives.
-                if self.tracker.outstanding(id).is_some() {
-                    let bytes = self.tracker.profile().retry_bytes;
-                    for _ in 0..RETRY_BATCH {
-                        ctx.send(flow, bytes, pack(Kind::Retry, RequestId(id)));
-                    }
-                }
-            }
-            _ => {
-                if let Some(ch) = self.channels.get_mut(&id) {
-                    if !ch.drained {
-                        ch.drained = true;
-                        let dt = ctx.now().saturating_since(ch.post_start).as_secs_f64();
-                        self.paying.entry(id).or_insert((0.0, 0)).0 += dt;
-                    }
-                }
-                self.try_repost(ctx, id);
-            }
-        }
+        self.payer
+            .on_flow_drained(ctx, flow, |id| self.tracker.outstanding(id).is_some());
     }
 
     fn on_flow_aborted(&mut self, ctx: &mut Ctx, flow: FlowId) {
-        // The thinner terminated this payment channel (auction won, drop,
-        // or §5 completion). Stop paying; the verdict arrives separately.
-        let Some(&id) = self.flow_to_req.get(&flow) else {
-            return;
-        };
-        if let Some(ch) = self.channels.get_mut(&id) {
-            ch.closed = true;
-            if !ch.drained {
-                ch.drained = true;
-                let dt = ctx.now().saturating_since(ch.post_start).as_secs_f64();
-                self.paying.entry(id).or_insert((0.0, 0)).0 += dt;
-            }
-            let acked = ctx.flow(flow).acked_bytes();
-            self.paying.entry(id).or_insert((0.0, 0)).1 += acked;
-        }
-        self.flow_to_req.remove(&flow);
-        self.channels.remove(&id);
+        self.payer.on_flow_aborted(ctx, flow);
     }
 }

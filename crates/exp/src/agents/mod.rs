@@ -6,6 +6,7 @@
 
 pub mod client;
 pub mod cohort;
+mod payer;
 pub mod thinner;
 pub mod web;
 

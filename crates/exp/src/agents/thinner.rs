@@ -15,7 +15,7 @@ use speakup_net::packet::{FlowId, NodeId};
 use speakup_net::sim::{App, Ctx, TimerHandle};
 use speakup_net::time::{SimDuration, SimTime};
 use speakup_net::trace::Samples;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 const TOKEN_SERVER_DONE: u64 = u64::MAX;
 const TOKEN_TICK: u64 = u64::MAX - 1;
@@ -45,12 +45,28 @@ pub struct ClientInfo {
     pub spoofs: bool,
 }
 
-/// One registered payment channel.
+/// One open payment channel: the record its flow id leads to.
 #[derive(Clone, Copy, Debug)]
 struct Channel {
-    flow: FlowId,
+    /// The request this channel pays for.
+    key: RequestKey,
     /// Delivered-byte watermark already credited to the front end.
     seen: u64,
+    /// Bytes credited through this channel so far. Crediting touches
+    /// only this record; the sum moves to the request's `paid` when the
+    /// channel closes.
+    credited: u64,
+}
+
+/// One live request: known to the thinner and not yet answered.
+#[derive(Clone, Copy, Debug)]
+struct Request {
+    state: ReqState,
+    /// Bytes paid so far over channels since closed, and in retries
+    /// (for price metrics at admission).
+    paid: u64,
+    /// The request's open payment channel, if it has one.
+    channel: Option<FlowId>,
 }
 
 /// How one thinner replica participates in a replicated deployment
@@ -108,13 +124,18 @@ pub struct ThinnerAgent {
     clients_by_node: BTreeMap<NodeId, ClientInfo>,
     nodes_by_client: BTreeMap<ClientId, NodeId>,
     down_flows: BTreeMap<ClientId, FlowId>,
-    channels: BTreeMap<RequestKey, Channel>,
-    /// Reverse index of `channels` (payment flow → request), for O(1)
-    /// abort handling and progress-drain lookups.
-    by_flow: BTreeMap<FlowId, RequestKey>,
-    states: BTreeMap<RequestKey, ReqState>,
-    /// Bytes paid per request so far (for price metrics at admission).
-    paid: BTreeMap<RequestKey, u64>,
+    /// Open payment channels by flow id: a flow that delivered bytes
+    /// leads straight to its record and from there to the front end. A
+    /// channel can outlive its request (a POST that raced the response)
+    /// until the client aborts the flow. Probed by key only.
+    channels: HashMap<FlowId, Channel>,
+    /// Live requests. Probed by key only (but for a debug-build
+    /// count); an entry leaves when its request is answered (response
+    /// or drop), never later.
+    requests: HashMap<RequestKey, Request>,
+    /// How many of `requests` are [`ReqState::Contending`] (the digest
+    /// publishes it every sync epoch).
+    contending: u64,
     server_timer: Option<TimerHandle>,
     tick_timer: Option<TimerHandle>,
     /// Spoofing support: real key -> alias presented to the front end,
@@ -171,10 +192,9 @@ impl ThinnerAgent {
             clients_by_node,
             nodes_by_client,
             down_flows: BTreeMap::new(),
-            channels: BTreeMap::new(),
-            by_flow: BTreeMap::new(),
-            states: BTreeMap::new(),
-            paid: BTreeMap::new(),
+            channels: HashMap::new(),
+            requests: HashMap::new(),
+            contending: 0,
             server_timer: None,
             tick_timer: None,
             alias_of: BTreeMap::new(),
@@ -254,6 +274,12 @@ impl ThinnerAgent {
         self.fe.as_ref()
     }
 
+    /// Requests this thinner holds state for: contending, or on the
+    /// server. Bounded by what its clients can have outstanding.
+    pub fn live_requests(&self) -> usize {
+        self.requests.len()
+    }
+
     fn info(&self, client: ClientId) -> ClientInfo {
         let node = self.nodes_by_client[&client];
         self.clients_by_node[&node]
@@ -306,17 +332,54 @@ impl ThinnerAgent {
         ctx.send(f, bytes, pack(kind, req.req));
     }
 
-    /// Credit any newly delivered bytes on `key`'s channel to the front
-    /// end. Returns the delta.
-    fn sync_channel(&mut self, ctx: &mut Ctx, key: RequestKey) -> u64 {
-        let Some(ch) = self.channels.get_mut(&key) else {
+    /// Start tracking `key` as contending unless it is already known.
+    fn note_request(&mut self, key: RequestKey) {
+        self.requests.entry(key).or_insert_with(|| {
+            self.contending += 1;
+            Request {
+                state: ReqState::Contending,
+                paid: 0,
+                channel: None,
+            }
+        });
+    }
+
+    /// `key` is on the server now (admitted, or resumed). Returns its
+    /// record.
+    fn note_on_server(&mut self, key: RequestKey) -> Request {
+        let r = self.requests.entry(key).or_insert(Request {
+            state: ReqState::OnServer,
+            paid: 0,
+            channel: None,
+        });
+        if r.state == ReqState::Contending {
+            self.contending -= 1;
+            r.state = ReqState::OnServer;
+        }
+        *r
+    }
+
+    /// `key` has been answered: forget it.
+    fn forget_request(&mut self, key: RequestKey) {
+        if let Some(r) = self.requests.remove(&key) {
+            if r.state == ReqState::Contending {
+                self.contending -= 1;
+            }
+        }
+    }
+
+    /// Credit any newly delivered bytes on the channel `flow` to the
+    /// front end. Returns the delta.
+    fn sync_channel(&mut self, ctx: &mut Ctx, flow: FlowId) -> u64 {
+        let Some(ch) = self.channels.get_mut(&flow) else {
             return 0;
         };
-        let delivered = ctx.flow(ch.flow).delivered_bytes();
+        let delivered = ctx.flow(flow).delivered_bytes();
         let delta = delivered.saturating_sub(ch.seen);
         if delta > 0 {
             ch.seen = delivered;
-            *self.paid.entry(key).or_insert(0) += delta;
+            ch.credited += delta;
+            let key = ch.key;
             self.metrics.payment_bytes_total += delta;
             self.digest.note_payment(delta);
             let now = ctx.now();
@@ -335,12 +398,11 @@ impl ThinnerAgent {
     }
 
     /// Credit every channel whose flow delivered new bytes since the
-    /// last call. Equivalent to polling every open channel — a sync
-    /// with no new bytes is a no-op — but O(flows that moved) instead
-    /// of O(open channels). The full scan ran on every server
-    /// completion, and completions scale with capacity (itself scaled
-    /// to the population), so at crowd scale it made the whole
-    /// simulation O(population²) per simulated second.
+    /// last call: O(flows that moved), each one a hash probe. This
+    /// runs on every server completion, and completions scale with
+    /// capacity (itself scaled to the population), so anything
+    /// O(open channels) here makes the whole simulation
+    /// O(population²) per simulated second.
     fn sync_delivered_channels(&mut self, ctx: &mut Ctx) {
         // Reuse the flow buffer: this runs on every completion and
         // tick, and a fresh Vec per call was measurable allocator churn.
@@ -348,11 +410,23 @@ impl ThinnerAgent {
         flows.clear();
         ctx.drain_progress(&mut flows);
         for &f in &flows {
-            if let Some(&key) = self.by_flow.get(&f) {
-                self.sync_channel(ctx, key);
-            }
+            self.sync_channel(ctx, f);
         }
         self.flow_scratch = flows;
+    }
+
+    /// Stop tracking the channel `flow`, moving what it credited to its
+    /// request's `paid` if the request is still live.
+    fn close_channel(&mut self, ctx: &mut Ctx, flow: FlowId) -> Option<Channel> {
+        let ch = self.channels.remove(&flow)?;
+        ctx.unwatch_flow(flow);
+        if let Some(r) = self.requests.get_mut(&ch.key) {
+            r.paid += ch.credited;
+            if r.channel == Some(flow) {
+                r.channel = None;
+            }
+        }
+        Some(ch)
     }
 
     fn call_fe(
@@ -386,15 +460,14 @@ impl ThinnerAgent {
             match d {
                 Directive::Admit(k) => self.admit(ctx, k),
                 Directive::Encourage(k) => {
-                    self.states.entry(k).or_insert(ReqState::Contending);
+                    self.note_request(k);
                     self.tell(ctx, k.client, Kind::Encourage, k, sizes::CONTROL);
                 }
                 Directive::Drop(k) => {
                     self.metrics.drops += 1;
                     self.digest.timeouts += 1;
                     self.cleanup_channel(ctx, k, false);
-                    self.states.remove(&k);
-                    self.paid.remove(&k);
+                    self.forget_request(k);
                     self.drop_alias(k);
                     self.tell(ctx, k.client, Kind::Dropped, k, sizes::CONTROL);
                 }
@@ -413,14 +486,13 @@ impl ThinnerAgent {
                     let now = ctx.now();
                     let finish = self.server.resume(now, k);
                     self.arm_server_timer(ctx, finish);
-                    self.states.insert(k, ReqState::OnServer);
+                    self.note_on_server(k);
                 }
                 Directive::AbortRequest(k) => {
                     self.server.abort_suspended(k);
                     self.metrics.drops += 1;
                     self.cleanup_channel(ctx, k, false);
-                    self.states.remove(&k);
-                    self.paid.remove(&k);
+                    self.forget_request(k);
                     self.drop_alias(k);
                     self.tell(ctx, k.client, Kind::Dropped, k, sizes::CONTROL);
                 }
@@ -434,9 +506,11 @@ impl ThinnerAgent {
         let finish = self.server.start_request(now, k, info.difficulty);
         self.digest.admissions += 1;
         self.arm_server_timer(ctx, finish);
-        self.states.insert(k, ReqState::OnServer);
-        // Record the price this admission paid.
-        let paid = self.paid.get(&k).copied().unwrap_or(0) as f64;
+        let r = self.note_on_server(k);
+        // Record the price this admission paid: closed channels plus,
+        // in §5 mode, the one that stays open while the request runs.
+        let open = r.channel.and_then(|f| self.channels.get(&f));
+        let paid = (r.paid + open.map_or(0, |ch| ch.credited)) as f64;
         if info.is_bad {
             self.metrics.price_bad.push(paid);
         } else {
@@ -457,10 +531,9 @@ impl ThinnerAgent {
     /// `Response`) from drops.
     fn cleanup_channel(&mut self, ctx: &mut Ctx, k: RequestKey, graceful: bool) {
         let _ = graceful;
-        if let Some(ch) = self.channels.remove(&k) {
-            ctx.unwatch_flow(ch.flow);
-            self.by_flow.remove(&ch.flow);
-            ctx.abort_flow(ch.flow);
+        if let Some(flow) = self.requests.get(&k).and_then(|r| r.channel) {
+            self.close_channel(ctx, flow);
+            ctx.abort_flow(flow);
         }
     }
 
@@ -498,11 +571,15 @@ impl ThinnerAgent {
     /// hold). The replica's own board merges it immediately.
     fn publish_digest(&mut self, ctx: &mut Ctx) {
         self.digest.epoch += 1;
-        self.digest.contenders = self
-            .states
-            .values()
-            .filter(|s| **s == ReqState::Contending)
-            .count() as u64;
+        debug_assert_eq!(
+            self.contending,
+            // lint: allow(hash-iter) — an order-independent count, debug builds only
+            self.requests
+                .values()
+                .filter(|r| r.state == ReqState::Contending)
+                .count() as u64
+        );
+        self.digest.contenders = self.contending;
         self.digest.busy = self.server.is_busy();
         self.digest.going_rate = self.fe.going_rate().unwrap_or(0);
         self.digest.expiry_horizon = self.expiry_hint.map_or(u64::MAX, SimTime::as_nanos);
@@ -563,27 +640,35 @@ impl App for ThinnerAgent {
         let key = RequestKey::new(info.id, rid);
         match kind {
             Kind::Request => {
-                self.states.entry(key).or_insert(ReqState::Contending);
+                self.note_request(key);
                 let fe_key = self.fe_key(key, info.spoofs);
                 self.call_fe(ctx, |fe, now, out| fe.on_request(now, fe_key, out));
             }
             Kind::PaymentHeader => {
                 // Final credit for a previous channel of the same request
                 // (re-POST case), then switch to the new flow.
-                self.sync_channel(ctx, key);
+                let request = self.requests.get(&key).copied();
+                if let Some(old) = request.and_then(|r| r.channel) {
+                    self.sync_channel(ctx, old);
+                    self.close_channel(ctx, old);
+                }
                 let seen = ctx.flow(flow).delivered_bytes();
-                if let Some(old) = self.channels.insert(key, Channel { flow, seen }) {
-                    ctx.unwatch_flow(old.flow);
-                    self.by_flow.remove(&old.flow);
+                let ch = Channel {
+                    key,
+                    seen,
+                    credited: 0,
+                };
+                self.channels.insert(flow, ch);
+                if let Some(r) = self.requests.get_mut(&key) {
+                    r.channel = Some(flow);
                 }
                 ctx.watch_flow(flow);
-                self.by_flow.insert(flow, key);
             }
             Kind::PaymentChunk => {
                 // A full POST arrived. Credit it, then tell the client to
                 // keep paying if its request is still in play.
-                self.sync_channel(ctx, key);
-                let state = self.states.get(&key).copied();
+                self.sync_channel(ctx, flow);
+                let state = self.requests.get(&key).map(|r| r.state);
                 let keep_paying = match state {
                     Some(ReqState::Contending) => true,
                     // §5: the active request keeps its channel open.
@@ -599,12 +684,12 @@ impl App for ThinnerAgent {
                 // retry that lands after its request was served must not
                 // resurrect it (cf. §7.3's wasted bytes — they are simply
                 // ignored).
-                if self.states.get(&key) != Some(&ReqState::Contending) {
-                    return;
+                match self.requests.get_mut(&key) {
+                    Some(r) if r.state == ReqState::Contending => r.paid += sizes::RETRY,
+                    _ => return,
                 }
                 self.metrics.payment_bytes_total += sizes::RETRY;
                 self.digest.note_payment(sizes::RETRY);
-                *self.paid.entry(key).or_insert(0) += sizes::RETRY;
                 let fe_key = self.existing_fe_key(key);
                 self.call_fe(ctx, |fe, now, out| {
                     fe.on_payment(now, fe_key, sizes::RETRY, out)
@@ -646,8 +731,6 @@ impl App for ThinnerAgent {
                         self.metrics.quanta.good += quanta;
                     }
                 }
-                self.states.remove(&key);
-                self.paid.remove(&key);
                 // In auction mode the channel died at admission; in §5 it
                 // is still open and on_server_done will terminate it.
                 // Sync other channels so the auction sees fresh bids.
@@ -655,6 +738,9 @@ impl App for ThinnerAgent {
                 let fe_key = self.existing_fe_key(key);
                 self.drop_alias(key);
                 self.call_fe(ctx, |fe, now, out| fe.on_server_done(now, fe_key, out));
+                // Only now: terminating a §5 channel finds it through
+                // the request's record.
+                self.forget_request(key);
                 self.tell(ctx, key.client, Kind::Response, key, sizes::RESPONSE);
             }
             TOKEN_TICK => {
@@ -688,10 +774,8 @@ impl App for ThinnerAgent {
     fn on_flow_aborted(&mut self, ctx: &mut Ctx, flow: FlowId) {
         // A client abandoned a payment flow. Cancel its request's
         // channel registration if it is still ours.
-        if let Some(k) = self.by_flow.remove(&flow) {
-            ctx.unwatch_flow(flow);
-            self.channels.remove(&k);
-            let fe_key = self.existing_fe_key(k);
+        if let Some(ch) = self.close_channel(ctx, flow) {
+            let fe_key = self.existing_fe_key(ch.key);
             self.call_fe(ctx, |fe, now, out| fe.on_cancel(now, fe_key, out));
         }
     }
@@ -718,9 +802,8 @@ impl App for ThinnerAgent {
         self.server.reset();
         self.down_flows.clear();
         self.channels.clear();
-        self.by_flow.clear();
-        self.states.clear();
-        self.paid.clear();
+        self.requests.clear();
+        self.contending = 0;
         self.server_timer = None;
         self.tick_timer = None;
         self.alias_of.clear();
@@ -735,5 +818,81 @@ impl App for ThinnerAgent {
         // Come back up exactly like a first boot: housekeeping tick now,
         // first digest publish one sync period from now.
         self.start(ctx);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::agents::client::{ClientAgent, PaymentMode};
+    use crate::agents::AppSlot;
+    use speakup_core::client::ClientProfile;
+    use speakup_core::thinner::{QuantumConfig, QuantumFrontEnd};
+    use speakup_net::link::LinkConfig;
+    use speakup_net::sim::Simulator;
+    use speakup_net::topology::TopologyBuilder;
+
+    /// §5 quantum mode, the `hetero` mix in small. A request's payment
+    /// channel is still open (and still delivering) when the request
+    /// completes, so the sync that precedes `on_server_done` credits
+    /// bytes to a request that has just finished. That credit must not
+    /// leave per-request state behind: the thinner may never track more
+    /// requests than its clients can have outstanding.
+    #[test]
+    fn finished_requests_leave_no_state_behind() {
+        let quantum = SimDuration::from_millis(10);
+        // Window 1 each, so at most one live request per client.
+        let profiles: Vec<ClientProfile> = (0..8)
+            .map(|i| ClientProfile::good().difficulty(if i < 4 { 1.0 } else { 4.0 }))
+            .collect();
+        let mut b = TopologyBuilder::new();
+        let thinner = b.node();
+        let nodes: Vec<NodeId> = profiles.iter().map(|_| b.node()).collect();
+        for &n in &nodes {
+            let lan = LinkConfig::new(2_000_000, SimDuration::from_micros(500));
+            b.duplex(n, thinner, lan);
+        }
+        let mut sim =
+            Simulator::<AppSlot>::new_sharded_slots(b.build(), 7, vec![0; nodes.len() + 1]);
+        let ids = (0u32..).map(ClientId);
+        let infos: Vec<(NodeId, ClientInfo)> = nodes
+            .iter()
+            .zip(ids)
+            .zip(&profiles)
+            .map(|((&node, id), p)| {
+                let info = ClientInfo {
+                    id,
+                    is_bad: false,
+                    difficulty: p.difficulty,
+                    spoofs: false,
+                };
+                (node, info)
+            })
+            .collect();
+        let fe = QuantumFrontEnd::new(QuantumConfig {
+            quantum,
+            ..QuantumConfig::default()
+        });
+        let server = EmulatedServer::new(8.0, 11);
+        let agent = ThinnerAgent::new(Box::new(fe), server, infos.clone(), Some(quantum));
+        sim.add_slot(thinner, AppSlot::Thinner(agent));
+        for ((node, info), p) in infos.iter().zip(&profiles) {
+            let seed = 100 + u64::from(info.id.0);
+            let client = ClientAgent::new(info.id, thinner, *p, PaymentMode::Posts, seed);
+            sim.add_slot(*node, AppSlot::Client(client));
+        }
+        sim.run_until(SimTime::from_secs(10));
+        let t = sim.app::<ThinnerAgent>(thinner).expect("thinner agent");
+        assert!(
+            t.metrics.allocation.good > 20,
+            "requests completed: {:?}",
+            t.metrics.allocation
+        );
+        assert!(
+            t.live_requests() <= profiles.len(),
+            "{} requests tracked for {} single-window clients",
+            t.live_requests(),
+            profiles.len()
+        );
     }
 }
