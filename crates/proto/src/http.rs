@@ -6,8 +6,17 @@
 //! they arrive on the wire, not when the POST completes, so the parser
 //! reports body progress chunk by chunk. Chunked transfer encoding,
 //! trailers, and HTTP/2 are out of scope.
+//!
+//! Bodies are **counted, never stored**: payment bytes are dummy bytes
+//! whose content nobody reads, so once a head is parsed its body is pure
+//! arithmetic on the declared `Content-Length` — no copy, no allocation.
+//! Only head bytes are ever buffered, which bounds the parser's memory by
+//! its head limit (plus the one read being drained) whatever the peer
+//! sends. `Content-Length` is therefore
+//! the one number that decides how many unseen bytes are credited, and is
+//! parsed strictly (digits only; repeated headers must agree).
 
-use bytes::{Bytes, BytesMut};
+use bytes::{Buf, Bytes, BytesMut};
 use std::fmt;
 
 /// Request method. Only what the prototype uses.
@@ -89,7 +98,8 @@ pub enum ParseError {
     BadMethod,
     /// Malformed header line.
     BadHeader,
-    /// `Content-Length` was not a number.
+    /// `Content-Length` was not a plain decimal number, or two
+    /// `Content-Length` headers disagreed.
     BadContentLength,
     /// Head exceeded the maximum allowed size.
     HeadTooLarge,
@@ -125,13 +135,26 @@ pub enum ParseEvent {
 #[derive(Debug)]
 enum State {
     Head,
-    Body { remaining: u64 },
+    /// `remaining` body bytes have yet to arrive; `pending` have arrived
+    /// and not yet been reported as a [`ParseEvent::BodyChunk`].
+    Body {
+        remaining: u64,
+        pending: u64,
+    },
 }
 
 /// Incremental request parser. Feed bytes with [`RequestParser::push`],
 /// drain events with [`RequestParser::next_event`].
+///
+/// Body bytes are counted where they land and never stored: `push`
+/// subtracts them from the declared length, and the next
+/// [`ParseEvent::BodyChunk`] reports how many arrived since the last one.
+/// The internal buffer holds head bytes only, so once the events that
+/// follow a `push` are drained it is at most one incomplete head (the
+/// 8 KiB head limit), and empty while a body is in flight.
 #[derive(Debug)]
 pub struct RequestParser {
+    /// Head bytes only; empty while a body has bytes outstanding.
     buf: BytesMut,
     state: State,
     max_head: usize,
@@ -153,19 +176,29 @@ impl RequestParser {
         }
     }
 
-    /// Append raw bytes from the wire.
-    pub fn push(&mut self, data: &[u8]) {
-        self.buf.extend_from_slice(data);
+    /// Take raw bytes from the wire. Bytes of a body in flight are
+    /// counted and dropped; only what follows (the next head) is kept.
+    pub fn push(&mut self, mut data: &[u8]) {
+        if let State::Body { remaining, pending } = &mut self.state {
+            let take = body_share(data.len(), *remaining);
+            *remaining -= take as u64;
+            *pending += take as u64;
+            data = &data[take..];
+        }
+        if !data.is_empty() {
+            self.buf.extend_from_slice(data);
+        }
     }
 
-    /// Bytes buffered but not yet consumed.
+    /// Head bytes buffered but not yet parsed. Body bytes never count:
+    /// they are not stored.
     pub fn buffered(&self) -> usize {
         self.buf.len()
     }
 
-    /// Pull the next parse event, if the buffer holds one.
+    /// Pull the next parse event, if the bytes pushed so far hold one.
     pub fn next_event(&mut self) -> Result<Option<ParseEvent>, ParseError> {
-        match self.state {
+        match &mut self.state {
             State::Head => {
                 let Some(head_end) = find_head_end(&self.buf) else {
                     if self.buf.len() > self.max_head {
@@ -176,30 +209,33 @@ impl RequestParser {
                 if head_end > self.max_head {
                     return Err(ParseError::HeadTooLarge);
                 }
-                let head_bytes = self.buf.split_to(head_end);
-                let head = parse_head(&head_bytes)?;
+                let head = parse_head(&self.buf[..head_end])?;
+                // Body bytes that shared a read with the head: count
+                // them, discard them with the head.
+                let pending = body_share(self.buf.len() - head_end, head.content_length);
+                self.buf.advance(head_end + pending);
                 self.state = State::Body {
-                    remaining: head.content_length,
+                    remaining: head.content_length - pending as u64,
+                    pending: pending as u64,
                 };
                 Ok(Some(ParseEvent::Head(head)))
             }
-            State::Body { remaining } => {
-                if remaining == 0 {
-                    self.state = State::Head;
-                    return Ok(Some(ParseEvent::Complete));
-                }
-                if self.buf.is_empty() {
-                    return Ok(None);
-                }
-                let take = (self.buf.len() as u64).min(remaining);
-                let _ = self.buf.split_to(take as usize);
-                self.state = State::Body {
-                    remaining: remaining - take,
-                };
-                Ok(Some(ParseEvent::BodyChunk(take)))
+            State::Body { pending, .. } if *pending > 0 => {
+                Ok(Some(ParseEvent::BodyChunk(std::mem::take(pending))))
             }
+            State::Body { remaining: 0, .. } => {
+                self.state = State::Head;
+                Ok(Some(ParseEvent::Complete))
+            }
+            State::Body { .. } => Ok(None),
         }
     }
+}
+
+/// How many of `available` bytes belong to a body with `remaining` bytes
+/// outstanding.
+fn body_share(available: usize, remaining: u64) -> usize {
+    usize::try_from(remaining).map_or(available, |r| r.min(available))
 }
 
 /// Find the index just past the `\r\n\r\n` terminating the head.
@@ -237,16 +273,37 @@ fn parse_head(raw: &[u8]) -> Result<RequestHead, ParseError> {
         }
         headers.push(name, value.trim());
     }
-    let content_length = match headers.get("content-length") {
-        Some(v) => v.parse::<u64>().map_err(|_| ParseError::BadContentLength)?,
-        None => 0,
-    };
+    let content_length = content_length(&headers)?;
     Ok(RequestHead {
         method,
         target,
         headers,
         content_length,
     })
+}
+
+/// The body length a head declares: 0 without a `Content-Length`, else
+/// ASCII digits only (`u64::from_str` alone would take a leading `+`),
+/// and every repeat of the header must give the same number.
+fn content_length(headers: &HeaderMap) -> Result<u64, ParseError> {
+    let mut declared = None;
+    for (name, value) in headers.iter() {
+        if !name.eq_ignore_ascii_case("content-length") {
+            continue;
+        }
+        if !value.bytes().all(|b| b.is_ascii_digit()) {
+            return Err(ParseError::BadContentLength);
+        }
+        // Empty and overflowing values fail here.
+        let n = value
+            .parse::<u64>()
+            .map_err(|_| ParseError::BadContentLength)?;
+        if declared.is_some_and(|d| d != n) {
+            return Err(ParseError::BadContentLength);
+        }
+        declared = Some(n);
+    }
+    Ok(declared.unwrap_or(0))
 }
 
 /// Serialize a request head (plus an optional body for small requests).
@@ -313,10 +370,7 @@ pub fn parse_response_head(buf: &[u8]) -> Result<Option<(ResponseHead, usize)>, 
         let (name, value) = line.split_once(':').ok_or(ParseError::BadHeader)?;
         headers.push(name, value.trim());
     }
-    let content_length = match headers.get("content-length") {
-        Some(v) => v.parse::<u64>().map_err(|_| ParseError::BadContentLength)?,
-        None => 0,
-    };
+    let content_length = content_length(&headers)?;
     Ok(Some((
         ResponseHead {
             status,
@@ -431,10 +485,74 @@ mod tests {
     }
 
     #[test]
-    fn rejects_bad_content_length() {
+    fn content_length_is_digits_only_and_repeats_must_agree() {
+        let parse = |headers: &str| {
+            let mut p = RequestParser::new();
+            p.push(format!("POST /p HTTP/1.1\r\n{headers}\r\n").as_bytes());
+            p.next_event()
+        };
+        for bad in [
+            "Content-Length: banana\r\n",
+            "Content-Length: +5\r\n",
+            "Content-Length: 5 5\r\n",
+            "Content-Length:\r\n",
+            "Content-Length: 5\r\ncontent-length: 6\r\n",
+            "Content-Length: 99999999999999999999\r\n",
+        ] {
+            assert_eq!(parse(bad), Err(ParseError::BadContentLength), "{bad:?}");
+            let response = format!("HTTP/1.1 200 OK\r\n{bad}\r\n");
+            assert_eq!(
+                parse_response_head(response.as_bytes()),
+                Err(ParseError::BadContentLength),
+                "{bad:?}"
+            );
+        }
+        let agreeing = "Content-Length: 5\r\nCONTENT-LENGTH: 5\r\n";
+        assert!(matches!(
+            parse(agreeing),
+            Ok(Some(ParseEvent::Head(h))) if h.content_length == 5
+        ));
+        let response = format!("HTTP/1.1 200 OK\r\n{agreeing}\r\n");
+        let (head, _) = parse_response_head(response.as_bytes()).unwrap().unwrap();
+        assert_eq!(head.content_length, 5);
+    }
+
+    #[test]
+    fn body_is_counted_where_it_lands_never_buffered() {
+        const READ: usize = 16 * 1024;
+        const READS: u64 = 64;
         let mut p = RequestParser::new();
-        p.push(b"POST /p HTTP/1.1\r\nContent-Length: banana\r\n\r\n");
-        assert_eq!(p.next_event(), Err(ParseError::BadContentLength));
+        let total = READS * READ as u64;
+        p.push(
+            format!("POST /payment?id=3 HTTP/1.1\r\nContent-Length: {total}\r\n\r\n").as_bytes(),
+        );
+        assert!(matches!(p.next_event(), Ok(Some(ParseEvent::Head(_)))));
+        for _ in 0..READS {
+            p.push(&[0x5a; READ]);
+            assert_eq!(p.buffered(), 0, "body bytes are not stored");
+        }
+        assert_eq!(
+            drain(&mut p),
+            vec![ParseEvent::BodyChunk(total), ParseEvent::Complete]
+        );
+    }
+
+    #[test]
+    fn body_sharing_a_read_with_its_head_is_counted_and_discarded() {
+        let mut p = RequestParser::new();
+        p.push(b"POST /p HTTP/1.1\r\nContent-Length: 10\r\n\r\nabcd");
+        let evs = drain(&mut p);
+        assert!(matches!(&evs[0], ParseEvent::Head(h) if h.content_length == 10));
+        assert_eq!(evs[1..], [ParseEvent::BodyChunk(4)]);
+        assert_eq!(p.buffered(), 0);
+        // The tail of the body and half of the next head in one read:
+        // only the head bytes stay.
+        p.push(b"efghijGET /q HT");
+        assert_eq!(
+            drain(&mut p),
+            vec![ParseEvent::BodyChunk(6), ParseEvent::Complete]
+        );
+        assert_eq!(p.buffered(), b"GET /q HT".len());
     }
 
     #[test]

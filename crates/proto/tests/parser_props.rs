@@ -9,18 +9,34 @@ use speakup_proto::http::{ParseEvent, RequestParser};
 use speakup_proto::message::{encode_payment_head, encode_service_request};
 
 /// A digest of a parse: (heads, total body bytes, completes).
+///
+/// Also asserts, each time the events following a push are drained, that
+/// the parser stores head bytes only: at most one incomplete head
+/// (8 KiB), and nothing while this digest's own count says a body still
+/// has bytes to come.
 fn digest(wire: &[u8], cuts: &[usize]) -> (Vec<String>, u64, usize) {
     let mut parser = RequestParser::new();
     let mut heads = Vec::new();
     let mut body = 0u64;
     let mut completes = 0usize;
+    let mut body_left = 0u64;
     let mut consume = |parser: &mut RequestParser| {
         while let Some(ev) = parser.next_event().expect("valid stream") {
             match ev {
-                ParseEvent::Head(h) => heads.push(format!("{:?} {}", h.method, h.target)),
-                ParseEvent::BodyChunk(n) => body += n,
+                ParseEvent::Head(h) => {
+                    body_left = h.content_length;
+                    heads.push(format!("{:?} {}", h.method, h.target));
+                }
+                ParseEvent::BodyChunk(n) => {
+                    body_left -= n;
+                    body += n;
+                }
                 ParseEvent::Complete => completes += 1,
             }
+        }
+        assert!(parser.buffered() <= 8 * 1024, "more than a head buffered");
+        if body_left > 0 {
+            assert_eq!(parser.buffered(), 0, "body bytes buffered mid-body");
         }
     };
     let mut at = 0usize;

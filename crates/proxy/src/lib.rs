@@ -21,6 +21,15 @@
 //!    connection until the server finishes and then replies
 //!    `X-SpeakUp: serve` (or `drop` if the channel timed out).
 //!
+//! **Idle deadline.** A connection that delivers no byte for
+//! `auction.channel_timeout` is closed, whatever it was in the middle of
+//! (nothing sent yet, half a head, half a POST body). A payment channel
+//! silent that long has already lost its contender to the auction's own
+//! timeout, so the deadline costs a paying client nothing, and it keeps a
+//! peer that connects and then says nothing from pinning a thread until
+//! shutdown. Time spent *holding* a GET for its verdict (step 4) is the
+//! thinner's silence, not the peer's, and does not count.
+//!
 //! The architecture is deliberately boring: a listener thread, a thread
 //! per connection, one back-end "server" thread that sleeps for the
 //! drawn service time (`U[0.9/c, 1.1/c]`), and a housekeeping ticker.
@@ -35,7 +44,7 @@ pub mod client;
 use speakup_core::thinner::{AuctionConfig, AuctionFrontEnd, FrontEnd};
 use speakup_core::types::{ClientId, Directive, RequestId, RequestKey};
 use speakup_net::rng::Pcg32;
-use speakup_net::time::SimTime;
+use speakup_net::time::{SimDuration, SimTime};
 use speakup_proto::http::{ParseEvent, RequestParser};
 use speakup_proto::message::{
     classify_request, encode_continue, encode_dropped, encode_encourage, encode_served,
@@ -99,6 +108,8 @@ struct Inner {
     state: Mutex<Shared>,
     wake: Condvar,
     start: Instant,
+    /// How long a connection may deliver no byte before it is closed.
+    idle_limit: SimDuration,
     server_tx: Mutex<mpsc::Sender<(RequestKey, Duration)>>,
     shutdown: AtomicBool,
 }
@@ -209,6 +220,7 @@ pub fn spawn(config: ProxyConfig) -> std::io::Result<ProxyHandle> {
         // Real wall clock: the proxy serves live sockets (see clippy.toml).
         #[allow(clippy::disallowed_methods)]
         start: Instant::now(),
+        idle_limit: config.auction.channel_timeout,
         server_tx: Mutex::new(server_tx),
         shutdown: AtomicBool::new(false),
     });
@@ -311,6 +323,7 @@ fn handle_connection(inner: &Inner, mut stream: TcpStream) -> std::io::Result<()
     let mut buf = [0u8; 16 * 1024];
     // The id of the payment channel this connection carries, if any.
     let mut paying_for: Option<u64> = None;
+    let mut last_byte = inner.now();
 
     loop {
         if inner.shutdown.load(Ordering::SeqCst) {
@@ -331,6 +344,9 @@ fn handle_connection(inner: &Inner, mut stream: TcpStream) -> std::io::Result<()
                 if e.kind() == std::io::ErrorKind::WouldBlock
                     || e.kind() == std::io::ErrorKind::TimedOut =>
             {
+                if inner.now().saturating_since(last_byte) >= inner.idle_limit {
+                    return Ok(()); // silent peer: see the module docs
+                }
                 continue;
             }
             Err(e) => return Err(e),
@@ -377,6 +393,9 @@ fn handle_connection(inner: &Inner, mut stream: TcpStream) -> std::io::Result<()
                 }
             }
         }
+        // Taken after the events, not at the read: a GET held for its
+        // verdict was the thinner's silence, not the peer's.
+        last_byte = inner.now();
     }
 }
 

@@ -2,8 +2,14 @@
 
 use speakup_core::thinner::AuctionConfig;
 use speakup_net::time::SimDuration;
+use speakup_proto::http::parse_response_head;
+use speakup_proto::message::{
+    classify_response, encode_payment_head, encode_service_request, ThinnerMessage,
+};
 use speakup_proxy::client::{fetch, FetchConfig};
 use speakup_proxy::{spawn, ProxyConfig, Verdict};
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::time::Duration;
 
 fn cfg(capacity: f64) -> ProxyConfig {
@@ -151,5 +157,123 @@ fn many_clients_drain() {
         .filter(|v| matches!(v, Ok(Verdict::Served)))
         .count();
     assert_eq!(served, 10);
+    proxy.shutdown();
+}
+
+/// Read exactly one response off `stream`; `carry` holds what a read
+/// brought in beyond it (the next pipelined response).
+fn read_message(stream: &mut TcpStream, carry: &mut Vec<u8>) -> ThinnerMessage {
+    loop {
+        if let Some((head, consumed)) = parse_response_head(carry).expect("response head") {
+            let end = consumed + head.content_length as usize;
+            if carry.len() >= end {
+                carry.drain(..end);
+                return classify_response(&head).expect("speak-up response");
+            }
+        }
+        let mut chunk = [0u8; 512];
+        let n = stream.read(&mut chunk).expect("read response");
+        assert!(n > 0, "closed before a full response");
+        carry.extend_from_slice(&chunk[..n]);
+    }
+}
+
+/// Occupy a capacity-1 server (~1 s) with request `id`, and give the
+/// holder's connection thread time to reach the front end.
+fn hold_server(addr: std::net::SocketAddr, id: u64) -> std::thread::JoinHandle<Verdict> {
+    let holder = std::thread::spawn(move || {
+        fetch(addr, id, FetchConfig::default())
+            .expect("fetch")
+            .verdict
+    });
+    std::thread::sleep(Duration::from_millis(150));
+    holder
+}
+
+#[test]
+fn payment_is_credited_to_the_byte_across_posts() {
+    let proxy = spawn(cfg(1.0)).expect("spawn");
+    let addr = proxy.addr();
+    let holder = hold_server(addr, 1);
+    // 100 003 is a multiple of no buffer on the path (16 KiB writes and
+    // reads), so every POST ends mid-buffer.
+    let budget = FetchConfig {
+        post_bytes: 100_003,
+        max_posts: 3,
+        ..FetchConfig::default()
+    };
+    let out = fetch(addr, 2, budget).expect("fetch");
+    assert!(out.advertised_rate.is_some(), "the server was held");
+    assert_eq!((out.posts, out.payment_bytes), (3, 300_009));
+    assert_eq!(proxy.payment_bytes(), 300_009);
+    assert_eq!(out.verdict, Verdict::Served, "sole contender wins");
+    assert_eq!(holder.join().expect("join"), Verdict::Served);
+    proxy.shutdown();
+}
+
+#[test]
+fn pipelined_posts_are_credited_to_the_byte() {
+    let proxy = spawn(cfg(1.0)).expect("spawn");
+    let addr = proxy.addr();
+    let holder = hold_server(addr, 1);
+    let mut get = TcpStream::connect(addr).expect("connect");
+    get.write_all(&encode_service_request(2)).expect("GET");
+    assert!(matches!(
+        read_message(&mut get, &mut Vec::new()),
+        ThinnerMessage::Encourage { .. }
+    ));
+
+    let mut pay = TcpStream::connect(addr).expect("connect");
+    pay.set_nodelay(true).expect("nodelay");
+    // Head and the first 600 of 1000 body bytes in one write; then the
+    // last 400, the whole next head and the first 50 of its 700 in one.
+    let mut first = encode_payment_head(2, 1000).to_vec();
+    first.extend_from_slice(&[0x5a; 600]);
+    pay.write_all(&first).expect("first write");
+    let mut second = vec![0x5a; 400];
+    second.extend_from_slice(&encode_payment_head(2, 700));
+    second.extend_from_slice(&[0x5a; 50]);
+    pay.write_all(&second).expect("second write");
+    pay.write_all(&[0x5a; 650]).expect("third write");
+    let mut carry = Vec::new();
+    for post in 1..=2 {
+        assert_eq!(
+            read_message(&mut pay, &mut carry),
+            ThinnerMessage::Continue,
+            "POST {post}"
+        );
+    }
+    assert_eq!(proxy.payment_bytes(), 1700);
+    drop((get, pay));
+    assert_eq!(holder.join().expect("join"), Verdict::Served);
+    proxy.shutdown();
+}
+
+#[test]
+fn silent_peers_are_closed_at_the_idle_deadline() {
+    let proxy = spawn(ProxyConfig {
+        capacity: 100.0,
+        seed: 7,
+        auction: AuctionConfig {
+            channel_timeout: SimDuration::from_millis(300),
+        },
+    })
+    .expect("spawn");
+    let addr = proxy.addr();
+    let mut mute = TcpStream::connect(addr).expect("connect");
+    let mut half = TcpStream::connect(addr).expect("connect");
+    half.write_all(b"GET /serv").expect("half a request line");
+    // A well-behaved client is served while the two sit there.
+    let out = fetch(addr, 1, FetchConfig::default()).expect("fetch");
+    assert_eq!(out.verdict, Verdict::Served);
+    // EOF, not a time-out: the proxy hung up within the 2 s each read waits.
+    for (peer, name) in [(&mut mute, "mute"), (&mut half, "half a head")] {
+        peer.set_read_timeout(Some(Duration::from_secs(2)))
+            .expect("timeout");
+        let got = peer.read(&mut [0u8; 16]);
+        assert!(matches!(got, Ok(0)), "{name}: expected EOF, got {got:?}");
+    }
+    let out = fetch(addr, 2, FetchConfig::default()).expect("fetch");
+    assert_eq!(out.verdict, Verdict::Served);
     proxy.shutdown();
 }
