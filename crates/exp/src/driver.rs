@@ -627,6 +627,8 @@ pub fn perf_json(run: &EntryRun) -> Json {
         .reports
         .iter()
         .map(|r| {
+            let per_shard =
+                |counts: &[u64]| counts.iter().map(|&n| Json::from(n)).collect::<Vec<_>>();
             let events: u64 = r.shard_events.iter().sum();
             let ends = r.window_ends;
             // Every shard loop takes part in every window.
@@ -643,13 +645,8 @@ pub fn perf_json(run: &EntryRun) -> Json {
                 .field("wall_secs", r.wall_secs)
                 .field("events_per_sec", per_sec(events, r.wall_secs))
                 .field("dispatch", dispatch)
-                .field(
-                    "shard_events",
-                    r.shard_events
-                        .iter()
-                        .map(|&n| Json::from(n))
-                        .collect::<Vec<_>>(),
-                )
+                .field("shard_events", per_shard(&r.shard_events))
+                .field("queue_peak", per_shard(&r.queue_peak))
                 .field("cross_shard_events", r.cross_shard_events)
                 .field("windows", windows)
                 .field(

@@ -123,6 +123,9 @@ pub struct RunReport {
     /// varies with `--shards`, so deliberately absent from the JSON
     /// report, which must be shard-count invariant).
     pub shard_events: Vec<u64>,
+    /// The most events each shard's queue held at once (engine
+    /// diagnostics: `perf` section only).
+    pub queue_peak: Vec<u64>,
     /// Application callbacks per [`AppSlot`] variant (dispatch-share
     /// diagnostics; absent from the shard-count-invariant JSON report).
     pub dispatch_counts: Vec<(&'static str, u64)>,
@@ -885,6 +888,7 @@ pub fn run_sharded(scenario: &Scenario, shards: u32) -> RunReport {
         }),
         per_client,
         shard_events: sim.shard_event_counts(),
+        queue_peak: sim.queue_peaks(),
         dispatch_counts: sim.dispatch_counts(),
         window_ends: sim.window_ends(),
         cross_shard_events: sim.cross_shard_events(),

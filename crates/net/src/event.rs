@@ -16,50 +16,60 @@
 //!
 //! ## Structure
 //!
+//! Every filed event lives in one *node* of one arena (`Vec<Node>`):
+//! `push` writes the payload into a node — the most recently freed one,
+//! if any — and `pop` takes it out again. In between the payload never
+//! moves; the wheel and the ready heap handle 4-byte node indices. So
+//! the arena grows to the peak number of simultaneously filed events and
+//! no further, and a queue in steady state allocates nothing.
+//!
 //! Time (nanoseconds) is bucketed into `2^13` ns ≈ 8 µs *granules*. The
 //! wheel has [`LEVELS`] levels of [`SLOTS`] slots each; a slot at level
 //! `l` spans `SLOTS^l` granules, so nine levels cover the full `u64`
-//! nanosecond range with 64 slots (one occupancy bit-word) per level. An
-//! event is filed at the level of the highest bit in which its granule
-//! differs from the *cursor* (the next granule to drain), which means a
-//! level's occupied slots always lie ahead of the cursor — there is no
-//! wrap-around, and finding the next occupied slot is a handful of
-//! `trailing_zeros` calls. Advancing the cursor into a higher-level slot
-//! *cascades* it: its entries are re-filed, now landing at lower levels.
-//! Draining a level-0 slot moves its entries into a small *ready* heap
-//! ordered by the full `(time, lane, seq)` key, which merges same-granule
-//! events (and late schedules aimed below the cursor) into the canonical
-//! order. Pushes and pops are O(1) amortized — a bounded number of
-//! cascade moves per event plus heap operations on the granule-sized
-//! ready set — where the old heap paid O(log pending) per operation.
+//! nanosecond range with 64 slots (one occupancy bit-word) per level. A
+//! slot is the head of an intrusive list threaded through `Node::next`,
+//! so filing a node is two index writes. An event is filed at the level
+//! of the highest bit in which its granule differs from the *cursor*
+//! (the next granule to drain), which means a level's occupied slots
+//! always lie ahead of the cursor — there is no wrap-around, and finding
+//! the next occupied slot is a handful of `trailing_zeros` calls.
+//! Advancing the cursor into a higher-level slot *cascades* it: its
+//! nodes are re-filed, now landing at lower levels. Draining a level-0
+//! slot puts one 32-byte [`Key`] per node into a small *ready* heap
+//! ordered by the full `(time, lane, seq)` key, which merges
+//! same-granule events (and late schedules aimed below the cursor) into
+//! the canonical order; that heap alone decides pop order, so the order
+//! of nodes within a slot's list is unobservable. Pushes and pops are
+//! O(1) amortized — a bounded number of re-filings per event plus heap
+//! operations on the granule-sized ready set — where the old heap paid
+//! O(log pending) per operation.
 //!
 //! ## Cancellation
 //!
-//! Cancellable pushes ([`EventQueue::push_lane_handle`]) allocate a slot
-//! in a generation-stamped slab; the handle captures the slot and its
-//! generation. Firing or reaping an event retires its slot (bumping the
-//! generation), so cancelling a handle whose event already fired sees a
-//! stale generation and is a free no-op. The pre-wheel queue kept a
-//! tombstone forever in that case — bookkeeping here is O(pending).
+//! An [`EventHandle`] names its node: the arena index plus the sequence
+//! number the push stamped on it. [`EventQueue::cancel`] takes the
+//! payload out and drops it there and then; the emptied node stays filed
+//! until its key tops the ready heap, where it is reaped instead of
+//! fired. Sequence numbers are never reused, so a handle whose event
+//! fired finds either no payload or another sequence number, and
+//! cancelling it is a free no-op: no side table, no tombstones.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::mem;
+use std::{iter, mem};
 
 use crate::time::SimTime;
 
 /// Handle to a scheduled event, usable for cancellation.
 ///
-/// Carries a cancellation-slot index and the slot's generation at push
-/// time; once the event fires, the slot is recycled under a new
-/// generation and the handle goes permanently stale (cancel becomes a
-/// no-op). The generation is 64-bit and monotonic per slot, so a stale
-/// handle can never alias a recycled slot (no ABA mis-cancel, however
-/// long the run).
+/// Carries the event's arena node and the sequence number stamped on it
+/// at push time. Sequence numbers are 64-bit and never reused, so a
+/// stale handle can never alias whatever the node holds next (no ABA
+/// mis-cancel, however long the run).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct EventHandle {
-    slot: u32,
-    generation: u64,
+    idx: u32,
+    seq: u64,
 }
 
 /// Level-0 slots cover `2^GRANULE_BITS` nanoseconds (~8 µs). Widened
@@ -76,6 +86,9 @@ const SLOTS: usize = 1 << LEVEL_BITS;
 const SLOT_MASK: u64 = (1u64 << LEVEL_BITS) - 1;
 /// Levels needed to cover all 64 − [`GRANULE_BITS`] granule bits.
 const LEVELS: usize = 9;
+/// End-of-list marker in slot heads, `Node::next` and the free list;
+/// never a node index (`push_lane_handle` keeps the arena shorter).
+const NIL: u32 = u32::MAX;
 
 /// Bit shift of level `level`'s slot-index field within a granule.
 #[inline]
@@ -93,107 +106,91 @@ fn idx_of(idx: u64) -> usize {
     idx as usize
 }
 
-/// Vec index for a 24-bit cancellation slot from the packed word.
+/// Arena position of node `idx`.
 #[inline]
-fn slot_of(slot: u64) -> usize {
-    debug_assert!(slot <= NO_SLOT);
-    // lint: allow(cast) — slot is 24-bit by construction (masked with NO_SLOT)
-    slot as usize
+fn at(idx: u32) -> usize {
+    // lint: allow(cast) — u32 -> usize widening, never truncates
+    idx as usize
 }
 
-/// Low bits of [`Entry::seq_slot`] holding the cancellation slot.
-const SLOT_BITS: u32 = 24;
-/// Cancellation-slot sentinel for fire-and-forget events (all slot bits
-/// set — the largest 24-bit value, reserved).
-const NO_SLOT: u64 = (1 << SLOT_BITS) - 1;
-
-/// Pack a sequence number and cancellation slot into one word. The
-/// sequence lives in the high 40 bits so raw `seq_slot` comparisons
-/// order by sequence (slot bits only tie-break, and sequences are
-/// unique, so they never actually decide). 2^40 events is ~32 years of
-/// simulated fig2 load; the assert turns silent wraparound into a crash.
-#[inline]
-fn seq_slot(seq: u64, slot: u64) -> u64 {
-    assert!(
-        seq < 1 << (64 - SLOT_BITS),
-        "event sequence space exhausted"
-    );
-    debug_assert!(slot <= NO_SLOT);
-    (seq << SLOT_BITS) | slot
-}
-
-/// A filed event. 24-byte header (down from 32): the sequence number
-/// and cancellation slot share one word via [`seq_slot`], which packs
-/// three more entries per pair of cache lines in the wheel's slot
-/// vectors and the ready heap.
-struct Entry<E> {
+/// One arena cell: a filed event, or (payload gone) a cancelled event
+/// awaiting its reap or a free cell on the free list. `Option` costs the
+/// simulator's event enum nothing (niche), so a node is a 32-byte header
+/// plus the payload — about one cache line.
+struct Node<E> {
     time: SimTime,
     lane: u64,
-    /// `seq << SLOT_BITS | slot`; slot is [`NO_SLOT`] when the caller
-    /// kept no handle.
-    seq_slot: u64,
-    event: E,
+    seq: u64,
+    /// The next node in the same wheel slot, or the next free cell.
+    next: u32,
+    event: Option<E>,
 }
 
-impl<E> Entry<E> {
-    /// The cancellation slot (24-bit, [`NO_SLOT`] when handle-less).
-    #[inline]
-    fn slot(&self) -> u64 {
-        self.seq_slot & NO_SLOT
+impl<E> Node<E> {
+    /// The ready-heap entry for this node, which sits at `idx`.
+    fn key(&self, idx: u32) -> Key {
+        Key {
+            time: self.time,
+            lane: self.lane,
+            seq: self.seq,
+            idx,
+        }
     }
 }
 
-impl<E> PartialEq for Entry<E> {
+/// A ready-heap entry: the pop-order key of the node at `idx`.
+#[derive(Clone, Copy)]
+struct Key {
+    time: SimTime,
+    lane: u64,
+    seq: u64,
+    idx: u32,
+}
+
+impl PartialEq for Key {
     fn eq(&self, other: &Self) -> bool {
-        self.seq_slot == other.seq_slot
+        self.seq == other.seq
     }
 }
-impl<E> Eq for Entry<E> {}
+impl Eq for Key {}
 
-impl<E> Ord for Entry<E> {
+impl Ord for Key {
     fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest entry is on
-        // top. Comparing the packed word is comparing sequences: the
-        // sequence occupies the high bits and is unique per entry.
+        // BinaryHeap is a max-heap; invert so the earliest key is on top.
+        // Sequences are unique, so `idx` never decides.
         other
             .time
             .cmp(&self.time)
             .then_with(|| other.lane.cmp(&self.lane))
-            .then_with(|| other.seq_slot.cmp(&self.seq_slot))
+            .then_with(|| other.seq.cmp(&self.seq))
     }
 }
-impl<E> PartialOrd for Entry<E> {
+impl PartialOrd for Key {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-#[derive(Clone, Copy)]
-struct CancelSlot {
-    generation: u64,
-    cancelled: bool,
-}
-
 /// A deterministic time-ordered event queue (hierarchical timing wheel).
 pub struct EventQueue<E> {
-    /// `LEVELS × SLOTS` buckets, row-major by level.
-    slots: Vec<Vec<Entry<E>>>,
+    /// The arena: every filed event (live, or cancelled and not yet
+    /// reaped) and the free cells left by those that fired.
+    nodes: Vec<Node<E>>,
+    /// Head of the LIFO free list.
+    free: u32,
+    /// `LEVELS × SLOTS` list heads, row-major by level.
+    heads: [u32; LEVELS * SLOTS],
     /// Per-level bitmap of non-empty slots.
     occupancy: [u64; LEVELS],
-    /// The next granule to drain; entries at granules below it live in
-    /// `ready`, entries at or above it in the wheel.
+    /// The next granule to drain; nodes at granules below it are keyed
+    /// in `ready`, nodes at or above it are linked into the wheel.
     cursor: u64,
-    /// Drained (and below-cursor) entries, popped in `(time, lane, seq)`
-    /// order.
-    ready: BinaryHeap<Entry<E>>,
+    /// Keys of drained (and below-cursor) nodes, popped in `(time, lane,
+    /// seq)` order.
+    ready: BinaryHeap<Key>,
     next_seq: u64,
     /// Live (pushed, not fired, not cancelled) events.
     pending: usize,
-    /// Generation-stamped cancellation slots; grows to the peak number of
-    /// simultaneously pending *cancellable* events, never with the total
-    /// pushed or cancelled.
-    cancel_slots: Vec<CancelSlot>,
-    free_slots: Vec<u32>,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -205,17 +202,15 @@ impl<E> Default for EventQueue<E> {
 impl<E> EventQueue<E> {
     /// An empty queue.
     pub fn new() -> Self {
-        let mut slots = Vec::new();
-        slots.resize_with(LEVELS * SLOTS, Vec::new);
         EventQueue {
-            slots,
+            nodes: Vec::new(),
+            free: NIL,
+            heads: [NIL; LEVELS * SLOTS],
             occupancy: [0; LEVELS],
             cursor: 0,
             ready: BinaryHeap::new(),
             next_seq: 0,
             pending: 0,
-            cancel_slots: Vec::new(),
-            free_slots: Vec::new(),
         }
     }
 
@@ -225,67 +220,53 @@ impl<E> EventQueue<E> {
         self.push_lane_handle(time, 0, event)
     }
 
-    /// Schedule `event` at `time` on a canonical `lane`, fire-and-forget:
-    /// no cancellation handle, no bookkeeping. Same-time events order by
-    /// lane first, then insertion order within the lane.
+    /// Schedule `event` at `time` on a canonical `lane`, keeping no
+    /// handle. Same-time events order by lane first, then insertion
+    /// order within the lane.
     pub fn push_lane(&mut self, time: SimTime, lane: u64, event: E) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.pending += 1;
-        self.place(Entry {
-            time,
-            lane,
-            seq_slot: seq_slot(seq, NO_SLOT),
-            event,
-        });
+        self.push_lane_handle(time, lane, event);
     }
 
     /// Like [`EventQueue::push_lane`], but returns a handle usable with
     /// [`EventQueue::cancel`].
     pub fn push_lane_handle(&mut self, time: SimTime, lane: u64, event: E) -> EventHandle {
-        let slot = match self.free_slots.pop() {
-            Some(s) => s,
-            None => {
-                let s = u32::try_from(self.cancel_slots.len())
-                    .expect("invariant: slot count bounded by NO_SLOT assert below");
-                assert!(
-                    u64::from(s) < NO_SLOT,
-                    "cancellable-event slot space exhausted"
-                );
-                self.cancel_slots.push(CancelSlot {
-                    generation: 0,
-                    cancelled: false,
-                });
-                s
-            }
-        };
-        let generation = self.cancel_slots
-            [usize::try_from(slot).expect("invariant: u32 slot fits usize")]
-        .generation;
         let seq = self.next_seq;
         self.next_seq += 1;
         self.pending += 1;
-        self.place(Entry {
-            time,
-            lane,
-            seq_slot: seq_slot(seq, u64::from(slot)),
-            event,
-        });
-        EventHandle { slot, generation }
+        if self.free == NIL {
+            // Grow the free list by one blank cell.
+            self.free = u32::try_from(self.nodes.len())
+                .ok()
+                .filter(|&idx| idx != NIL)
+                .expect("event arena exhausted: 2^32 - 1 events filed at once");
+            self.nodes.push(Node {
+                time: SimTime::ZERO,
+                lane: 0,
+                seq: 0,
+                next: NIL,
+                event: None,
+            });
+        }
+        // Field by field, so the payload is not staged on the stack.
+        let idx = self.free;
+        let cell = &mut self.nodes[at(idx)];
+        self.free = cell.next;
+        cell.time = time;
+        cell.lane = lane;
+        cell.seq = seq;
+        cell.event = Some(event);
+        self.file(idx);
+        EventHandle { idx, seq }
     }
 
-    /// Cancel a previously scheduled event. Cancelling an event that
-    /// already fired (or was already cancelled) is a no-op and costs no
-    /// memory — the handle's generation no longer matches its slot.
+    /// Cancel a previously scheduled event, dropping its payload now. A
+    /// no-op at no cost if it already fired or was cancelled: its node is
+    /// empty, or recycled under a sequence number the handle lacks.
     pub fn cancel(&mut self, handle: EventHandle) {
-        let Some(rec) = self
-            .cancel_slots
-            .get_mut(usize::try_from(handle.slot).expect("invariant: u32 slot fits usize"))
-        else {
+        let Some(node) = self.nodes.get_mut(at(handle.idx)) else {
             return;
         };
-        if rec.generation == handle.generation && !rec.cancelled {
-            rec.cancelled = true;
+        if node.seq == handle.seq && node.event.take().is_some() {
             self.pending -= 1;
         }
     }
@@ -293,31 +274,31 @@ impl<E> EventQueue<E> {
     /// Pop the earliest non-cancelled event.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         self.settle();
-        let e = self.ready.pop()?;
-        self.retire(e.slot());
-        self.pending -= 1;
-        Some((e.time, e.event))
+        let key = self.ready.pop()?;
+        Some(self.fire(key))
     }
 
     /// The time of the earliest pending event, skipping cancelled ones.
     pub fn peek_time(&mut self) -> Option<SimTime> {
         self.settle();
-        self.ready.peek().map(|e| e.time)
+        self.ready.peek().map(|key| key.time)
     }
 
     /// Pop the earliest non-cancelled event if it fires strictly before
     /// `limit`. One settle serves both the bound check and the pop,
     /// where a `peek_time` + `pop` pairing settles twice per event —
-    /// this is the shard event loop's hot call.
+    /// this is the shard event loop's hot call. Inlined there, the
+    /// payload goes from the node straight to the loop's local; through a
+    /// return slot the reload stalls on store forwarding (`fig2 --secs
+    /// 120`: 4.82 s without the hint, 4.41 s with).
+    #[inline]
     pub fn pop_before(&mut self, limit: SimTime) -> Option<(SimTime, E)> {
         self.settle();
         if self.ready.peek()?.time >= limit {
             return None;
         }
-        let e = self.ready.pop().expect("peeked");
-        self.retire(e.slot());
-        self.pending -= 1;
-        Some((e.time, e.event))
+        let key = self.ready.pop().expect("peeked");
+        Some(self.fire(key))
     }
 
     /// Whether nothing would fire.
@@ -330,16 +311,24 @@ impl<E> EventQueue<E> {
         self.pending
     }
 
-    /// File an entry into the wheel, or into `ready` if its granule has
-    /// already been drained (late schedule below the cursor).
-    fn place(&mut self, e: Entry<E>) {
-        let granule = e.time.as_nanos() >> GRANULE_BITS;
+    /// The most events ever filed at once (live, plus cancelled and not
+    /// yet reaped): the arena's length, the queue's memory high-water.
+    pub fn peak_filed(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// Link node `idx` into the wheel slot its time belongs to, or key
+    /// it into `ready` if that granule has already been drained (late
+    /// schedule below the cursor).
+    fn file(&mut self, idx: u32) {
+        let node = &mut self.nodes[at(idx)];
+        let granule = node.time.as_nanos() >> GRANULE_BITS;
         if granule < self.cursor {
-            self.ready.push(e);
+            self.ready.push(node.key(idx));
             return;
         }
         // The level of the highest bit where the granule differs from the
-        // cursor; equal-granule entries land at level 0 in the cursor's
+        // cursor; equal-granule nodes land at level 0 in the cursor's
         // own (not yet drained) slot.
         let diff = granule ^ self.cursor;
         let level = if diff == 0 {
@@ -349,36 +338,57 @@ impl<E> EventQueue<E> {
             ((63 - diff.leading_zeros()) / LEVEL_BITS) as usize
         };
         debug_assert!(level < LEVELS);
-        let idx = idx_of((granule >> level_shift(level)) & SLOT_MASK);
-        self.slots[level * SLOTS + idx].push(e);
-        self.occupancy[level] |= 1 << idx;
+        let slot = idx_of((granule >> level_shift(level)) & SLOT_MASK);
+        node.next = mem::replace(&mut self.heads[level * SLOTS + slot], idx);
+        self.occupancy[level] |= 1 << slot;
     }
 
-    /// Recycle a cancellation slot after its event fired or was reaped.
-    fn retire(&mut self, slot: u64) {
-        if slot == NO_SLOT {
-            return;
+    /// Empty slot `slot` of `level`, returning the head of its list.
+    fn take_slot(&mut self, level: usize, slot: usize) -> u32 {
+        self.occupancy[level] &= !(1 << slot);
+        mem::replace(&mut self.heads[level * SLOTS + slot], NIL)
+    }
+
+    /// Re-file every node of a list taken off a higher-level slot.
+    fn refile(&mut self, mut idx: u32) {
+        while idx != NIL {
+            let node = &self.nodes[at(idx)];
+            debug_assert!(node.time.as_nanos() >> GRANULE_BITS >= self.cursor);
+            let next = node.next;
+            self.file(idx);
+            idx = next;
         }
-        let rec = &mut self.cancel_slots[slot_of(slot)];
-        rec.generation += 1;
-        rec.cancelled = false;
-        self.free_slots
-            .push(u32::try_from(slot).expect("invariant: slot is 24-bit"));
+    }
+
+    /// Put node `idx` on the free list, returning the payload it held
+    /// (none if it was cancelled).
+    fn release(&mut self, idx: u32) -> Option<E> {
+        let node = &mut self.nodes[at(idx)];
+        node.next = mem::replace(&mut self.free, idx);
+        node.event.take()
+    }
+
+    /// Fire the node `key` names; `key` was just popped off a settled
+    /// `ready`, so the node still holds its payload.
+    fn fire(&mut self, key: Key) -> (SimTime, E) {
+        let event = self
+            .release(key.idx)
+            .expect("invariant: settle reaps cancelled keys off the top");
+        self.pending -= 1;
+        (key.time, event)
     }
 
     /// Establish the pop invariant: `ready`'s top is the global earliest
-    /// live event (every wheel granule ahead of every ready entry), with
-    /// cancelled entries reaped off the top.
+    /// live event (every wheel granule ahead of every ready key), with
+    /// the keys of cancelled nodes reaped off the top.
     fn settle(&mut self) {
         loop {
             while let Some(top) = self.ready.peek() {
-                let slot = top.slot();
-                if slot != NO_SLOT && self.cancel_slots[slot_of(slot)].cancelled {
-                    let e = self.ready.pop().expect("peeked");
-                    self.retire(e.slot());
-                } else {
+                if self.nodes[at(top.idx)].event.is_some() {
                     return;
                 }
+                let key = self.ready.pop().expect("peeked");
+                self.release(key.idx);
             }
             if !self.drain_next_slot() {
                 return;
@@ -392,38 +402,37 @@ impl<E> EventQueue<E> {
     fn drain_next_slot(&mut self) -> bool {
         loop {
             // The lowest occupied level holds the earliest granule: level
-            // l entries differ from the cursor only in granule bits
+            // l nodes differ from the cursor only in granule bits
             // [6l, 6l+6), so they are strictly nearer than any higher
             // level's.
-            let mut found = None;
-            for (level, &occ) in self.occupancy.iter().enumerate() {
-                let at = (self.cursor >> level_shift(level)) & SLOT_MASK;
-                debug_assert_eq!(
-                    occ & !(u64::MAX << at),
-                    0,
-                    "occupied slot behind the cursor"
-                );
-                if occ != 0 {
-                    found = Some((level, u64::from(occ.trailing_zeros())));
-                    break;
-                }
-            }
-            let Some((level, idx)) = found else {
+            let Some(level) = self.occupancy.iter().position(|&occ| occ != 0) else {
                 return false;
             };
-            self.occupancy[level] &= !(1 << idx);
-            let mut entries = mem::take(&mut self.slots[level * SLOTS + idx_of(idx)]);
+            let idx = u64::from(self.occupancy[level].trailing_zeros());
+            debug_assert!(
+                idx >= (self.cursor >> level_shift(level)) & SLOT_MASK,
+                "occupied slot behind the cursor"
+            );
+            let mut head = self.take_slot(level, idx_of(idx));
             if level == 0 {
                 let granule = (self.cursor & !SLOT_MASK) | idx;
                 debug_assert!(granule >= self.cursor);
                 self.cursor = granule + 1;
-                self.ready.extend(entries.drain(..));
-                // Hand the allocation back to the slot for reuse.
-                self.slots[idx_of(idx)] = entries;
+                // One `extend`: the heap appends every key, then restores
+                // its order once — measurably cheaper than a sift per key.
+                let nodes = &self.nodes;
+                self.ready.extend(iter::from_fn(|| {
+                    if head == NIL {
+                        return None;
+                    }
+                    let (idx, node) = (head, &nodes[at(head)]);
+                    head = node.next;
+                    Some(node.key(idx))
+                }));
                 // If the increment carried across a block boundary, the
                 // cursor just entered fresh higher-level slots; cascade
                 // them now so new level-0 pushes into the entered block
-                // cannot be drained ahead of the entries they hold. (A
+                // cannot be drained ahead of the nodes they hold. (A
                 // carry that crosses the level-l boundary zeroes every
                 // bit below 6l, so the entered slots are checked in one
                 // low-bits scan.)
@@ -434,16 +443,13 @@ impl<E> EventQueue<E> {
             }
             // Cascade: move the cursor to the slot's base granule (all
             // lower levels are provably empty up to there) and re-file
-            // the entries, which now land at lower levels.
+            // the nodes, which now land at lower levels.
             let shift = level_shift(level);
             let span_mask = (1u64 << (shift + LEVEL_BITS)) - 1;
             let base = (self.cursor & !span_mask) | (idx << shift);
             debug_assert!(base >= self.cursor);
             self.cursor = base;
-            for e in entries.drain(..) {
-                self.place(e);
-            }
-            self.slots[level * SLOTS + idx_of(idx)] = entries;
+            self.refile(head);
         }
     }
 
@@ -452,7 +458,7 @@ impl<E> EventQueue<E> {
     /// maintains the invariant that the slot covering the cursor at every
     /// level `l ≥ 1` is empty — which is what makes "lowest occupied
     /// level holds the earliest granule" true and keeps level placement
-    /// of later pushes consistent with entries filed before the cursor
+    /// of later pushes consistent with nodes filed before the cursor
     /// entered the block.
     fn cascade_entered_blocks(&mut self) {
         for level in 1..LEVELS {
@@ -460,17 +466,8 @@ impl<E> EventQueue<E> {
             if self.cursor & ((1u64 << shift) - 1) != 0 {
                 break;
             }
-            let idx = idx_of((self.cursor >> shift) & SLOT_MASK);
-            if self.occupancy[level] & (1 << idx) == 0 {
-                continue;
-            }
-            self.occupancy[level] &= !(1 << idx);
-            let mut entries = mem::take(&mut self.slots[level * SLOTS + idx]);
-            for e in entries.drain(..) {
-                debug_assert!(e.time.as_nanos() >> GRANULE_BITS >= self.cursor);
-                self.place(e);
-            }
-            self.slots[level * SLOTS + idx] = entries;
+            let head = self.take_slot(level, idx_of((self.cursor >> shift) & SLOT_MASK));
+            self.refile(head);
         }
     }
 }
@@ -603,6 +600,16 @@ pub mod reference {
 mod tests {
     use super::*;
     use crate::time::SimDuration;
+
+    /// A seeded xorshift64 stream for the churn tests.
+    fn xorshift(mut x: u64) -> impl FnMut() -> u64 {
+        move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        }
+    }
 
     #[test]
     fn pops_in_time_order() {
@@ -773,39 +780,31 @@ mod tests {
     }
 
     #[test]
-    fn entry_header_is_cache_packed() {
-        // The seq/slot packing exists to shrink the per-entry header
-        // from 32 to 24 bytes; a regression here silently costs a third
-        // more wheel and ready-heap memory traffic.
-        assert_eq!(mem::size_of::<Entry<()>>(), 24);
-        assert_eq!(mem::size_of::<Entry<u64>>(), 32);
+    fn key_and_node_sizes_are_pinned() {
+        // Ready-heap traffic is per key and arena traffic per node; a
+        // field that widens either silently costs every event of every
+        // run. The last line is the simulator's case: `sim`'s tests pin
+        // its event enum at 40 bytes with a niche for the `Option`.
+        use std::num::NonZeroU64;
+        assert_eq!(mem::size_of::<Key>(), 32);
+        assert_eq!(mem::size_of::<Node<()>>(), 32);
+        assert_eq!(mem::size_of::<Node<u64>>(), 48);
+        assert_eq!(mem::size_of::<Node<(NonZeroU64, [u64; 4])>>(), 72);
     }
 
     #[test]
-    fn packed_seq_orders_across_slot_values() {
-        // An earlier push with a high slot must still pop before a later
-        // push with a low slot at the same (time, lane): the sequence
-        // occupies the high bits of the packed word.
+    fn handle_and_handleless_pushes_share_one_sequence() {
+        // Same (time, lane): insertion order decides, whether or not the
+        // caller kept a handle.
         let mut q = EventQueue::new();
         let t = SimTime::from_secs(1);
-        // Burn slots so the live ones differ: handle-less (all slot bits
-        // set) interleaved with slot 0.
         q.push_lane(t, 3, "no-handle-first");
-        let h = q.push_lane_handle(t, 3, "slot0-second");
+        let h = q.push_lane_handle(t, 3, "handle-second");
         q.push_lane(t, 3, "no-handle-third");
-        assert_eq!(
-            q.pop().expect("invariant: event still pending").1,
-            "no-handle-first"
-        );
-        assert_eq!(
-            q.pop().expect("invariant: event still pending").1,
-            "slot0-second"
-        );
-        assert_eq!(
-            q.pop().expect("invariant: event still pending").1,
-            "no-handle-third"
-        );
-        q.cancel(h); // stale; exercises slot extraction post-fire
+        for want in ["no-handle-first", "handle-second", "no-handle-third"] {
+            assert_eq!(q.pop().expect("invariant: event still pending").1, want);
+        }
+        q.cancel(h); // stale
         assert!(q.pop().is_none());
     }
 
@@ -825,19 +824,121 @@ mod tests {
             q.cancel(h); // all no-ops: every event already fired
         }
         assert!(q.is_empty());
-        // One cancellable event was ever pending at a time, so one slot
-        // suffices forever; the stale cancels must not have re-marked it.
-        assert_eq!(q.cancel_slots.len(), 1, "slot slab grew with fired handles");
-        assert_eq!(q.free_slots.len(), 1);
-        assert!(
-            !q.cancel_slots[0].cancelled,
-            "stale cancel marked a recycled slot"
-        );
-        // And the recycled slot still works for a live cancellation.
+        // One event was ever filed at a time, so one node suffices for
+        // ever, and the stale cancels left it free.
+        assert_eq!(q.nodes.len(), 1, "arena grew with fired handles");
+        assert_eq!((q.free, q.nodes[0].next), (0, NIL));
+        // And the recycled node still works for a live cancellation.
         let h = q.push_lane_handle(SimTime::from_secs(1), 0, 42);
         q.cancel(h);
         assert!(q.pop().is_none());
-        assert_eq!(q.cancel_slots.len(), 1);
+        assert_eq!(q.peak_filed(), 1);
+    }
+
+    #[test]
+    fn stale_handle_does_not_cancel_the_nodes_next_tenant() {
+        // ABA: "a" fires, its node is recycled by "b"; the handle to "a"
+        // names the same node but must not cancel "b".
+        let mut q = EventQueue::new();
+        let stale = q.push(SimTime::from_secs(1), "a");
+        assert_eq!(q.pop().expect("invariant: event still pending").1, "a");
+        let live = q.push(SimTime::from_secs(2), "b");
+        assert_eq!(stale.idx, live.idx, "the push recycled the fired node");
+        q.cancel(stale);
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.pop().expect("invariant: event still pending").1, "b");
+    }
+
+    #[test]
+    fn double_cancel_counts_once() {
+        let mut q = EventQueue::new();
+        let h = q.push(SimTime::from_secs(1), "a");
+        q.push(SimTime::from_secs(2), "b");
+        q.cancel(h);
+        q.cancel(h);
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.pop().expect("invariant: event still pending").1, "b");
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn cancel_reaches_events_already_drained_into_ready() {
+        // "a", "b" and "c" share a granule, so popping "a" drains all
+        // three into the ready heap; cancelling "b" (then on top) must
+        // hide it from `peek_time` and `pop` alike.
+        let mut q = EventQueue::new();
+        q.push(SimTime::from_nanos(100), "a");
+        let b = q.push(SimTime::from_nanos(200), "b");
+        q.push(SimTime::from_nanos(300), "c");
+        assert_eq!(q.pop().expect("invariant: event still pending").1, "a");
+        assert_eq!(q.ready.len(), 2);
+        q.cancel(b);
+        assert_eq!(q.peek_time(), Some(SimTime::from_nanos(300)));
+        assert_eq!(q.pop().expect("invariant: event still pending").1, "c");
+        assert!(q.pop().is_none());
+    }
+
+    #[test]
+    fn cancel_drops_the_payload_at_once() {
+        use std::rc::Rc;
+        let payload = Rc::new(());
+        let mut q = EventQueue::new();
+        q.push(SimTime::from_secs(1), Rc::clone(&payload));
+        let h = q.push(SimTime::from_secs(2), Rc::clone(&payload));
+        assert_eq!(Rc::strong_count(&payload), 3);
+        q.cancel(h);
+        // Dropped by the cancel itself, with the node still filed: the
+        // reap happens only once the cursor gets there.
+        assert_eq!(Rc::strong_count(&payload), 2);
+        assert_eq!(q.peak_filed(), 2);
+    }
+
+    #[test]
+    fn memory_follows_pending_not_history() {
+        // Regression for the wheel that kept every slot's peak capacity
+        // (213 MB of it on fig2_xl, holding 21 MB of events): churn a
+        // bounded population through every level 0–3 slot many times
+        // over — timers 1 µs to 2 s ahead, 2 s = 2^18 granules — and
+        // require the arena to stay within the peak number of nodes
+        // filed at once, modelled from outside as live events plus
+        // cancelled ones the clock has not passed yet.
+        const HELD: usize = 512;
+        let mut q = EventQueue::new();
+        let mut next_rand = xorshift(0x2545_f491_4f6c_dd1d);
+        let mut now = SimTime::ZERO;
+        let mut handles = Vec::new();
+        let mut unreaped: Vec<SimTime> = Vec::new();
+        let mut peak = 0;
+        for step in 0..1_000_000u64 {
+            while q.len() < HELD {
+                let r = next_rand();
+                // Log-uniform over 2^10 .. 2^31 ns.
+                let scale = 1u64 << (10 + r % 21);
+                let at = now + SimDuration::from_nanos(scale + (r >> 32) % scale);
+                handles.push((q.push_lane_handle(at, r % 7, step), at));
+                peak = peak.max(q.len() + unreaped.len());
+            }
+            if step % 5 == 0 {
+                let (h, at) = handles.swap_remove(next_rand() as usize % handles.len());
+                let live = q.len();
+                q.cancel(h); // stale for handles whose event fired
+                if q.len() < live {
+                    unreaped.push(at);
+                }
+            }
+            now = q.pop().expect("invariant: HELD events pending").0;
+            unreaped.retain(|&at| at >= now);
+            if handles.len() > 4 * HELD {
+                handles.retain(|&(_, at)| at >= now);
+            }
+        }
+        assert!(now > SimTime::from_secs(60), "the clock crossed level 3");
+        assert!(peak < 2 * HELD, "the model population stayed bounded");
+        assert!(
+            q.peak_filed() <= peak,
+            "arena holds {} nodes, but at most {peak} were filed at once",
+            q.peak_filed()
+        );
     }
 
     #[test]
@@ -849,13 +950,7 @@ mod tests {
         let mut heap = HeapQueue::new();
         let mut wheel_handles = Vec::new();
         let mut heap_handles = Vec::new();
-        let mut x: u64 = 0x9e3779b97f4a7c15;
-        let mut next_rand = || {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x
-        };
+        let mut next_rand = xorshift(0x9e3779b97f4a7c15);
         for i in 0..50_000u64 {
             let r = next_rand();
             let t = SimTime::from_nanos((r >> 16) % (1 << ((r % 36) + 8)));

@@ -308,7 +308,7 @@ enum Event {
     /// Control record: `src` opened `id` toward `dst`; create the
     /// receiver half. The config rides boxed: opens are rare, and an
     /// inline [`FlowConfig`] would otherwise dominate [`Event`]'s size —
-    /// which the queue copies on every place, cascade, and pop.
+    /// at 40 bytes a queue node stays within about one cache line.
     FlowOpen {
         id: FlowId,
         src: NodeId,
@@ -329,8 +329,9 @@ enum Event {
         at_receiver: bool,
     },
     /// An application control payload ([`Ctx::send_control`]) reaching
-    /// `node` from `src`. Boxed: control sends are rare (epoch cadence)
-    /// and an inline payload would bloat every queued [`Event`].
+    /// `node` from `src`. Boxed: control sends are rare (epoch cadence),
+    /// and an inline payload would grow every queue node, whatever it
+    /// holds, well past one cache line.
     AppControl {
         node: NodeId,
         src: NodeId,
@@ -1722,6 +1723,17 @@ impl<S: AppSet> Simulator<S> {
             .collect()
     }
 
+    /// The most events each shard's queue ever held at once (its
+    /// memory high-water mark, in events).
+    pub fn queue_peaks(&self) -> Vec<u64> {
+        self.shards
+            .iter()
+            .map(|s| {
+                u64::try_from(s.world.queue.peak_filed()).expect("invariant: arena length fits u64")
+            })
+            .collect()
+    }
+
     /// Total packets dropped anywhere (overflow + fault).
     pub fn total_drops(&self) -> u64 {
         self.shards.iter().map(|s| s.world.total_drops).sum()
@@ -2017,6 +2029,15 @@ mod tests {
     use super::*;
     use crate::link::LinkConfig;
     use crate::topology::TopologyBuilder;
+
+    #[test]
+    fn event_is_40_bytes_with_a_niche() {
+        // With the queue's 32-byte node header (pinned in `event`'s
+        // tests) that is the 72-byte node every pending event occupies;
+        // the niche is what makes the node's `Option<Event>` free.
+        assert_eq!(std::mem::size_of::<Event>(), 40);
+        assert_eq!(std::mem::size_of::<Option<Event>>(), 40);
+    }
 
     /// Sends one message at start; records drain time.
     struct Sender {

@@ -47,6 +47,19 @@ fn every_entry_is_shard_count_invariant() {
             "{}: JSON reports differ between --shards 1 and --shards 4",
             entry.name
         );
+        // The queue high-water mark rides along per shard: a shard that
+        // ran an event had at least one filed.
+        for r in single.reports.iter().chain(&sharded.reports) {
+            assert_eq!(r.queue_peak.len(), r.shard_events.len(), "{}", entry.name);
+            for (shard, (&events, &peak)) in r.shard_events.iter().zip(&r.queue_peak).enumerate() {
+                assert!(
+                    events == 0 || peak >= 1,
+                    "{} ({}): shard {shard} ran {events} events on an empty queue",
+                    entry.name,
+                    r.name
+                );
+            }
+        }
     }
 }
 
