@@ -20,7 +20,9 @@
 //! * **Hot-path replay**: an identical fig2-shaped schedule of event
 //!   pushes, pops, per-event flow-table accesses, and RTO rearm
 //!   cancellations driven through both generations of the per-event
-//!   hot path — the timing wheel + `FlowSlab` tables of this engine,
+//!   hot path — the timing wheel + `FlowSlab` tables of this engine
+//!   (index lanes into one arena; the RTO table's `take` + re-`insert`
+//!   per step recycles a cell through the slab's free list),
 //!   and the pre-wheel binary heap (kept in
 //!   `speakup_net::event::reference`) + the `BTreeMap` flow/RTO tables
 //!   it ran with. The replay doubles as a differential test — both

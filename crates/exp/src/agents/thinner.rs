@@ -466,13 +466,13 @@ impl ThinnerAgent {
                 Directive::Drop(k) => {
                     self.metrics.drops += 1;
                     self.digest.timeouts += 1;
-                    self.cleanup_channel(ctx, k, false);
+                    self.cleanup_channel(ctx, k);
                     self.forget_request(k);
                     self.drop_alias(k);
                     self.tell(ctx, k.client, Kind::Dropped, k, sizes::CONTROL);
                 }
                 Directive::TerminateChannel(k) => {
-                    self.cleanup_channel(ctx, k, true);
+                    self.cleanup_channel(ctx, k);
                 }
                 Directive::Suspend(k) => {
                     let now = ctx.now();
@@ -480,7 +480,6 @@ impl ThinnerAgent {
                     if let Some(h) = self.server_timer.take() {
                         ctx.cancel_timer(h);
                     }
-                    self.credit_quantum_progress(k);
                 }
                 Directive::Resume(k) => {
                     let now = ctx.now();
@@ -491,7 +490,7 @@ impl ThinnerAgent {
                 Directive::AbortRequest(k) => {
                     self.server.abort_suspended(k);
                     self.metrics.drops += 1;
-                    self.cleanup_channel(ctx, k, false);
+                    self.cleanup_channel(ctx, k);
                     self.forget_request(k);
                     self.drop_alias(k);
                     self.tell(ctx, k.client, Kind::Dropped, k, sizes::CONTROL);
@@ -526,21 +525,12 @@ impl ThinnerAgent {
         self.server_timer = Some(ctx.set_timer(delay, TOKEN_SERVER_DONE));
     }
 
-    /// Terminate the transport channel for `k`. `graceful` distinguishes
-    /// auction wins (the client learns the outcome from the later
-    /// `Response`) from drops.
-    fn cleanup_channel(&mut self, ctx: &mut Ctx, k: RequestKey, graceful: bool) {
-        let _ = graceful;
+    /// Terminate the transport channel for `k`.
+    fn cleanup_channel(&mut self, ctx: &mut Ctx, k: RequestKey) {
         if let Some(flow) = self.requests.get(&k).and_then(|r| r.channel) {
             self.close_channel(ctx, flow);
             ctx.abort_flow(flow);
         }
-    }
-
-    /// §5 bookkeeping: count quanta consumed by the request's class.
-    fn credit_quantum_progress(&mut self, _k: RequestKey) {
-        // Quanta are accounted at completion from total work; nothing to
-        // do per-suspension. Kept as a hook for finer-grained accounting.
     }
 
     fn schedule_tick(&mut self, ctx: &mut Ctx) {

@@ -647,6 +647,8 @@ pub fn perf_json(run: &EntryRun) -> Json {
                 .field("dispatch", dispatch)
                 .field("shard_events", per_shard(&r.shard_events))
                 .field("queue_peak", per_shard(&r.queue_peak))
+                .field("flows_opened", per_shard(&r.flows_opened))
+                .field("flows_peak", per_shard(&r.flows_peak))
                 .field("cross_shard_events", r.cross_shard_events)
                 .field("windows", windows)
                 .field(

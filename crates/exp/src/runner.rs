@@ -126,6 +126,13 @@ pub struct RunReport {
     /// The most events each shard's queue held at once (engine
     /// diagnostics: `perf` section only).
     pub queue_peak: Vec<u64>,
+    /// Flows opened by each shard's nodes over the whole run (engine
+    /// diagnostics: `perf` section only).
+    pub flows_opened: Vec<u64>,
+    /// The most flow halves (sender + receiver) each shard held at once
+    /// — what its flow tables cost in memory, against the two halves
+    /// per flow ever opened (engine diagnostics: `perf` section only).
+    pub flows_peak: Vec<u64>,
     /// Application callbacks per [`AppSlot`] variant (dispatch-share
     /// diagnostics; absent from the shard-count-invariant JSON report).
     pub dispatch_counts: Vec<(&'static str, u64)>,
@@ -889,6 +896,8 @@ pub fn run_sharded(scenario: &Scenario, shards: u32) -> RunReport {
         per_client,
         shard_events: sim.shard_event_counts(),
         queue_peak: sim.queue_peaks(),
+        flows_opened: sim.flows_opened(),
+        flows_peak: sim.flow_halves_peaks(),
         dispatch_counts: sim.dispatch_counts(),
         window_ends: sim.window_ends(),
         cross_shard_events: sim.cross_shard_events(),

@@ -182,7 +182,8 @@ fn small_n_cohorts_match_full_simulation_statistically() {
 fn fig2_xl_reports_are_shard_count_invariant() {
     let scenario = scenarios::fig2_xl_sized(4, 4, 25).duration(SimDuration::from_secs(2));
     assert_eq!(scenario.population(), 208);
-    let baseline = report_json(&run_sharded(&scenario, 1)).pretty();
+    let single = run_sharded(&scenario, 1);
+    let baseline = report_json(&single).pretty();
     for shards in [2, 4] {
         let sharded = report_json(&run_sharded(&scenario, shards)).pretty();
         assert_eq!(
@@ -190,4 +191,13 @@ fn fig2_xl_reports_are_shard_count_invariant() {
             "fig2_xl report changed at --shards {shards}"
         );
     }
+    // The crowd opens a payment channel per contending request and the
+    // thinner terminates it at the auction: flow tables that followed
+    // history would hold both halves of every flow ever opened.
+    let halves_opened = 2 * single.flows_opened.iter().sum::<u64>();
+    let halves_peak: u64 = single.flows_peak.iter().sum();
+    assert!(
+        halves_peak < halves_opened,
+        "{halves_peak} flow halves held at once for {halves_opened} opened: dead halves are not retired"
+    );
 }

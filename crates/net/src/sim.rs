@@ -62,7 +62,11 @@
 //!   path's propagation delay — at least the lookahead, so they fit the
 //!   window protocol, and strictly ahead of any data they describe. The
 //!   same delay applies even when both halves share a shard, so `K = 1`
-//!   and `K = 4` see identical timelines.
+//!   and `K = 4` see identical timelines. Each half is retired on its own
+//!   shard's clock — when its application aborts the flow, or has been
+//!   told the peer did — and whatever the other side still had in flight
+//!   toward it is dropped on arrival, so the flow tables hold the
+//!   connections that are live, not every flow ever opened.
 
 use crate::event::{EventHandle, EventQueue};
 use crate::fault::{FaultKind, FaultSchedule};
@@ -106,7 +110,8 @@ pub trait App: Any + Send {
     fn on_flow_drained(&mut self, ctx: &mut Ctx, flow: FlowId) {
         let _ = (ctx, flow);
     }
-    /// The peer aborted `flow`.
+    /// The peer aborted `flow`. This call is the last look at it:
+    /// [`Ctx::flow`] still reads the flow here and panics afterwards.
     fn on_flow_aborted(&mut self, ctx: &mut Ctx, flow: FlowId) {
         let _ = (ctx, flow);
     }
@@ -226,6 +231,12 @@ pub fn flow_id(node: NodeId, nth: u32) -> FlowId {
     FlowId((node.0 << FLOW_NTH_BITS) | nth)
 }
 
+/// Whether `node` opened `id` — and so holds its sender half, where any
+/// other endpoint holds the receiver half: ids carry their opener.
+fn opened_by(node: NodeId, id: FlowId) -> bool {
+    id.node_index() == node.index()
+}
+
 // Canonical lanes: a total order over same-time events that is identical
 // in every sharding. Links sort before nodes before flow timers before
 // flow control records. Control records get a lane class of their own
@@ -272,10 +283,10 @@ fn lane_fault_node(n: NodeId) -> u64 {
     (6 << 32) | u64::from(n.0)
 }
 
-/// Lazily re-armed retransmission timer for one flow (see the
-/// `rto_timers` field). Invariant while armed: some wheel sentinel is
+/// Lazily re-armed retransmission timer for one flow (see
+/// [`TxHalf::rto`]). Invariant while armed: some wheel sentinel is
 /// outstanding at a time `<= deadline`, so the deadline is never missed.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Default)]
 struct RtoTimer {
     /// The armed expiry; `None` when the timer is logically cancelled.
     deadline: Option<SimTime>,
@@ -283,6 +294,33 @@ struct RtoTimer {
     /// harmless — popping one re-checks `deadline` — this just avoids
     /// pushing a sentinel per re-arm.
     scheduled: Option<SimTime>,
+}
+
+/// What the source node's shard holds of a flow.
+struct TxHalf {
+    flow: Flow,
+    /// Lazy retransmission timer. Re-arming on every advancing ACK is
+    /// the transport's behaviour, but cancel + re-push against the wheel
+    /// per ACK litters high wheel levels with dead entries that all
+    /// cascade and reap later. Instead the armed deadline lives here —
+    /// in the record the ACK already fetched — and the wheel holds at
+    /// most a couple of sentinel entries per flow: a sentinel that pops
+    /// before the real deadline re-files itself at the deadline, so
+    /// `on_rto` still runs at exactly the armed time.
+    rto: RtoTimer,
+}
+
+/// What the destination node's shard holds of a flow.
+struct RxHalf {
+    flow: Flow,
+    /// Delivery-progress tracking (see [`Ctx::watch_flow`]): the
+    /// watcher's node plus the flow's dirty bit, set when its in-order
+    /// delivered byte count advances and cleared by the watcher's
+    /// [`Ctx::drain_progress`]. Naming the watcher keeps drains
+    /// node-local: two watchers sharing a shard must not consume each
+    /// other's progress, or co-located and split placements of the same
+    /// topology would diverge.
+    watch: Option<(NodeId, bool)>,
 }
 
 // RNG stream namespaces: every node and link derives its own stream from
@@ -422,27 +460,16 @@ pub struct World {
     /// preserved across crashes: flow ids are never reused, so a reborn
     /// node's flows cannot alias a pre-crash peer half.
     flow_counts: Vec<u32>,
-    /// Sender halves of flows whose source this shard owns, in dense
-    /// slabs indexed by the packed [`FlowId`] (O(1) per-packet lookup).
-    flows_tx: FlowSlab<Flow>,
-    /// Receiver halves of flows whose destination this shard owns.
-    flows_rx: FlowSlab<Flow>,
-    /// Lazy per-flow retransmission timers. Re-arming on every advancing
-    /// ACK is the transport's behaviour, but cancel + re-push against the
-    /// wheel per ACK litters high wheel levels with dead entries that all
-    /// cascade and reap later. Instead the armed deadline lives here and
-    /// the wheel holds at most a couple of sentinel entries per flow: a
-    /// sentinel that pops before the real deadline re-files itself at the
-    /// deadline, so `on_rto` still runs at exactly the armed time.
-    rto_timers: FlowSlab<RtoTimer>,
-    /// Delivery-progress tracking for watched receiver flows (see
-    /// [`Ctx::watch_flow`]): the watcher's node plus the flow's dirty
-    /// bit, set when its in-order delivered byte count advances and
-    /// cleared by the watcher's [`Ctx::drain_progress`]. Keying the
-    /// entry by watcher keeps drains node-local: two watchers sharing a
-    /// shard must not consume each other's progress, or co-located and
-    /// split placements of the same topology would diverge.
-    watch_rx: FlowSlab<(NodeId, bool)>,
+    /// Sender halves of the *live* flows whose source this shard owns,
+    /// in a dense slab indexed by the packed [`FlowId`] (O(1) per-packet
+    /// lookup). A half is retired — a tombstone in the slab, its memory
+    /// reused — the moment its endpoint is done with it: when its own
+    /// application aborts it, or when the peer's abort has been reported
+    /// to the application. Whatever still arrives for it is dropped.
+    tx: FlowSlab<TxHalf>,
+    /// Receiver halves of the live flows whose destination this shard
+    /// owns; retired like the sender halves.
+    rx: FlowSlab<RxHalf>,
     /// Watched flows that delivered new bytes since the last drain
     /// (each queued at most once — the dirty bit dedups).
     progress_rx: Vec<FlowId>,
@@ -514,10 +541,8 @@ impl World {
             crash_depth: vec![0; n],
             incarnations: vec![0; n],
             flow_counts: vec![0; n],
-            flows_tx: FlowSlab::new(n),
-            flows_rx: FlowSlab::new(n),
-            rto_timers: FlowSlab::new(n),
-            watch_rx: FlowSlab::new(n),
+            tx: FlowSlab::new(n),
+            rx: FlowSlab::new(n),
             progress_rx: Vec::new(),
             notifies: VecDeque::new(),
             actions_scratch: Vec::new(),
@@ -534,25 +559,40 @@ impl World {
         self.now
     }
 
-    /// The sender half of a flow (must be anchored on this shard): window
-    /// state, acked/written byte counts, retransmission stats.
+    /// The sender half of a live flow (must be anchored on this shard):
+    /// window state, acked/written byte counts, retransmission stats.
+    /// Panics once the half is retired (aborted by either end).
     pub fn flow(&self, id: FlowId) -> &Flow {
-        self.flows_tx
-            .get(id)
-            .unwrap_or_else(|| panic!("sender half of {id} not on this shard"))
+        match self.tx.get(id) {
+            Some(h) => &h.flow,
+            None if self.tx.is_retired(id) => panic!("sender half of {id} is retired"),
+            None => panic!("sender half of {id} not on this shard"),
+        }
     }
 
-    /// The receiver half of a flow (must be anchored on this shard):
-    /// delivered byte counts and reassembly state.
+    /// The receiver half of a live flow (must be anchored on this
+    /// shard): delivered byte counts and reassembly state. Panics once
+    /// the half is retired (aborted by either end).
     pub fn flow_rx(&self, id: FlowId) -> &Flow {
-        self.flows_rx
-            .get(id)
-            .unwrap_or_else(|| panic!("receiver half of {id} not on this shard"))
+        match self.rx.get(id) {
+            Some(h) => &h.flow,
+            None if self.rx.is_retired(id) => panic!("receiver half of {id} is retired"),
+            None => panic!("receiver half of {id} not on this shard"),
+        }
     }
 
-    /// Number of flows opened by nodes on this shard.
+    /// Number of flows opened by nodes on this shard, over the whole
+    /// run (live or not).
     pub fn flow_count(&self) -> usize {
-        self.flows_tx.len()
+        // Only an owned node's counter ever moves.
+        // lint: allow(cast) — u32 -> usize widening on 64-bit targets
+        self.flow_counts.iter().map(|&n| n as usize).sum()
+    }
+
+    /// The most flow halves (sender plus receiver) this shard held at
+    /// once: the flow tables' memory high-water mark, in halves.
+    pub fn flow_halves_peak(&self) -> usize {
+        self.tx.peak_len() + self.rx.peak_len()
     }
 
     /// Statistics for a link owned by this shard.
@@ -576,17 +616,31 @@ impl World {
     /// half (sender if the node is the source, receiver if it is the
     /// destination).
     fn flow_at(&self, node: NodeId, id: FlowId) -> &Flow {
-        if let Some(f) = self.flows_tx.get(id) {
-            if f.src == node {
-                return f;
+        if let Some(h) = self.tx.get(id) {
+            if h.flow.src == node {
+                return &h.flow;
             }
         }
-        if let Some(f) = self.flows_rx.get(id) {
-            if f.dst == node {
-                return f;
+        if let Some(h) = self.rx.get(id) {
+            if h.flow.dst == node {
+                return &h.flow;
             }
+        }
+        if self.half_is_retired(id, !opened_by(node, id)) {
+            panic!("flow {id} is retired at {node}: it was aborted")
         }
         panic!("flow {id} is not visible from {node}")
+    }
+
+    /// Whether that half of `id` was on this shard and has been retired:
+    /// what tells a straggler for a finished flow, which is dropped,
+    /// from an id this shard never saw, which is a bug.
+    fn half_is_retired(&self, id: FlowId, at_receiver: bool) -> bool {
+        if at_receiver {
+            self.rx.is_retired(id)
+        } else {
+            self.tx.is_retired(id)
+        }
     }
 
     /// Queue `event` for `to_shard` (locally, or via its outbox lane for
@@ -623,7 +677,13 @@ impl World {
         let nth = self.flow_counts[src.index()];
         self.flow_counts[src.index()] = nth + 1;
         let id = flow_id(src, nth);
-        self.flows_tx.insert(id, Flow::new(id, src, dst, cfg));
+        self.tx.insert(
+            id,
+            TxHalf {
+                flow: Flow::new(id, src, dst, cfg),
+                rto: RtoTimer::default(),
+            },
+        );
         let at = self.now + self.ctl_delay(src, dst);
         self.schedule(
             at,
@@ -683,9 +743,10 @@ impl World {
     /// this shard holds.
     fn flow_fields(&self, fid: FlowId) -> (NodeId, NodeId, u32, u32) {
         let f = self
-            .flows_tx
+            .tx
             .get(fid)
-            .or_else(|| self.flows_rx.get(fid))
+            .map(|h| &h.flow)
+            .or_else(|| self.rx.get(fid).map(|h| &h.flow))
             .unwrap_or_else(|| panic!("no half of {fid} on this shard"));
         (f.src, f.dst, f.cfg.header_bytes, f.cfg.ack_bytes)
     }
@@ -722,38 +783,24 @@ impl World {
                 }
                 FlowAction::ArmRto(after) => {
                     let deadline = self.now + after;
-                    let push = match self.rto_timers.get_mut(fid) {
-                        Some(t) => {
-                            t.deadline = Some(deadline);
-                            // A sentinel at or before the deadline will
-                            // re-file itself when it pops; only a later
-                            // (or missing) one needs replacing.
-                            if t.scheduled.is_some_and(|s| s <= deadline) {
-                                false
-                            } else {
-                                t.scheduled = Some(deadline);
-                                true
-                            }
-                        }
-                        None => {
-                            self.rto_timers.insert(
-                                fid,
-                                RtoTimer {
-                                    deadline: Some(deadline),
-                                    scheduled: Some(deadline),
-                                },
-                            );
-                            true
-                        }
-                    };
-                    if push {
+                    let t = &mut self
+                        .tx
+                        .get_mut(fid)
+                        .expect("invariant: only a live sender half arms its RTO")
+                        .rto;
+                    t.deadline = Some(deadline);
+                    // A sentinel at or before the deadline will re-file
+                    // itself when it pops; only a later (or missing) one
+                    // needs replacing.
+                    if t.scheduled.is_none_or(|s| s > deadline) {
+                        t.scheduled = Some(deadline);
                         self.queue
                             .push_lane(deadline, lane_flow(fid), Event::Rto(fid));
                     }
                 }
                 FlowAction::CancelRto => {
-                    if let Some(t) = self.rto_timers.get_mut(fid) {
-                        t.deadline = None;
+                    if let Some(h) = self.tx.get_mut(fid) {
+                        h.rto.deadline = None;
                     }
                 }
                 FlowAction::Deliver { tag } => {
@@ -776,54 +823,54 @@ impl World {
         self.actions_scratch.clear();
     }
 
+    /// `node`'s application walks away from `id`: tell the peer, then
+    /// retire the local half — nothing reads it again, and whatever is
+    /// still in flight toward it is dropped on arrival. A no-op when the
+    /// half is already gone or the peer's abort has just been applied.
     fn abort_flow_from(&mut self, node: NodeId, id: FlowId) {
-        if let Some(f) = self.flows_tx.get_mut(id) {
-            if f.src == node {
-                if f.is_aborted() {
-                    return;
-                }
-                let dst = f.dst;
-                let mut actions = std::mem::take(&mut self.actions_scratch);
-                f.abort(&mut actions);
-                self.actions_scratch = actions;
-                self.apply_flow_actions(id);
-                let at = self.now + self.ctl_delay(node, dst);
-                self.schedule(
-                    at,
-                    lane_ctl(id),
-                    Event::FlowAbort {
-                        id,
-                        at_receiver: true,
-                    },
-                    self.shard_of(dst),
-                );
-                return;
-            }
+        let at_sender = opened_by(node, id);
+        let half = if at_sender {
+            self.tx.get(id).map(|h| &h.flow)
+        } else {
+            self.rx.get(id).map(|h| &h.flow)
+        };
+        let Some(f) = half else {
+            assert!(
+                self.half_is_retired(id, !at_sender),
+                "abort from a non-endpoint"
+            );
+            return;
+        };
+        let peer = if at_sender {
+            f.dst
+        } else {
+            assert_eq!(f.dst, node, "abort from a non-endpoint");
+            f.src
+        };
+        if f.is_aborted() {
+            return;
         }
-        if let Some(f) = self.flows_rx.get_mut(id) {
-            if f.dst == node {
-                if f.is_aborted() {
-                    return;
-                }
-                let src = f.src;
-                let mut actions = std::mem::take(&mut self.actions_scratch);
-                f.abort(&mut actions);
-                self.actions_scratch = actions;
-                self.apply_flow_actions(id);
-                let at = self.now + self.ctl_delay(node, src);
-                self.schedule(
-                    at,
-                    lane_ctl(id),
-                    Event::FlowAbort {
-                        id,
-                        at_receiver: false,
-                    },
-                    self.shard_of(src),
-                );
-                return;
-            }
-        }
-        panic!("abort from a non-endpoint");
+        let at = self.now + self.ctl_delay(node, peer);
+        self.schedule(
+            at,
+            lane_ctl(id),
+            Event::FlowAbort {
+                id,
+                at_receiver: at_sender,
+            },
+            self.shard_of(peer),
+        );
+        self.retire_half(id, !at_sender);
+    }
+
+    /// Drop one half of `id` for good (see the `tx` field).
+    fn retire_half(&mut self, id: FlowId, at_receiver: bool) {
+        let gone = if at_receiver {
+            self.rx.retire(id).is_some()
+        } else {
+            self.tx.retire(id).is_some()
+        };
+        debug_assert!(gone, "retiring a half of {id} that is not live");
     }
 
     fn handle_event(&mut self, ev: Event) {
@@ -884,54 +931,56 @@ impl World {
             Event::Rto(fid) => {
                 // Sentinel pop: fire only if it reached the armed
                 // deadline; re-file it there otherwise (lazy re-arm).
-                let Some(t) = self.rto_timers.get_mut(fid) else {
+                let Some(h) = self.tx.get_mut(fid) else {
+                    assert!(self.tx.is_retired(fid), "RTO for a foreign flow");
                     return;
                 };
-                t.scheduled = None;
-                match t.deadline {
+                h.rto.scheduled = None;
+                match h.rto.deadline {
                     Some(d) if d <= self.now => {
-                        t.deadline = None;
-                        let now = self.now;
-                        let mut actions = std::mem::take(&mut self.actions_scratch);
-                        self.flows_tx
-                            .get_mut(fid)
-                            .expect("RTO for a foreign flow")
-                            .on_rto(now, &mut actions);
-                        self.actions_scratch = actions;
+                        h.rto.deadline = None;
+                        h.flow.on_rto(self.now, &mut self.actions_scratch);
                         self.apply_flow_actions(fid);
                     }
                     Some(d) => {
-                        t.scheduled = Some(d);
+                        h.rto.scheduled = Some(d);
                         self.queue.push_lane(d, lane_flow(fid), Event::Rto(fid));
                     }
                     None => {}
                 }
             }
             Event::FlowOpen { id, src, dst, cfg } => {
-                self.flows_rx.insert(id, Flow::new(id, src, dst, *cfg));
+                self.rx.insert(
+                    id,
+                    RxHalf {
+                        flow: Flow::new(id, src, dst, *cfg),
+                        watch: None,
+                    },
+                );
             }
-            Event::FlowBoundary { id, end, tag } => {
-                self.flows_rx
-                    .get_mut(id)
-                    .expect("boundary for an unopened flow")
-                    .note_boundary(end, tag);
-            }
+            Event::FlowBoundary { id, end, tag } => match self.rx.get_mut(id) {
+                Some(h) => h.flow.note_boundary(end, tag),
+                None => assert!(self.rx.is_retired(id), "boundary for an unopened flow"),
+            },
             Event::FlowAbort { id, at_receiver } => {
                 let f = if at_receiver {
-                    self.flows_rx.get_mut(id)
+                    self.rx.get_mut(id).map(|h| &mut h.flow)
                 } else {
-                    self.flows_tx.get_mut(id)
-                }
-                .expect("abort for a foreign flow");
-                if f.is_aborted() {
+                    self.tx.get_mut(id).map(|h| &mut h.flow)
+                };
+                let Some(f) = f else {
                     // Both ends aborted concurrently; nothing to report.
+                    assert!(
+                        self.half_is_retired(id, at_receiver),
+                        "abort for a foreign flow"
+                    );
                     return;
-                }
+                };
                 let node = if at_receiver { f.dst } else { f.src };
-                let mut actions = std::mem::take(&mut self.actions_scratch);
-                f.abort(&mut actions);
-                self.actions_scratch = actions;
+                f.abort(&mut self.actions_scratch);
                 self.apply_flow_actions(id);
+                // The half stays readable for `on_flow_aborted`; the
+                // dispatcher retires it once the callback has returned.
                 self.notifies.push_back(Notify::Aborted { node, flow: id });
             }
             Event::AppControl { node, src, payload } => {
@@ -970,55 +1019,46 @@ impl World {
     }
 
     /// Crash-time sweep: abort every flow anchored on `node` (peers learn
-    /// via the usual delayed abort records) and purge its flow watches so
-    /// nothing credits progress to a dead watcher.
+    /// via the usual delayed abort records). Retiring the receiver halves
+    /// takes the node's flow watches with them, so nothing credits
+    /// progress to a dead watcher.
     fn crash_node(&mut self, node: NodeId) {
         // Sender halves live in the crashing node's own slab lane;
         // receiver halves require a scan (any node may have opened
-        // toward us). Collect first — aborting mutates the slabs' flows.
+        // toward us). Collect first — aborting mutates the slabs.
         // The two sets cannot overlap: tx ids were opened by `node`
         // (its id in the high bits), rx ids by some peer.
-        let mut dead: Vec<FlowId> = self
-            .flows_tx
-            .node_iter(node)
-            .filter_map(|(id, f)| (!f.is_aborted()).then_some(id))
-            .collect();
-        for (id, f) in self.flows_rx.iter() {
-            if f.dst == node && !f.is_aborted() {
-                dead.push(id);
-            }
-        }
+        let mut dead: Vec<FlowId> = self.tx.node_iter(node).map(|(id, _)| id).collect();
+        dead.extend(
+            self.rx
+                .iter()
+                .filter_map(|(id, h)| (h.flow.dst == node).then_some(id)),
+        );
         for id in dead {
             self.abort_flow_from(node, id);
         }
-        // Watches held by the crashed node die with it; drop their queued
-        // progress entries too, so a reborn watcher starts clean.
-        let stale: Vec<FlowId> = self
-            .watch_rx
-            .iter()
-            .filter_map(|(id, (watcher, _))| (*watcher == node).then_some(id))
-            .collect();
-        for id in stale {
-            self.watch_rx.take(id);
-        }
-        let watch_rx = &self.watch_rx;
-        self.progress_rx.retain(|&fid| watch_rx.get(fid).is_some());
+        // Drop the dead watches' queued progress entries too, so a reborn
+        // watcher starts clean.
+        let rx = &self.rx;
+        self.progress_rx
+            .retain(|&fid| rx.get(fid).is_some_and(|h| h.watch.is_some()));
     }
 
     fn receive(&mut self, packet: Packet) {
         let fid = packet.flow;
         let now = self.now;
-        let mut actions = std::mem::take(&mut self.actions_scratch);
+        // A packet for a retired half is a straggler of a finished flow:
+        // ignored, as the half's `aborted` flag ignored it while it lived.
         match packet.kind {
             PacketKind::Data { offset, len } => {
-                let f = self
-                    .flows_rx
-                    .get_mut(fid)
-                    .expect("data for an unopened flow");
-                let before = f.delivered_bytes();
-                f.on_data(now, offset, len, &mut actions);
-                if f.delivered_bytes() > before {
-                    if let Some((_, dirty)) = self.watch_rx.get_mut(fid) {
+                let Some(h) = self.rx.get_mut(fid) else {
+                    assert!(self.rx.is_retired(fid), "data for an unopened flow");
+                    return;
+                };
+                let before = h.flow.delivered_bytes();
+                h.flow.on_data(now, offset, len, &mut self.actions_scratch);
+                if h.flow.delivered_bytes() > before {
+                    if let Some((_, dirty)) = &mut h.watch {
                         if !*dirty {
                             *dirty = true;
                             self.progress_rx.push(fid);
@@ -1027,13 +1067,13 @@ impl World {
                 }
             }
             PacketKind::Ack { cum } => {
-                self.flows_tx
-                    .get_mut(fid)
-                    .expect("ack for a foreign flow")
-                    .on_ack(now, cum, &mut actions);
+                let Some(h) = self.tx.get_mut(fid) else {
+                    assert!(self.tx.is_retired(fid), "ack for a foreign flow");
+                    return;
+                };
+                h.flow.on_ack(now, cum, &mut self.actions_scratch);
             }
         }
-        self.actions_scratch = actions;
         self.apply_flow_actions(fid);
     }
 }
@@ -1074,21 +1114,24 @@ impl<'a> Ctx<'a> {
     }
 
     /// Write a message of `bytes` bytes tagged `tag` onto `flow`. Must be
-    /// called from the flow's source node.
+    /// called from the flow's source node. Writing to a flow that either
+    /// end has aborted does nothing.
     pub fn send(&mut self, flow: FlowId, bytes: u64, tag: u64) {
         let now = self.world.now;
-        let mut actions = std::mem::take(&mut self.world.actions_scratch);
-        let f = self
-            .world
-            .flows_tx
-            .get_mut(flow)
-            .unwrap_or_else(|| panic!("send on a flow {flow} not sent from this shard"));
+        let Some(h) = self.world.tx.get_mut(flow) else {
+            assert!(
+                self.world.tx.is_retired(flow),
+                "send on a flow {flow} not sent from this shard"
+            );
+            assert!(opened_by(self.node, flow), "send from the wrong endpoint");
+            return;
+        };
+        let f = &mut h.flow;
         assert_eq!(f.src, self.node, "send from the wrong endpoint");
         let dst = f.dst;
         let before = f.written_bytes();
-        f.write(now, bytes, tag, &mut actions);
+        f.write(now, bytes, tag, &mut self.world.actions_scratch);
         let end = f.written_bytes();
-        self.world.actions_scratch = actions;
         if end > before {
             // Replicate the message boundary to the receiver half, one
             // propagation delay ahead of the data.
@@ -1106,7 +1149,11 @@ impl<'a> Ctx<'a> {
 
     /// Abort `flow` from either endpoint. The peer gets an
     /// [`App::on_flow_aborted`] callback one propagation delay later;
-    /// in-flight packets are ignored.
+    /// in-flight packets are ignored. This node's half of the flow is
+    /// retired on the spot: from here on [`Ctx::flow`] panics for it, so
+    /// read what is needed (acked or delivered bytes) before aborting.
+    /// Aborting a flow that is already over — by this node or by the
+    /// peer — does nothing.
     pub fn abort_flow(&mut self, flow: FlowId) {
         self.world.abort_flow_from(self.node, flow);
     }
@@ -1132,7 +1179,12 @@ impl<'a> Ctx<'a> {
 
     /// Read access to this node's view of a flow: the sender half when
     /// this node is the source, the receiver half when it is the
-    /// destination.
+    /// destination. Only live flows can be read. A half is retired when
+    /// this node aborts the flow ([`Ctx::abort_flow`], or a crash of
+    /// the node), or — if the peer aborted — when this node's
+    /// [`App::on_flow_aborted`] returns: inside that callback the flow
+    /// is still readable (and reports `is_aborted()`), afterwards this
+    /// panics.
     pub fn flow(&self, id: FlowId) -> &Flow {
         self.world.flow_at(self.node, id)
     }
@@ -1147,21 +1199,29 @@ impl<'a> Ctx<'a> {
     /// node-keyed: each watcher's drain sees exactly its own flows, so
     /// two watchers (e.g. two thinner replicas) behave identically
     /// whether they share a shard or not.
+    ///
+    /// The receiver half must be live — watch a flow from a callback it
+    /// just delivered, not before its open record arrived — and the
+    /// watch ends with the half.
     pub fn watch_flow(&mut self, id: FlowId) {
-        debug_assert!(
-            self.world
-                .flows_rx
-                .get(id)
-                .is_none_or(|f| f.dst == self.node),
+        let h = self
+            .world
+            .rx
+            .get_mut(id)
+            .expect("watching a flow with no live receiver half here");
+        assert_eq!(
+            h.flow.dst, self.node,
             "watching a flow that terminates elsewhere"
         );
-        self.world.watch_rx.insert(id, (self.node, false));
+        h.watch = Some((self.node, false));
     }
 
     /// Stop watching `id`. A still-queued dirty entry is skipped at
-    /// drain time; no-op if the flow was never watched.
+    /// drain time; no-op if the flow is not watched (any more).
     pub fn unwatch_flow(&mut self, id: FlowId) {
-        self.world.watch_rx.take(id);
+        if let Some(h) = self.world.rx.get_mut(id) {
+            h.watch = None;
+        }
     }
 
     /// Move every flow watched *by this node* that delivered new bytes
@@ -1173,21 +1233,21 @@ impl<'a> Ctx<'a> {
     pub fn drain_progress(&mut self, out: &mut Vec<FlowId>) {
         let node = self.node;
         let World {
-            progress_rx,
-            watch_rx,
-            ..
+            progress_rx, rx, ..
         } = &mut *self.world;
-        progress_rx.retain(|&fid| match watch_rx.get_mut(fid) {
-            Some((watcher, dirty)) if *watcher == node => {
-                if *dirty {
-                    *dirty = false;
-                    out.push(fid);
+        progress_rx.retain(
+            |&fid| match rx.get_mut(fid).and_then(|h| h.watch.as_mut()) {
+                Some((watcher, dirty)) if *watcher == node => {
+                    if *dirty {
+                        *dirty = false;
+                        out.push(fid);
+                    }
+                    false
                 }
-                false
-            }
-            Some(_) => true,
-            None => false,
-        });
+                Some(_) => true,
+                None => false,
+            },
+        );
     }
 
     /// Propagation delay of the route to `dst` (for informed apps/tests).
@@ -1279,6 +1339,11 @@ impl<S: AppSet> Shard<S> {
                 | Notify::Restarted { node } => node,
             };
             if self.world.crash_depth[target.index()] > 0 {
+                // Nobody to tell, so the half a peer's abort reached is
+                // done with at once.
+                if let Notify::Aborted { node, flow } = n {
+                    self.world.retire_half(flow, !opened_by(node, flow));
+                }
                 continue;
             }
             match n {
@@ -1293,6 +1358,8 @@ impl<S: AppSet> Shard<S> {
                 }
                 Notify::Aborted { node, flow } => {
                     self.with_app(node, |a, ctx| a.on_flow_aborted(ctx, flow));
+                    // That was the application's last look at the half.
+                    self.world.retire_half(flow, !opened_by(node, flow));
                 }
                 Notify::Control { node, src, payload } => {
                     self.with_app(node, |a, ctx| a.on_control(ctx, src, &payload));
@@ -1730,6 +1797,27 @@ impl<S: AppSet> Simulator<S> {
             .iter()
             .map(|s| {
                 u64::try_from(s.world.queue.peak_filed()).expect("invariant: arena length fits u64")
+            })
+            .collect()
+    }
+
+    /// Flows opened so far by each shard's nodes (live or not).
+    pub fn flows_opened(&self) -> Vec<u64> {
+        self.shards
+            .iter()
+            .map(|s| u64::try_from(s.world.flow_count()).expect("invariant: flow count fits u64"))
+            .collect()
+    }
+
+    /// The most flow halves each shard held at once (its flow tables'
+    /// memory high-water mark, in halves): retired halves give their
+    /// cells back, so this follows the live connections, not
+    /// [`Simulator::flows_opened`].
+    pub fn flow_halves_peaks(&self) -> Vec<u64> {
+        self.shards
+            .iter()
+            .map(|s| {
+                u64::try_from(s.world.flow_halves_peak()).expect("invariant: arena length fits u64")
             })
             .collect()
     }
@@ -2320,8 +2408,10 @@ mod tests {
                 .aborted,
             vec![f]
         );
-        assert!(sim.world().flow(f).is_aborted());
-        assert!(sim.world().flow_rx(f).is_aborted());
+        let world = sim.world();
+        assert!(world.tx.is_retired(f) && world.rx.is_retired(f));
+        assert_eq!(world.flow_count(), 1, "flows opened, not flows live");
+        assert_eq!((world.tx.len(), world.rx.len()), (0, 0));
     }
 
     #[test]
@@ -2760,10 +2850,11 @@ mod tests {
         assert_eq!(single, run(Some(vec![0, 1, 2, 3, 4])));
     }
 
-    /// Watches a peer's flow from the start and drains delivery
+    /// Watches a peer's flow from its first tick on and drains delivery
     /// progress on a fixed timer cadence, logging what each drain saw.
     struct ProgressWatcher {
         watched: FlowId,
+        watching: bool,
         offset: SimDuration,
         period: SimDuration,
         log: Vec<(SimTime, u64)>,
@@ -2772,10 +2863,14 @@ mod tests {
 
     impl App for ProgressWatcher {
         fn start(&mut self, ctx: &mut Ctx) {
-            ctx.watch_flow(self.watched);
             ctx.set_timer(self.offset, 0);
         }
         fn on_timer(&mut self, ctx: &mut Ctx, _token: u64) {
+            // A flow can be watched once its open record has arrived:
+            // by the first tick, not at start.
+            if !std::mem::replace(&mut self.watching, true) {
+                ctx.watch_flow(self.watched);
+            }
             let mut out = std::mem::take(&mut self.scratch);
             out.clear();
             ctx.drain_progress(&mut out);
@@ -2828,6 +2923,7 @@ mod tests {
                     w,
                     Box::new(ProgressWatcher {
                         watched: flow_id(s, 0),
+                        watching: false,
                         offset: SimDuration::from_millis(10 + i as u64),
                         period: SimDuration::from_millis(10),
                         log: Vec::new(),
@@ -3044,8 +3140,8 @@ mod tests {
         sim.inject_faults(&faults);
         sim.run_until(SimTime::from_secs(5));
         let f = flow_id(a, 0);
-        assert!(sim.world().flow(f).is_aborted(), "sender half aborted");
-        assert!(sim.world().flow_rx(f).is_aborted(), "receiver half aborted");
+        assert!(sim.world().tx.is_retired(f), "sender half retired");
+        assert!(sim.world().rx.is_retired(f), "receiver half retired");
         let w = sim
             .app::<CrashWatch>(z)
             .expect("invariant: CrashWatch installed on z");
@@ -3074,6 +3170,7 @@ mod tests {
             z,
             Box::new(ProgressWatcher {
                 watched: flow_id(a, 0),
+                watching: false,
                 offset: SimDuration::from_millis(10),
                 period: SimDuration::from_millis(10),
                 log: Vec::new(),
@@ -3087,7 +3184,7 @@ mod tests {
         let f = flow_id(a, 0);
         let world = sim.world();
         assert!(
-            world.watch_rx.get(f).is_none(),
+            world.rx.is_retired(f) && world.rx.iter().all(|(_, h)| h.watch.is_none()),
             "crash must purge the dead node's watch"
         );
         assert!(
@@ -3159,6 +3256,307 @@ mod tests {
         assert_eq!(single, run(Some(vec![0, 1, 1, 2, 2])));
         assert_eq!(single, run(Some(vec![0, 1, 2, 3, 4])));
         assert_eq!(single, run(Some(vec![0, 0, 1, 0, 1])));
+    }
+
+    // ---------------------------------------------- flow retirement
+
+    /// One step of a [`Scripted`] endpoint, run when its timer fires.
+    #[derive(Clone, Copy)]
+    enum Step {
+        /// Open the flow under test toward the node and write this much.
+        Open(NodeId, u64),
+        /// Write another message (tag 2) of this many bytes.
+        Send(u64),
+        Abort,
+        Watch,
+        /// Read the flow through [`Ctx::flow`].
+        Read,
+    }
+
+    /// An endpoint that plays a fixed timeline against one flow and logs
+    /// every callback it hears about it.
+    struct Scripted {
+        flow: FlowId,
+        script: Vec<(SimDuration, Step)>,
+        log: Vec<(SimTime, &'static str, u64)>,
+    }
+
+    impl Scripted {
+        fn new(flow: FlowId, script: &[(u64, Step)]) -> Box<Self> {
+            Box::new(Scripted {
+                flow,
+                script: script
+                    .iter()
+                    .map(|&(ms, step)| (SimDuration::from_millis(ms), step))
+                    .collect(),
+                log: Vec::new(),
+            })
+        }
+    }
+
+    impl App for Scripted {
+        fn start(&mut self, ctx: &mut Ctx) {
+            for (i, &(after, _)) in self.script.iter().enumerate() {
+                ctx.set_timer(after, i as u64);
+            }
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx, token: u64) {
+            match self.script[token as usize].1 {
+                Step::Open(dst, bytes) => {
+                    let f = ctx.open_default_flow(dst);
+                    assert_eq!(f, self.flow, "the script opens exactly the flow under test");
+                    ctx.send(f, bytes, 1);
+                }
+                Step::Send(bytes) => ctx.send(self.flow, bytes, 2),
+                Step::Abort => ctx.abort_flow(self.flow),
+                Step::Watch => ctx.watch_flow(self.flow),
+                Step::Read => {
+                    let seen = ctx.flow(self.flow).written_bytes();
+                    self.log.push((ctx.now(), "read", seen));
+                }
+            }
+        }
+        fn on_message(&mut self, ctx: &mut Ctx, _flow: FlowId, tag: u64) {
+            self.log.push((ctx.now(), "message", tag));
+        }
+        fn on_flow_drained(&mut self, ctx: &mut Ctx, _flow: FlowId) {
+            self.log.push((ctx.now(), "drained", 0));
+        }
+        fn on_flow_aborted(&mut self, ctx: &mut Ctx, flow: FlowId) {
+            // The half is still there for the callback to settle accounts.
+            let f = ctx.flow(flow);
+            assert!(f.is_aborted());
+            let bytes = f.acked_bytes().max(f.delivered_bytes());
+            self.log.push((ctx.now(), "aborted", bytes));
+        }
+    }
+
+    /// What a retirement scenario left behind.
+    #[derive(Debug, PartialEq)]
+    struct Aftermath {
+        a_log: Vec<(SimTime, &'static str, u64)>,
+        z_log: Vec<(SimTime, &'static str, u64)>,
+        total_drops: u64,
+        /// Sender half at `a`, receiver half at `z`: tombstones?
+        retired: (bool, bool),
+        /// Both halves' watches and queued progress entries are gone.
+        watches_purged: bool,
+        /// Every straggler was popped (and dropped), none is pending.
+        queues_empty: bool,
+    }
+
+    /// Run `a`'s and `z`'s scripts over the chain `a — m — z` (5 ms per
+    /// hop, so control records take 10 ms end to end; 1 Mbit/s toward
+    /// `z` and 50 kbit/s back, so an ACK spends 12.8 ms being serialized
+    /// — longer than the 12 ms between data packets, which keeps one
+    /// behind any control record racing it) for 5 s, on one shard and
+    /// with a shard per node: retirement must not make the two differ.
+    /// Returns the common outcome.
+    fn run_scripts(
+        a_script: &[(u64, Step)],
+        z_script: &[(u64, Step)],
+        faults: impl Fn(NodeId, NodeId) -> FaultSchedule,
+    ) -> Aftermath {
+        let run = |assignment: Option<Vec<u32>>| {
+            let mut b = TopologyBuilder::new();
+            let (a, m, z) = (b.node(), b.node(), b.node());
+            let out = LinkConfig::new(1_000_000, SimDuration::from_millis(5));
+            let back = LinkConfig::new(50_000, SimDuration::from_millis(5));
+            b.duplex_asym(a, m, out, back);
+            b.duplex_asym(m, z, out, back);
+            let mut sim = match assignment {
+                None => Simulator::new(b.build(), 31),
+                Some(asg) => Simulator::new_sharded(b.build(), 31, asg),
+            };
+            let f = flow_id(a, 0);
+            sim.add_app(a, Scripted::new(f, a_script));
+            sim.add_app(z, Scripted::new(f, z_script));
+            sim.inject_faults(&faults(a, z));
+            sim.run_until(SimTime::from_secs(5));
+            let log_of = |n| {
+                sim.app::<Scripted>(n)
+                    .expect("invariant: Scripted installed")
+                    .log
+                    .clone()
+            };
+            Aftermath {
+                a_log: log_of(a),
+                z_log: log_of(z),
+                total_drops: sim.total_drops(),
+                retired: (
+                    sim.world_of(a).tx.is_retired(f),
+                    sim.world_of(z).rx.is_retired(f),
+                ),
+                watches_purged: sim.shards.iter().all(|s| {
+                    s.world.progress_rx.is_empty()
+                        && s.world.rx.iter().all(|(_, h)| h.watch.is_none())
+                }),
+                queues_empty: sim.shards.iter().all(|s| s.world.queue.is_empty()),
+            }
+        };
+        let single = run(None);
+        assert_eq!(single, run(Some(vec![0, 1, 2])), "a shard per node differs");
+        single
+    }
+
+    fn no_faults(_a: NodeId, _z: NodeId) -> FaultSchedule {
+        FaultSchedule::new()
+    }
+
+    #[test]
+    fn stragglers_of_an_aborted_transfer_land_on_tombstones() {
+        // The receiver walks away at 300 ms, mid-window. Its half is
+        // gone at once, so the data already on the wire and the boundary
+        // record of the message written at 298 ms (due at 308 ms) find a
+        // tombstone. The sender hears at 310 ms and is retired after the
+        // callback: the ACKs still travelling back and the RTO sentinel
+        // armed for the outstanding window find the other one. None of
+        // that is a panic, a callback, or a drop.
+        let out = run_scripts(
+            &[
+                (0, Step::Open(NodeId(2), 1_000_000)),
+                (298, Step::Send(1_000)),
+            ],
+            &[(300, Step::Abort)],
+            no_faults,
+        );
+        let [(at, "aborted", acked)] = out.a_log[..] else {
+            panic!(
+                "the sender hears one abort and nothing else: {:?}",
+                out.a_log
+            );
+        };
+        assert_eq!(at, SimTime::from_nanos(310_000_000));
+        assert!(acked > 0, "the callback read the half's acked bytes");
+        assert_eq!(out.z_log, vec![], "the aborter hears nothing");
+        assert_eq!(out.total_drops, 0, "stragglers are not link drops");
+        assert_eq!(out.retired, (true, true));
+        assert!(out.queues_empty, "sentinel and stragglers all popped");
+    }
+
+    #[test]
+    fn simultaneous_aborts_each_find_a_tombstone() {
+        let out = run_scripts(
+            &[(0, Step::Open(NodeId(2), 1_000_000)), (50, Step::Abort)],
+            &[(50, Step::Abort)],
+            no_faults,
+        );
+        assert_eq!(out.a_log, vec![], "the echo found a tombstone at a");
+        assert_eq!(out.z_log, vec![], "the echo found a tombstone at z");
+        assert_eq!(out.retired, (true, true));
+        assert!(out.queues_empty);
+        assert_eq!(out.total_drops, 0);
+    }
+
+    #[test]
+    fn an_aborted_flow_is_readable_in_the_callback_and_retired_after() {
+        // `Scripted::on_flow_aborted` reads the flow (or this would have
+        // panicked at 60 ms); reading it again at 70 ms is a bug in the
+        // application and says so, in every sharding.
+        let doomed = |shards: Option<Vec<u32>>| {
+            let (t, a, z) = two_nodes(1_000_000, 10);
+            let mut sim = match shards {
+                None => Simulator::new(t, 33),
+                Some(asg) => Simulator::new_sharded(t, 33, asg),
+            };
+            let f = flow_id(a, 0);
+            sim.add_app(
+                a,
+                Scripted::new(f, &[(0, Step::Open(z, 1_000_000)), (70, Step::Read)]),
+            );
+            sim.add_app(z, Scripted::new(f, &[(50, Step::Abort)]));
+            let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                sim.run_until(SimTime::from_secs(1));
+            }))
+            .expect_err("reading a retired flow must panic");
+            let heard = sim
+                .app::<Scripted>(a)
+                .expect("invariant: Scripted installed on a")
+                .log
+                .len();
+            assert_eq!(heard, 1, "the abort callback ran first, and read the flow");
+            panic
+                .downcast_ref::<String>()
+                .expect("a formatted panic message")
+                .clone()
+        };
+        let single = doomed(None);
+        assert!(single.contains("retired"), "{single}");
+        assert_eq!(single, doomed(Some(vec![0, 1])));
+    }
+
+    #[test]
+    fn a_crash_racing_an_abort_retires_the_half_and_its_watch() {
+        // a aborts at 100 ms; the record is due at z at 110 ms, but z —
+        // which watches the flow — crashes at 105 ms. The sweep retires
+        // z's half and with it the watch and its queued progress; the
+        // record and the sweep's own echo both find tombstones, so
+        // neither side ever hears `on_flow_aborted`.
+        let out = run_scripts(
+            &[(0, Step::Open(NodeId(2), 1_000_000)), (100, Step::Abort)],
+            &[(20, Step::Watch)],
+            |_a, z| {
+                let mut faults = FaultSchedule::new();
+                faults.node_crash(
+                    SimTime::from_nanos(105_000_000),
+                    z,
+                    SimDuration::from_secs(1),
+                );
+                faults
+            },
+        );
+        assert_eq!((&out.a_log, &out.z_log), (&vec![], &vec![]));
+        assert_eq!(out.retired, (true, true));
+        assert!(out.watches_purged);
+        assert!(out.queues_empty);
+    }
+
+    #[test]
+    fn an_abort_reaching_a_downed_node_retires_the_half_unheard() {
+        // z is down from 40 ms to 1.04 s. A flow opened toward it at
+        // 50 ms still gets a receiver half there (the open record is not
+        // a packet); its data dies at the node. When a gives up at
+        // 200 ms the abort finds that half live but nobody to tell: it
+        // is retired at once, and the reborn z never hears of it.
+        let out = run_scripts(
+            &[(50, Step::Open(NodeId(2), 10_000)), (200, Step::Abort)],
+            &[],
+            |_a, z| {
+                let mut faults = FaultSchedule::new();
+                faults.node_crash(
+                    SimTime::from_nanos(40_000_000),
+                    z,
+                    SimDuration::from_secs(1),
+                );
+                faults
+            },
+        );
+        assert_eq!((&out.a_log, &out.z_log), (&vec![], &vec![]));
+        assert_eq!(out.retired, (true, true));
+        assert!(out.total_drops > 0, "the downed node ate the data");
+        assert!(out.queues_empty);
+    }
+
+    #[test]
+    #[should_panic(expected = "data for an unopened flow")]
+    fn a_packet_for_a_flow_never_opened_still_panics() {
+        // Tombstones excuse stragglers of flows that existed, nothing
+        // else: an id no one ever opened is an engine bug.
+        let (t, a, z) = two_nodes(1_000_000, 1);
+        let mut sim = Simulator::new(t, 34);
+        let packet = Packet {
+            flow: flow_id(a, 7),
+            src: a,
+            dst: z,
+            size: 100,
+            kind: PacketKind::Data { offset: 0, len: 60 },
+        };
+        sim.shards[0].world.queue.push_lane(
+            SimTime::from_nanos(1),
+            lane_link(LinkId(0)),
+            Event::Arrive { node: z, packet },
+        );
+        sim.run_until(SimTime::from_secs(1));
     }
 
     #[test]

@@ -59,6 +59,18 @@ fn every_entry_is_shard_count_invariant() {
                     r.name
                 );
             }
+            // So do the flow tables' counts: a flow has two halves, so
+            // no shard layout can hold more than twice the flows opened.
+            assert_eq!(r.flows_opened.len(), r.shard_events.len(), "{}", entry.name);
+            assert_eq!(r.flows_peak.len(), r.shard_events.len(), "{}", entry.name);
+            let opened: u64 = r.flows_opened.iter().sum();
+            let peak: u64 = r.flows_peak.iter().sum();
+            assert!(
+                peak <= 2 * opened,
+                "{} ({}): {peak} flow halves held for {opened} flows opened",
+                entry.name,
+                r.name
+            );
         }
     }
 }
