@@ -559,13 +559,14 @@ fn main() {
     // ---- replicated thinners: fig2 with the auction split 4 ways ----
     // The single thinner was the last serial component (~25% of all
     // events pinned to its shard); with R = 4 replicas exchanging bid
-    // digests every 10 ms, shard 0 keeps only its replica's slice. The
-    // measured events/sec includes the digest control traffic, so this
-    // row is the throughput price of replication, and the shard-0 share
-    // beside it is what replication buys.
+    // digests every 10 ms, each shard holds one replica island — a
+    // replica with its clients. The measured events/sec includes the
+    // digest control traffic, so this row is the throughput price of
+    // replication, and the balance beside it is what replication buys.
     let rep_shards = 4u32;
+    let rep_thinners = 4u32;
     let mut rep = scenarios::fig2(0.5, Mode::Auction)
-        .thinners(4)
+        .thinners(rep_thinners)
         .sync_period(SimDuration::from_millis(10));
     rep.duration = SimDuration::from_secs(sim_secs);
     let (rep_wall, rep_report) = best_of(iters, || run_sharded(&rep, rep_shards));
@@ -573,15 +574,17 @@ fn main() {
     let rep_eps = rep_events as f64 / rep_wall;
     let rep_share =
         rep_report.shard_events.first().copied().unwrap_or(0) as f64 / rep_events.max(1) as f64;
+    let rep_largest = rep_report.shard_events.iter().copied().max().unwrap_or(0) as f64
+        / rep_events.max(1) as f64;
     assert!(
-        rep_share < 0.10,
-        "fig2 with 4 thinner replicas still concentrates {rep_share:.3} of all \
-         events on shard 0 — replica placement regressed"
+        rep_largest <= 1.0 / f64::from(rep_shards.min(rep_thinners)) + 0.05,
+        "fig2 with {rep_thinners} thinner replicas concentrates {rep_largest:.3} of all \
+         events on one shard — replica-island placement regressed"
     );
     println!(
-        "engine_throughput/fig2_replicated: thinners=4 shards={rep_shards} \
+        "engine_throughput/fig2_replicated: thinners={rep_thinners} shards={rep_shards} \
          {rep_events} events in {rep_wall:.3}s = {rep_eps:.0} events/sec, \
-         shard0_share={rep_share:.3}"
+         shard0_share={rep_share:.3} largest_share={rep_largest:.3}"
     );
 
     // ---- hot-path replay: wheel + slab vs pre-PR heap + BTreeMap ----
@@ -691,11 +694,12 @@ fn main() {
         ratio(Some(xl_eps), PR8_XL_EVENTS_PER_SEC)
     );
     // Schema v4: the replicated-thinner row. `shard0_event_share` is
-    // the acceptance metric (the old single-thinner engine pinned ~25%
-    // of fig2's events to the thinner's shard; the bar here is 10%).
+    // shard 0's slice of the events: one replica island's worth since
+    // placement became replica-affine (~1/4 here), ~0 when replicas
+    // were moved off shard 0 — the committed baseline predates that.
     let _ = writeln!(
         json,
-        "  \"replicated_thinners\": {{\"scenario\": \"fig2 f=0.5\", \"thinners\": 4, \"sync_period_ms\": 10, \"shards\": {rep_shards}, \"sim_secs\": {sim_secs}, \"events\": {rep_events}, \"events_per_sec\": {rep_eps:.0}, \"shard0_event_share\": {rep_share:.4}}},"
+        "  \"replicated_thinners\": {{\"scenario\": \"fig2 f=0.5\", \"thinners\": {rep_thinners}, \"sync_period_ms\": 10, \"shards\": {rep_shards}, \"sim_secs\": {sim_secs}, \"events\": {rep_events}, \"events_per_sec\": {rep_eps:.0}, \"shard0_event_share\": {rep_share:.4}}},"
     );
     let _ = writeln!(
         json,

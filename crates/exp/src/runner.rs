@@ -29,15 +29,29 @@
 //! the thinner's shard is that group's access delay rather than the
 //! global minimum.
 //!
-//! Placement is distance-aware: groups (and individually-placed
-//! bottlenecked clients) are sorted by delay, longest first, and split
-//! into contiguous client-count-balanced blocks over shards `1..K`, so
-//! long-RTT fig7-style clients land together and keep their wide
-//! windows. The thinner, the legacy hub (gateway + Fig 9 bystander
-//! attach point), and the bottleneck gateway stay on shard 0 — shard
-//! 0's packet work is the thinner proper. `--shards` beyond the number
-//! of placement units clamps (with a one-time warning) so no shard
-//! spins empty at every barrier.
+//! With one thinner, placement is distance-aware: groups (and
+//! individually-placed bottlenecked clients) are sorted by delay,
+//! longest first, and split into contiguous client-count-balanced blocks
+//! over shards `1..K`, so long-RTT fig7-style clients land together and
+//! keep their wide windows. The thinner, the legacy hub (gateway + Fig 9
+//! bystander attach point), and the bottleneck gateway stay on shard 0 —
+//! shard 0's packet work is the thinner proper.
+//!
+//! With `R > 1` thinner replicas placement is *replica-affine*: the unit
+//! is the replica island — replica `r`, every aggregation group and
+//! cohort homed on it (`g % R`, `c % R`), their hubs and clients — and
+//! island `r` goes to shard `r % K`; whatever attaches through the
+//! legacy hub stays with replica 0 on shard 0. The only links that then
+//! cross shards are the replica mesh, which is built control-only
+//! ([`LinkConfig::control_only`]): nothing but digests crosses it, each
+//! replica promises when its next digest leaves
+//! (`Ctx::control_quiet_until`), and the engine opens one window per
+//! sync period instead of one per 500 µs mesh delay. Islands share
+//! nothing else, so `K` of them run in parallel.
+//!
+//! `--shards` beyond the number of placement units (groups + 1, or `R`)
+//! clamps (with a one-time warning) so no shard spins empty at every
+//! barrier window.
 
 use crate::agents::client::{ClientAgent, ClientMetrics, PaymentMode};
 use crate::agents::cohort::CohortAgent;
@@ -471,116 +485,115 @@ pub fn run_sharded(scenario: &Scenario, shards: u32) -> RunReport {
     }
     // Replica peer mesh: a full-duplex control lane between every
     // replica pair. Digests are tiny and rare, so the provisioning only
-    // sets the control-packet path delay — and, because the links cross
-    // shard boundaries, the 500 µs delay is also the pairwise lookahead
-    // between replica shards.
+    // sets the control-payload path delay — and the links are marked
+    // control-only, the engine's guarantee that nothing *but* a digest
+    // ever crosses them: with one replica island per shard they are the
+    // only cross-shard links, and a digest is bounded by its sender's
+    // quiet floor (a sync period away), not by the 500 µs delay.
     if r_count > 1 {
-        let mesh = LinkConfig::new(1_000_000_000, SimDuration::from_micros(500));
+        let mesh = LinkConfig::new(1_000_000_000, SimDuration::from_micros(500)).control_only();
         for i in 0..replica_nodes.len() {
             for j in (i + 1)..replica_nodes.len() {
                 b.duplex(replica_nodes[i], replica_nodes[j], mesh);
             }
         }
     }
+    let topo = b.build();
 
     // ---- shard plan ----
-    // Placement units: one per aggregation group (weight = member
-    // count), one per bottlenecked client (the shared gateway itself
-    // stays on shard 0). Sorted by delay, longest RTT first, and split
-    // into contiguous balanced blocks over shards 1..K so long-delay
-    // clients land together and keep their wide lookahead windows.
-    let bottlenecked: Vec<usize> = (0..scenario.clients.len())
-        .filter(|&i| group_of_client[i].is_none())
-        .collect();
-    // Unit kinds, chosen so the sort tiebreak below preserves the
-    // pre-cohort ordering exactly (bottlenecked < group) and slots
-    // cohorts after same-delay groups.
-    const UNIT_BOTTLENECKED: u8 = 0;
-    const UNIT_GROUP: u8 = 1;
-    const UNIT_COHORT: u8 = 2;
-    let mut units: Vec<(SimDuration, usize, u8)> = groups
-        .iter()
-        .enumerate()
-        .map(|(g, group)| (group.delay, g, UNIT_GROUP))
-        .chain(
-            bottlenecked
-                .iter()
-                .map(|&i| (scenario.clients[i].access_delay, i, UNIT_BOTTLENECKED)),
-        )
-        .chain(
-            scenario
-                .cohorts
-                .iter()
-                .enumerate()
-                .map(|(c, spec)| (spec.spec.access_delay, c, UNIT_COHORT)),
-        )
-        .collect();
-    units.sort_by(|a, b| b.0.cmp(&a.0).then(a.2.cmp(&b.2)).then(a.1.cmp(&b.1)));
-    let topo = b.build();
     let mut assignment = vec![0u32; topo.node_count() as usize];
-    let client_shards = (shards.saturating_sub(1) as usize).min(units.len());
-    if shards as usize > client_shards + 1 {
-        warn_shards_clamped(shards, client_shards as u32 + 1);
-    }
-    if client_shards >= 1 {
-        let weights: Vec<usize> = units
-            .iter()
-            .map(|&(_, id, kind)| match kind {
-                UNIT_GROUP => groups[id].members.len(),
-                UNIT_COHORT => scenario.cohorts[id].members as usize,
-                _ => 1,
-            })
-            .collect();
-        let parts = partition_units(&weights, client_shards);
-        for (&(_, id, kind), &part) in units.iter().zip(&parts) {
-            let shard = 1 + part as u32;
-            match kind {
-                UNIT_GROUP => {
-                    assignment[group_hubs[id].0 as usize] = shard;
-                    for &c in &groups[id].members {
-                        assignment[client_nodes[c].0 as usize] = shard;
-                    }
-                }
-                UNIT_COHORT => {
-                    assignment[cohort_hubs[id].0 as usize] = shard;
-                    assignment[cohort_nodes[id].0 as usize] = shard;
-                }
-                _ => assignment[client_nodes[id].0 as usize] = shard,
+    if r_count > 1 {
+        // Replica-affine: the placement unit is the replica island —
+        // replica `r` with every aggregation group and cohort homed on
+        // it, hubs and clients included — and island `r` goes to shard
+        // `r % K`. The gateway, the legacy hub, the bottlenecked clients
+        // and the Fig 9 bystanders all attach to replica 0 and stay with
+        // it on shard 0. Only the replica mesh then crosses shards.
+        let k = shards.min(r_count as u32);
+        if shards > k {
+            warn_shards_clamped(shards, k);
+        }
+        let shard_of_replica = |r: usize| r as u32 % k;
+        for (r, &rn) in replica_nodes.iter().enumerate() {
+            assignment[rn.0 as usize] = shard_of_replica(r);
+        }
+        for (g, group) in groups.iter().enumerate() {
+            let shard = shard_of_replica(g % r_count);
+            assignment[group_hubs[g].0 as usize] = shard;
+            for &c in &group.members {
+                assignment[client_nodes[c].0 as usize] = shard;
             }
         }
-    }
-    // With replicas, each thinner (replica 0 = the classic thinner node
-    // included) moves to the shard holding the plurality of its clients:
-    // a replica's payment traffic then stays intra-shard, and shard 0
-    // keeps only the legacy hub/gateway relay work. Single-thinner runs
-    // keep the thinner on shard 0 exactly as before.
-    if r_count > 1 {
-        for (r, &rn) in replica_nodes.iter().enumerate() {
-            let mut weight_by_shard: std::collections::BTreeMap<u32, usize> =
-                std::collections::BTreeMap::new();
-            for (g, group) in groups.iter().enumerate() {
-                if g % r_count == r {
-                    *weight_by_shard
-                        .entry(assignment[group_hubs[g].0 as usize])
-                        .or_default() += group.members.len();
+        for c in 0..scenario.cohorts.len() {
+            let shard = shard_of_replica(c % r_count);
+            assignment[cohort_hubs[c].0 as usize] = shard;
+            assignment[cohort_nodes[c].0 as usize] = shard;
+        }
+    } else {
+        // One thinner: it stays on shard 0 with the legacy hub and the
+        // gateway. Placement units: one per aggregation group (weight =
+        // member count), one per bottlenecked client (the shared gateway
+        // itself stays on shard 0). Sorted by delay, longest RTT first,
+        // and split into contiguous balanced blocks over shards 1..K so
+        // long-delay clients land together and keep their wide lookahead
+        // windows.
+        let bottlenecked: Vec<usize> = (0..scenario.clients.len())
+            .filter(|&i| group_of_client[i].is_none())
+            .collect();
+        // Unit kinds, chosen so the sort tiebreak below preserves the
+        // pre-cohort ordering exactly (bottlenecked < group) and slots
+        // cohorts after same-delay groups.
+        const UNIT_BOTTLENECKED: u8 = 0;
+        const UNIT_GROUP: u8 = 1;
+        const UNIT_COHORT: u8 = 2;
+        let mut units: Vec<(SimDuration, usize, u8)> = groups
+            .iter()
+            .enumerate()
+            .map(|(g, group)| (group.delay, g, UNIT_GROUP))
+            .chain(
+                bottlenecked
+                    .iter()
+                    .map(|&i| (scenario.clients[i].access_delay, i, UNIT_BOTTLENECKED)),
+            )
+            .chain(
+                scenario
+                    .cohorts
+                    .iter()
+                    .enumerate()
+                    .map(|(c, spec)| (spec.spec.access_delay, c, UNIT_COHORT)),
+            )
+            .collect();
+        units.sort_by(|a, b| b.0.cmp(&a.0).then(a.2.cmp(&b.2)).then(a.1.cmp(&b.1)));
+        let client_shards = (shards.saturating_sub(1) as usize).min(units.len());
+        if shards as usize > client_shards + 1 {
+            warn_shards_clamped(shards, client_shards as u32 + 1);
+        }
+        if client_shards >= 1 {
+            let weights: Vec<usize> = units
+                .iter()
+                .map(|&(_, id, kind)| match kind {
+                    UNIT_GROUP => groups[id].members.len(),
+                    UNIT_COHORT => scenario.cohorts[id].members as usize,
+                    _ => 1,
+                })
+                .collect();
+            let parts = partition_units(&weights, client_shards);
+            for (&(_, id, kind), &part) in units.iter().zip(&parts) {
+                let shard = 1 + part as u32;
+                match kind {
+                    UNIT_GROUP => {
+                        assignment[group_hubs[id].0 as usize] = shard;
+                        for &c in &groups[id].members {
+                            assignment[client_nodes[c].0 as usize] = shard;
+                        }
+                    }
+                    UNIT_COHORT => {
+                        assignment[cohort_hubs[id].0 as usize] = shard;
+                        assignment[cohort_nodes[id].0 as usize] = shard;
+                    }
+                    _ => assignment[client_nodes[id].0 as usize] = shard,
                 }
             }
-            for (c, spec) in scenario.cohorts.iter().enumerate() {
-                if c % r_count == r {
-                    *weight_by_shard
-                        .entry(assignment[cohort_nodes[c].0 as usize])
-                        .or_default() += spec.members as usize;
-                }
-            }
-            // Plurality shard; BTreeMap order + strict `>` break ties
-            // toward the smallest shard id.
-            let mut best = (0u32, 0usize);
-            for (&shard, &w) in &weight_by_shard {
-                if w > best.1 {
-                    best = (shard, w);
-                }
-            }
-            assignment[rn.0 as usize] = best.0;
         }
     }
     let mut sim = Simulator::<AppSlot>::new_sharded_slots(topo, scenario.seed, assignment);
@@ -1016,6 +1029,23 @@ mod tests {
         assert_eq!(single.allocation.good, clamped.allocation.good);
         assert_eq!(single.allocation.bad, clamped.allocation.bad);
         assert_eq!(single.payment_bytes_total, clamped.payment_bytes_total);
+    }
+
+    #[test]
+    fn oversized_shard_requests_clamp_to_the_replica_count() {
+        // fig2 --thinners 2: the placement units are the two replica
+        // islands, so --shards 8 must run two loops — six more would own
+        // no node — and report what a single loop reports.
+        let mut sc = scenarios::fig2(0.5, crate::scenario::Mode::Auction).thinners(2);
+        sc.duration = SimDuration::from_secs(1);
+        let single = run(&sc);
+        let clamped = run_sharded(&sc, 8);
+        assert_eq!(clamped.shard_events.len(), 2, "one shard per island");
+        assert!(clamped.shard_events.iter().all(|&n| n > 0));
+        assert_eq!(single.allocation.good, clamped.allocation.good);
+        assert_eq!(single.allocation.bad, clamped.allocation.bad);
+        assert_eq!(single.payment_bytes_total, clamped.payment_bytes_total);
+        assert_eq!(single.thinner_drops, clamped.thinner_drops);
     }
 
     #[test]

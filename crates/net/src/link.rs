@@ -24,6 +24,9 @@ pub struct LinkConfig {
     /// Probability that an enqueued packet is randomly dropped (fault
     /// injection). Zero for a healthy link.
     pub drop_prob: f64,
+    /// The link lends its delay to control-record paths and never
+    /// carries a packet (see [`LinkConfig::control_only`]).
+    pub control_only: bool,
 }
 
 impl LinkConfig {
@@ -35,6 +38,7 @@ impl LinkConfig {
             delay,
             queue_bytes: 100 * 1500,
             drop_prob: 0.0,
+            control_only: false,
         }
     }
 
@@ -57,6 +61,20 @@ impl LinkConfig {
             "link drop_prob must be in [0, 1), got {p}"
         );
         self.drop_prob = p;
+        self
+    }
+
+    /// Mark the link as a control lane: routed control payloads
+    /// (`Ctx::send_control`) are delayed by it like by any other link on
+    /// their path, but no packet may ever be offered to it —
+    /// [`Link::enqueue`] panics, and the simulator refuses to open a
+    /// flow whose route crosses one. That is a promise the sharded
+    /// engine can use: between two shards joined only by control-only
+    /// links the sole possible hand-off is a control payload, which its
+    /// sender's declared quiet floor (`Ctx::control_quiet_until`) bounds
+    /// far more loosely than its next event does.
+    pub fn control_only(mut self) -> Self {
+        self.control_only = true;
         self
     }
 }
@@ -219,7 +237,18 @@ impl Link {
     /// for a lossy link — a downed link drops without consuming the
     /// loss stream — but the guard here keeps a missed check from
     /// teleporting packets across an outage.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a [control-only](LinkConfig::control_only) link: that
+    /// no packet ever crosses one is what the sharded engine's data
+    /// lookahead rests on.
     pub fn enqueue(&mut self, packet: Packet, fault_roll: f64) -> Enqueue {
+        assert!(
+            !self.cfg.control_only,
+            "packet offered to a control-only link (toward {})",
+            self.dst
+        );
         if self.down_depth > 0 {
             self.stats.drops_down += 1;
             return Enqueue::Dropped;
@@ -408,6 +437,7 @@ mod tests {
             delay: SimDuration::ZERO,
             queue_bytes: 1000,
             drop_prob: 0.0,
+            control_only: false,
         };
         let mut l = Link::new(cfg, NodeId(1));
         assert!(matches!(l.enqueue(pkt(1000), 1.0), Enqueue::StartTx(_)));
@@ -417,6 +447,13 @@ mod tests {
         assert_eq!(l.stats.drops_overflow, 1);
         // But a smaller packet still fits.
         assert_eq!(l.enqueue(pkt(400), 1.0), Enqueue::Queued);
+    }
+
+    #[test]
+    #[should_panic(expected = "control-only link")]
+    fn a_packet_offered_to_a_control_only_link_panics() {
+        let cfg = LinkConfig::new(8_000, SimDuration::ZERO).control_only();
+        Link::new(cfg, NodeId(1)).enqueue(pkt(100), 1.0);
     }
 
     #[test]

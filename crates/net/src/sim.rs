@@ -13,19 +13,40 @@
 //! ([`Simulator::new_sharded`]): each shard owns a subset of the nodes,
 //! the links leaving those nodes, its own event queue, and per-node RNG
 //! streams. Shards advance concurrently in *lookahead windows* (classic
-//! conservative synchronization): any event shard `j` can hand shard `i`
-//! is delayed by at least the *pairwise lookahead* `la[j][i]` — the
+//! conservative synchronization) separated by one barrier each.
+//!
+//! Two kinds of thing cross a shard boundary, and each link declares
+//! which it can carry. Packets, and the flow control records that
+//! travel their routes, cross *packet-capable* links only. Application
+//! control payloads ([`Ctx::send_control`]) cross any link, including
+//! those marked [control-only](crate::link::LinkConfig::control_only),
+//! which carry nothing else — `Link::enqueue` and `open_flow` panic on
+//! the attempt. So there are two pairwise lookahead matrices, each the
 //! min-plus closure, over the shard interaction graph, of the smallest
 //! propagation delay on any direct link from a `j`-owned node to an
-//! `i`-owned node. Cross-shard traffic is exchanged at a barrier between
-//! windows, where every shard also publishes `next_j`, its earliest
-//! pending event. Two things can reach shard `i`, and each bounds its
-//! window its own way:
+//! `i`-owned node: `data[j][i]` over packet-capable links, `all[j][i]`
+//! over all of them. And a node that sends control payloads declares
+//! when it will next do so — its *quiet floor*
+//! ([`Ctx::control_quiet_until`]), checked on every send.
 //!
-//! * **A peer's pending work.** The window opens at `min over j ≠ i of
-//!   (next_j + la[j][i])`: a pair of distant shards can run hundreds of
-//!   milliseconds ahead of each other even while a LAN-scale pair stays
-//!   tightly coupled, and an idle peer (`next_j = ∞`) imposes no bound.
+//! Three things can reach shard `i`, and each bounds its window its own
+//! way:
+//!
+//! * **A peer's pending work.** Peer `j`, whose earliest pending event
+//!   is `next_j`, can hand `i` a packet or flow record no earlier than
+//!   `next_j + data[j][i]`: a pair of distant shards can run hundreds
+//!   of milliseconds ahead of each other even while a LAN-scale pair
+//!   stays tightly coupled, and an idle peer (`next_j = ∞`) imposes no
+//!   bound.
+//! * **A peer's control floor.** With `floor_j` the lowest floor
+//!   declared on `j` (`∞` if none: nobody there may send), a control
+//!   payload arrives no earlier than `max(next_j, floor_j) +
+//!   all[j][i]`. Two shards joined by control-only links alone are
+//!   bounded by this term only — a whole publishing period per window,
+//!   however busy either side is. Because the two terms differ, a peer
+//!   woken early *by a third shard's packet* matters: each `next_j` is
+//!   first relaxed through the other peers' arrivals
+//!   (`Lookahead::window_bound`).
 //! * **A reflection of `i`'s own sends.** Nothing is charged up front:
 //!   the moment `i` hands a peer an event, [`World::schedule`] lowers
 //!   the running limit to that event's arrival time, and the limit
@@ -33,10 +54,24 @@
 //!   accounts for what it was handed. A shard that sends nothing owes
 //!   no barrier for echoes that cannot exist: it runs to its peers'
 //!   bound, or to the end of the run, in one window. (`arrival +
-//!   la[d][i]`, the reflection's earliest return, would be the latest
+//!   data[d][i]`, the reflection's earliest return, would be the latest
 //!   safe limit. But past `arrival` the peer holds work it cannot see
 //!   before the exchange: measured, the later limit locks two coupled
 //!   shards into strict alternation for no fewer windows.)
+//!
+//! The window opens at the minimum of the first two over all peers.
+//!
+//! **The exchange.** Before the barrier a shard appends its outboxes to
+//! the peers' inboxes and publishes `next`, `floor` and, per
+//! destination, the earliest event it just handed over. After the
+//! barrier it drains its own inbox and reads everyone's records: a
+//! peer's effective `next_j` is the smaller of what `j` published and
+//! what anybody handed `j` — the same for every reader, so all shards
+//! agree on when the run is over without a second barrier. Records are
+//! double-buffered by window parity, because a shard that leaves the
+//! barrier first publishes (and appends) for the next window while a
+//! slower one is still reading this one; what it appends early lies
+//! beyond the slow shard's limit by the very bound above.
 //!
 //! ## Determinism — shard-count invariance
 //!
@@ -487,6 +522,14 @@ pub struct World {
     limit: SimTime,
     /// Events this shard's loop has handled (load-balance diagnostics).
     events_processed: u64,
+    /// Control quiet floors declared by this shard's nodes
+    /// ([`Ctx::control_quiet_until`]): before its floor a node sends no
+    /// control payload. A handful of entries (the replicas), so a scan.
+    control_floors: Vec<(NodeId, SimTime)>,
+    /// Set while [`App::start`] runs: the only place a node may declare
+    /// its *first* floor, because only then has no peer shard's window
+    /// been opened on the assumption that the node has none.
+    starting: bool,
     /// Total packets dropped on this shard (overflow + fault).
     pub total_drops: u64,
 }
@@ -550,6 +593,8 @@ impl World {
             cross_shard_events: 0,
             limit: SimTime::MAX,
             events_processed: 0,
+            control_floors: Vec::new(),
+            starting: false,
             total_drops: 0,
         }
     }
@@ -610,6 +655,17 @@ impl World {
 
     fn shard_of(&self, node: NodeId) -> u32 {
         self.assignment[node.index()]
+    }
+
+    /// The earliest any node of this shard may next send a control
+    /// payload, in nanoseconds: the minimum declared floor (`u64::MAX`
+    /// when no node declared one, so none may send at all).
+    fn control_floor_min(&self) -> u64 {
+        self.control_floors
+            .iter()
+            .map(|&(_, t)| t.as_nanos())
+            .min()
+            .unwrap_or(u64::MAX)
     }
 
     /// The view a node's application sees of the flow: its own role's
@@ -674,6 +730,13 @@ impl World {
             "flow endpoints must be mutually reachable ({src} <-> {dst})"
         );
         assert_ne!(src, dst, "flows must connect distinct nodes");
+        // Every flow record and packet of the flow then travels a
+        // packet-capable route, so control-only links see nothing but
+        // `Ctx::send_control` payloads — what the data lookahead assumes.
+        assert!(
+            self.topology.carries_packets(src, dst) && self.topology.carries_packets(dst, src),
+            "flow route {src} <-> {dst} crosses a control-only link"
+        );
         let nth = self.flow_counts[src.index()];
         self.flow_counts[src.index()] = nth + 1;
         let id = flow_id(src, nth);
@@ -1258,16 +1321,36 @@ impl<'a> Ctx<'a> {
     /// Send an out-of-band control payload to the application on `dst`,
     /// delivered via [`App::on_control`] one routed path propagation
     /// delay from now. Control payloads ride the same delayed-record
-    /// machinery as flow control (at least the lookahead when the
-    /// route crosses shards, identical delay within one shard), so they
-    /// preserve byte-identical shard-count invariance — this is the
-    /// lane replicated thinners exchange bid digests over. Panics if
-    /// `dst` is unreachable or is this node.
+    /// machinery as flow control (identical delay whether or not the
+    /// route crosses shards), so they preserve byte-identical
+    /// shard-count invariance — this is the lane replicated thinners
+    /// exchange bid digests over. Unlike flow records, a payload may
+    /// cross control-only links ([`LinkConfig::control_only`]), where the
+    /// sender's next event no longer bounds the receiver's window; its
+    /// declared quiet floor does instead, so sending is a checked
+    /// promise.
+    ///
+    /// # Panics
+    ///
+    /// Panics if this node never declared a floor
+    /// ([`Ctx::control_quiet_until`]) or the floor lies in the future —
+    /// in every sharding, one shard included — and if `dst` is
+    /// unreachable or is this node.
+    ///
+    /// [`LinkConfig::control_only`]: crate::link::LinkConfig::control_only
     pub fn send_control(&mut self, dst: NodeId, payload: Box<[u64]>) {
         assert_ne!(dst, self.node, "control to self");
-        let at = self.world.now + self.world.ctl_delay(self.node, dst);
-        let to = self.world.shard_of(dst);
         let src = self.node;
+        let now = self.world.now;
+        match self.world.control_floors.iter().find(|(n, _)| *n == src) {
+            None => panic!("send_control from {src}, which declared no control quiet floor"),
+            Some(&(_, floor)) => assert!(
+                now >= floor,
+                "send_control from {src} at {now:?}, before its quiet floor {floor:?}"
+            ),
+        }
+        let at = now + self.world.ctl_delay(src, dst);
+        let to = self.world.shard_of(dst);
         self.world.schedule(
             at,
             lane_app_ctl(src),
@@ -1278,6 +1361,44 @@ impl<'a> Ctx<'a> {
             },
             to,
         );
+    }
+
+    /// Promise that this node calls [`Ctx::send_control`] no earlier
+    /// than `t`: its *control quiet floor*. A peer shard that only
+    /// control payloads can reach (the links between are control-only)
+    /// then runs to `t` plus the path delay in one window, however busy
+    /// this node's shard is meanwhile. A periodic publisher declares
+    /// `now + period` in [`App::start`] and again after each publish.
+    ///
+    /// The floor survives a crash untouched — stale, hence conservative —
+    /// and [`App::on_restart`] raises it again.
+    ///
+    /// # Panics
+    ///
+    /// Panics, in every sharding, when `t` lies below the floor already
+    /// declared (floors only rise: a peer may have run up to the old
+    /// one), and when a node declares its *first* floor anywhere but in
+    /// [`App::start`] (a peer may have run past any time on the
+    /// assumption that this node never sends).
+    pub fn control_quiet_until(&mut self, t: SimTime) {
+        let node = self.node;
+        let floors = &mut self.world.control_floors;
+        match floors.iter_mut().find(|(n, _)| *n == node) {
+            Some((_, floor)) => {
+                assert!(
+                    t >= *floor,
+                    "control quiet floor of {node} lowered from {floor:?} to {t:?}"
+                );
+                *floor = t;
+            }
+            None => {
+                assert!(
+                    self.world.starting,
+                    "first control quiet floor of {node} declared outside App::start"
+                );
+                floors.push((node, t));
+            }
+        }
     }
 }
 
@@ -1303,6 +1424,9 @@ pub struct WindowEnds {
     pub by_own_send: u64,
     /// The run's end time came first.
     pub by_until: u64,
+    /// A peer's control quiet floor, later than its next event, set the
+    /// bound: the window ran that much further than `by_peer` allows.
+    pub by_floor: u64,
 }
 
 /// Events between two heartbeats a shard publishes from inside a window.
@@ -1381,7 +1505,9 @@ impl<S: AppSet> Shard<S> {
         self.started = true;
         for i in 0..self.apps.len() {
             if self.apps[i].is_some() {
+                self.world.starting = true;
                 self.with_app(NodeId::from_index(i), |a, ctx| a.start(ctx));
+                self.world.starting = false;
                 self.dispatch_notifies();
             }
         }
@@ -1415,11 +1541,24 @@ impl<S: AppSet> Shard<S> {
 /// path avoids any syscall; when threads outnumber cores, spinning only
 /// steals time from the threads the barrier is waiting on, so the spin
 /// budget drops to zero and waiters park immediately.
+///
+/// A release costs no syscall either unless somebody is parked: the
+/// condvar's `notify_all` is a futex call even with no waiter, so the
+/// releaser takes the mutex and notifies only when `parked` is nonzero.
+/// The handshake is Dekker's, all `SeqCst`: a waiter raises `parked`
+/// and *then* re-reads `generation`; the releaser bumps `generation`
+/// and *then* reads `parked`. In the total order either the waiter sees
+/// the bump and never sleeps, or the releaser sees the waiter and wakes
+/// it — and since the waiter holds the mutex from its check until the
+/// condvar has it asleep, the releaser's lock-then-notify cannot slip
+/// between the two.
 struct SpinBarrier {
     n: usize,
     spin_budget: u32,
     count: AtomicUsize,
     generation: AtomicUsize,
+    /// Waiters that gave up spinning and are (about to be) asleep on `cv`.
+    parked: AtomicUsize,
     poisoned: std::sync::atomic::AtomicBool,
     lock: Mutex<()>,
     cv: std::sync::Condvar,
@@ -1461,6 +1600,7 @@ impl SpinBarrier {
             spin_budget: if live_threads <= cores { 1 << 12 } else { 0 },
             count: AtomicUsize::new(0),
             generation: AtomicUsize::new(0),
+            parked: AtomicUsize::new(0),
             poisoned: std::sync::atomic::AtomicBool::new(false),
             lock: Mutex::new(()),
             cv: std::sync::Condvar::new(),
@@ -1477,37 +1617,23 @@ impl SpinBarrier {
     // expiry only happens on the already-lost hang path.
     #[allow(clippy::disallowed_methods)] // see clippy.toml: watchdog deadline needs Instant
     fn wait(&self, progress: impl Fn() -> u64) -> BarrierWait {
-        let verdict = |poisoned: bool| {
-            if poisoned {
-                BarrierWait::Poisoned
-            } else {
-                BarrierWait::Released
-            }
-        };
-        if self.poisoned.load(Ordering::Acquire) {
+        // Generation first, poison flag second: `poison` sets the flag
+        // and then bumps, so a poisoning missed here is seen as a bump.
+        let gen = self.generation.load(Ordering::SeqCst);
+        if self.poisoned.load(Ordering::SeqCst) {
             return BarrierWait::Poisoned;
         }
-        let gen = self.generation.load(Ordering::Acquire);
         if self.count.fetch_add(1, Ordering::AcqRel) == self.n - 1 {
             self.count.store(0, Ordering::Relaxed);
-            // Bump under the lock so a parked waiter cannot miss the
-            // wakeup between its generation check and its wait.
-            let guard = self.lock.lock().expect("barrier lock poisoned");
-            self.generation.fetch_add(1, Ordering::AcqRel);
-            drop(guard);
-            self.cv.notify_all();
-        } else {
-            for _ in 0..self.spin_budget {
-                if self.generation.load(Ordering::Acquire) != gen {
-                    return verdict(self.poisoned.load(Ordering::Acquire));
-                }
-                std::hint::spin_loop();
-            }
+            self.release();
+        } else if !self.spin(gen) {
             let mut seen = progress();
             // lint: allow(wall-clock) — watchdog deadline over host time; fires only on the hang path
             let mut deadline = std::time::Instant::now() + self.watchdog;
+            self.parked.fetch_add(1, Ordering::SeqCst);
             let mut guard = self.lock.lock().expect("barrier lock poisoned");
-            while self.generation.load(Ordering::Acquire) == gen {
+            let mut timed_out = false;
+            while self.generation.load(Ordering::SeqCst) == gen {
                 // lint: allow(wall-clock) — remaining watchdog budget, host time (see above)
                 let now = std::time::Instant::now();
                 let left = match deadline.checked_duration_since(now) {
@@ -1515,7 +1641,8 @@ impl SpinBarrier {
                     _ => {
                         let moved = progress();
                         if moved == seen {
-                            return BarrierWait::TimedOut;
+                            timed_out = true;
+                            break;
                         }
                         seen = moved;
                         deadline = now + self.watchdog;
@@ -1528,24 +1655,169 @@ impl SpinBarrier {
                     .expect("barrier wait poisoned")
                     .0;
             }
+            drop(guard);
+            self.parked.fetch_sub(1, Ordering::SeqCst);
+            if timed_out {
+                return BarrierWait::TimedOut;
+            }
         }
-        verdict(self.poisoned.load(Ordering::Acquire))
+        if self.poisoned.load(Ordering::SeqCst) {
+            BarrierWait::Poisoned
+        } else {
+            BarrierWait::Released
+        }
+    }
+
+    /// Spin for the release of generation `gen`; `false` when the budget
+    /// ran out first.
+    fn spin(&self, gen: usize) -> bool {
+        for _ in 0..self.spin_budget {
+            if self.generation.load(Ordering::Acquire) != gen {
+                return true;
+            }
+            std::hint::spin_loop();
+        }
+        false
+    }
+
+    /// Open the next generation and wake whoever is parked — touching
+    /// the mutex and the condvar only if somebody is (see the type docs
+    /// for why no wake-up is lost).
+    fn release(&self) {
+        self.generation.fetch_add(1, Ordering::SeqCst);
+        if self.parked.load(Ordering::SeqCst) > 0 {
+            drop(self.lock.lock().expect("barrier lock poisoned"));
+            self.cv.notify_all();
+        }
     }
 
     /// Mark the barrier dead after a panic and release every waiter, so
     /// surviving shard threads exit instead of parking forever while the
     /// panic propagates through `std::thread::scope`.
     fn poison(&self) {
-        self.poisoned.store(true, Ordering::Release);
-        let guard = self.lock.lock().expect("barrier lock poisoned");
-        self.generation.fetch_add(1, Ordering::AcqRel);
-        drop(guard);
-        self.cv.notify_all();
+        self.poisoned.store(true, Ordering::SeqCst);
+        self.release();
     }
 }
 
 /// Sentinel for "these two shards can never hand each other an event".
 const NO_INTERACTION: u64 = u64::MAX;
+
+/// A lookahead matrix entry as a delay, `None` for [`NO_INTERACTION`].
+fn some_delay(nanos: u64) -> Option<SimDuration> {
+    (nanos != NO_INTERACTION).then_some(SimDuration::from_nanos(nanos))
+}
+
+/// Pairwise conservative lookahead, two row-major `K × K` matrices of
+/// nanoseconds: `m[j * K + i]` bounds how soon shard `j` can hand shard
+/// `i` an event ([`NO_INTERACTION`] when it never can). Each is the
+/// min-plus closure of direct cross-shard link delays — `data` over the
+/// packet-capable links only, `all` over every link — so `data[j][i] >=
+/// all[j][i]`, with equality everywhere when no link is control-only.
+///
+/// What each closure lower-bounds: packets hop shard to shard over
+/// packet-capable links, and a flow control record (scheduled straight
+/// into the endpoint's queue at routed-path propagation delay) follows
+/// a route that [`World::open_flow`] checked to be packet-capable, so
+/// both pay at least `data`. An application control payload
+/// ([`Ctx::send_control`]) may cross any link and pays at least `all` —
+/// but leaves no earlier than its sender's declared quiet floor.
+struct Lookahead {
+    k: usize,
+    data: Vec<u64>,
+    all: Vec<u64>,
+}
+
+impl Lookahead {
+    /// Build both matrices. Direct `j -> i` links seed them with their
+    /// propagation delays; Floyd–Warshall over the shard interaction
+    /// graph adds multi-hop distances. The diagonals are the minimum
+    /// echo cycles through peers; no window bound reads them (a shard's
+    /// own sends bound its window, see [`World::schedule`]).
+    fn new(topology: &Topology, assignment: &[u32], k: usize) -> Self {
+        let mut data = vec![NO_INTERACTION; k * k];
+        let mut all = vec![NO_INTERACTION; k * k];
+        for e in topology.edges() {
+            let j = shard_idx(assignment[e.from.index()]);
+            let i = shard_idx(assignment[e.to.index()]);
+            if j != i {
+                assert!(
+                    e.cfg.delay > SimDuration::ZERO,
+                    "cross-shard link {} -> {} has zero delay: no lookahead",
+                    e.from,
+                    e.to
+                );
+                let delay = e.cfg.delay.as_nanos();
+                all[j * k + i] = all[j * k + i].min(delay);
+                if !e.cfg.control_only {
+                    data[j * k + i] = data[j * k + i].min(delay);
+                }
+            }
+        }
+        for la in [&mut data, &mut all] {
+            for m in 0..k {
+                for a in 0..k {
+                    for b in 0..k {
+                        let via = la[a * k + m].saturating_add(la[m * k + b]);
+                        if via < la[a * k + b] {
+                            la[a * k + b] = via;
+                        }
+                    }
+                }
+            }
+        }
+        Lookahead { k, data, all }
+    }
+
+    /// The earliest shard `from`, idle until `act` and with control
+    /// quiet floor `floor`, can hand shard `to` an event, and whether
+    /// the floor (not `act`) decided it: a packet or flow record at
+    /// `act + data`, a control payload at `max(act, floor) + all`.
+    fn arrival(&self, from: usize, to: usize, act: u64, floor: u64) -> (u64, bool) {
+        let at = from * self.k + to;
+        let by_data = act.saturating_add(self.data[at]);
+        let by_control = act.max(floor).saturating_add(self.all[at]);
+        (by_data.min(by_control), by_control < by_data && floor > act)
+    }
+
+    /// Where shard `i`'s window opens, given every shard's effective
+    /// next event `next` and control floor `floor`: the earliest arrival
+    /// from any peer, and whether a floor set it. `act` is scratch: each
+    /// peer's activation time, its own next event relaxed `K` times
+    /// through the other peers' arrivals — a data hop into a peer can
+    /// wake it before its own next event, and what it then sends
+    /// obeys *its* floor, not the waker's. Chains through `i` itself are
+    /// left out: what `i` hands over bounds it through
+    /// [`World::schedule`]. With no control-only link, or no floor
+    /// declared, the closures make every relaxation redundant and this
+    /// is `min over m of next[m] + all[m][i]`.
+    fn window_bound(&self, i: usize, next: &[u64], floor: &[u64], act: &mut [u64]) -> (u64, bool) {
+        act.copy_from_slice(next);
+        for _ in 0..self.k {
+            let mut moved = false;
+            for m in (0..self.k).filter(|&m| m != i) {
+                for p in (0..self.k).filter(|&p| p != i && p != m) {
+                    let (t, _) = self.arrival(p, m, act[p], floor[p]);
+                    if t < act[m] {
+                        act[m] = t;
+                        moved = true;
+                    }
+                }
+            }
+            if !moved {
+                break;
+            }
+        }
+        let mut bound = (u64::MAX, false);
+        for m in (0..self.k).filter(|&m| m != i) {
+            let arrival = self.arrival(m, i, act[m], floor[m]);
+            if arrival.0 < bound.0 {
+                bound = arrival;
+            }
+        }
+        bound
+    }
+}
 
 /// The simulator: one or more shard event loops over a shared topology.
 ///
@@ -1557,35 +1829,69 @@ const NO_INTERACTION: u64 = u64::MAX;
 pub struct Simulator<S: AppSet = Box<dyn App>> {
     shards: Vec<Shard<S>>,
     assignment: Arc<Vec<u32>>,
-    /// Pairwise conservative lookahead, row-major `K × K` nanoseconds:
-    /// `lookahead[j * K + i]` bounds how soon shard `j` can hand shard
-    /// `i` an event ([`NO_INTERACTION`] when it never can). Built from
-    /// direct link delays and routed path delays (flow control records
-    /// travel at path propagation delay straight into the peer queue).
-    lookahead: Vec<u64>,
-    /// Per-shard cross-shard delivery buffers, recycled across windows
-    /// *and* across `run_until` calls: rebuilding them per call used to
-    /// re-pay their allocations every time a driver stepped the clock.
-    inboxes: Vec<Mutex<Vec<Remote>>>,
-    /// Per-shard next-event times published at the window barrier.
-    next_times: Vec<AtomicU64>,
-    /// Per-shard progress counters for the barrier watchdog's dump.
-    diag: Vec<ShardDiag>,
+    lookahead: Lookahead,
+    /// What each shard shares with its peers, recycled across windows
+    /// *and* across `run_until` calls: rebuilding the inboxes per call
+    /// used to re-pay their allocations every time a driver stepped the
+    /// clock.
+    ports: Vec<ShardPort>,
     /// Deadline on every parked barrier wait: when no shard has
     /// processed an event for this long, a peer is declared wedged and
     /// the run aborts with a per-shard dump instead of hanging forever.
     barrier_watchdog: std::time::Duration,
 }
 
-/// What each shard last published about its own progress, readable by
-/// whichever shard's watchdog fires (hence atomics).
-#[derive(Default)]
-struct ShardDiag {
+/// The one place shard threads meet: a shard's cross-shard delivery
+/// buffer, what it published for the window exchange, and its progress
+/// counters for whichever shard's watchdog fires (hence atomics).
+struct ShardPort {
+    /// Events peers handed this shard, appended before a window's
+    /// barrier (or, by a peer already a window ahead, after it) and
+    /// drained by the owner after it.
+    inbox: Mutex<Vec<Remote>>,
+    /// Double-buffered by window parity: a shard that leaves the
+    /// barrier first may publish the next window's record while a
+    /// slower peer still reads this window's. It cannot get two ahead —
+    /// the next barrier needs the slow peer.
+    published: [Published; 2],
+    /// Parity of the record published last (the watchdog's dump).
+    latest: AtomicUsize,
     /// The limit the shard's current window opened at (ns).
     window_end: AtomicU64,
     /// Events the shard has processed so far: stored after every window
     /// and every [`HEARTBEAT_EVENTS`] inside one — the watchdog's pulse.
     events: AtomicU64,
+}
+
+/// What a shard tells its peers before a window's barrier. The barrier
+/// orders these stores before every peer's loads.
+struct Published {
+    /// Its earliest pending event, before absorbing this exchange (ns,
+    /// `u64::MAX` when idle).
+    next: AtomicU64,
+    /// Its control quiet floor ([`World::control_floor_min`]).
+    floor: AtomicU64,
+    /// Per destination shard, the earliest event it handed over in this
+    /// exchange (`u64::MAX` for none): the receiver's `next` predates
+    /// the hand-off, so peers take the minimum of the two.
+    handoffs: Vec<AtomicU64>,
+}
+
+impl ShardPort {
+    fn new(k: usize) -> Self {
+        let published = || Published {
+            next: AtomicU64::new(0),
+            floor: AtomicU64::new(0),
+            handoffs: (0..k).map(|_| AtomicU64::new(u64::MAX)).collect(),
+        };
+        ShardPort {
+            inbox: Mutex::new(Vec::new()),
+            published: [published(), published()],
+            latest: AtomicUsize::new(0),
+            window_end: AtomicU64::new(0),
+            events: AtomicU64::new(0),
+        }
+    }
 }
 
 impl Simulator {
@@ -1616,7 +1922,7 @@ impl<S: AppSet> Simulator<S> {
             "one shard assignment per node"
         );
         let num_shards = shard_idx(assignment.iter().copied().max().unwrap_or(0)) + 1;
-        let lookahead = Self::pairwise_lookahead(&topology, &assignment, num_shards);
+        let lookahead = Lookahead::new(&topology, &assignment, num_shards);
         let topology = Arc::new(topology);
         let assignment = Arc::new(assignment);
         let n = topology.node_slots();
@@ -1643,9 +1949,9 @@ impl<S: AppSet> Simulator<S> {
             shards,
             assignment,
             lookahead,
-            inboxes: (0..num_shards).map(|_| Mutex::new(Vec::new())).collect(),
-            next_times: (0..num_shards).map(|_| AtomicU64::new(0)).collect(),
-            diag: (0..num_shards).map(|_| ShardDiag::default()).collect(),
+            ports: (0..num_shards)
+                .map(|_| ShardPort::new(num_shards))
+                .collect(),
             barrier_watchdog: std::time::Duration::from_secs(60),
         }
     }
@@ -1696,60 +2002,18 @@ impl<S: AppSet> Simulator<S> {
         }
     }
 
-    /// Build the pairwise lookahead matrix: for each ordered shard pair
-    /// `(j, i)`, the earliest an event leaving `j` can reach `i`. Direct
-    /// `j -> i` links seed the matrix with their propagation delays; a
-    /// min-plus closure (Floyd–Warshall over the shard interaction
-    /// graph) then adds multi-hop distances. The closure lower-bounds
-    /// *every* delivery channel: a packet hops shard to shard over the
-    /// seeded links, and a flow control record (scheduled straight into
-    /// the endpoint's queue at routed-path propagation delay) crosses
-    /// each shard boundary over some link, so its delay is at least the
-    /// sum of the seeded crossings. The diagonal `la[i][i]` is the
-    /// minimum echo cycle through peers; no window bound reads it (a
-    /// shard's own sends bound its window, see [`World::schedule`]).
-    fn pairwise_lookahead(topology: &Topology, assignment: &[u32], k: usize) -> Vec<u64> {
-        let mut la = vec![NO_INTERACTION; k * k];
-        if k == 1 {
-            return la;
-        }
-        for e in topology.edges() {
-            let j = shard_idx(assignment[e.from.index()]);
-            let i = shard_idx(assignment[e.to.index()]);
-            if j != i {
-                assert!(
-                    e.cfg.delay > SimDuration::ZERO,
-                    "cross-shard link {} -> {} has zero delay: no lookahead",
-                    e.from,
-                    e.to
-                );
-                la[j * k + i] = la[j * k + i].min(e.cfg.delay.as_nanos());
-            }
-        }
-        for m in 0..k {
-            for a in 0..k {
-                for b in 0..k {
-                    let via = la[a * k + m].saturating_add(la[m * k + b]);
-                    if via < la[a * k + b] {
-                        la[a * k + b] = via;
-                    }
-                }
-            }
-        }
-        la
-    }
-
     /// Number of shard event loops.
     pub fn num_shards(&self) -> usize {
         self.shards.len()
     }
 
-    /// The tightest conservative lookahead over all shard pairs (the
-    /// global window bound before the pairwise matrix; kept for
-    /// diagnostics). `SimDuration` max when nothing ever crosses.
+    /// The tightest conservative lookahead over all shard pairs and
+    /// every kind of link (diagnostics). `SimDuration` max when nothing
+    /// ever crosses.
     pub fn lookahead(&self) -> SimDuration {
         SimDuration::from_nanos(
             self.lookahead
+                .all
                 .iter()
                 .copied()
                 .min()
@@ -1757,12 +2021,11 @@ impl<S: AppSet> Simulator<S> {
         )
     }
 
-    /// The conservative lookahead from shard `from` to shard `to`:
-    /// `None` when `from` can never hand `to` an event.
+    /// The conservative lookahead from shard `from` to shard `to` over
+    /// every kind of link: `None` when `from` can never hand `to` an
+    /// event.
     pub fn lookahead_between(&self, from: u32, to: u32) -> Option<SimDuration> {
-        let k = self.shards.len();
-        let v = self.lookahead[shard_idx(from) * k + shard_idx(to)];
-        (v != NO_INTERACTION).then_some(SimDuration::from_nanos(v))
+        some_delay(self.lookahead.all[shard_idx(from) * self.shards.len() + shard_idx(to)])
     }
 
     /// Total events handed across shard boundaries so far.
@@ -1778,6 +2041,7 @@ impl<S: AppSet> Simulator<S> {
             sum.by_peer += s.window_ends.by_peer;
             sum.by_own_send += s.window_ends.by_own_send;
             sum.by_until += s.window_ends.by_until;
+            sum.by_floor += s.window_ends.by_floor;
         }
         sum
     }
@@ -1898,7 +2162,7 @@ impl<S: AppSet> Simulator<S> {
             // `until = MAX` is no bound (an event at exactly `u64::MAX`
             // ns is unreachable either way).
             shard.world.limit = until + SimDuration::from_nanos(1);
-            shard.process_window(&self.diag[0].events);
+            shard.process_window(&self.ports[0].events);
             shard.window_ends.by_until += 1;
             if shard.world.now < until {
                 shard.world.now = until;
@@ -1907,15 +2171,11 @@ impl<S: AppSet> Simulator<S> {
         }
 
         let n = self.shards.len();
-        let lookahead: &[u64] = &self.lookahead;
+        let lookahead = &self.lookahead;
         let live = LIVE_SHARD_THREADS.fetch_add(n, Ordering::SeqCst) + n;
         let barrier = SpinBarrier::new(n, live, self.barrier_watchdog);
         let barrier = &barrier;
-        let diag: &[ShardDiag] = &self.diag;
-        // The exchange buffers live on the Simulator and are recycled
-        // across calls — no per-call (or per-window) reallocation.
-        let inboxes: &[Mutex<Vec<Remote>>] = &self.inboxes;
-        let next_times: &[AtomicU64] = &self.next_times;
+        let ports: &[ShardPort] = &self.ports;
 
         let first_panic = std::thread::scope(|scope| {
             let handles: Vec<_> = self
@@ -1930,9 +2190,7 @@ impl<S: AppSet> Simulator<S> {
                         // of parking forever; the payload travels back
                         // through the join below.
                         let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            Self::run_shard_loop(
-                                i, shard, until, lookahead, barrier, inboxes, next_times, diag,
-                            )
+                            Self::run_shard_loop(i, shard, until, lookahead, barrier, ports)
                         }));
                         if let Err(panic) = run {
                             barrier.poison();
@@ -1966,34 +2224,36 @@ impl<S: AppSet> Simulator<S> {
     fn barrier_sync(
         i: usize,
         barrier: &SpinBarrier,
-        lookahead: &[u64],
-        next_times: &[AtomicU64],
-        diag: &[ShardDiag],
+        lookahead: &Lookahead,
+        ports: &[ShardPort],
     ) -> bool {
-        let progress = || diag.iter().map(|d| d.events.load(Ordering::Relaxed)).sum();
+        let progress = || ports.iter().map(|p| p.events.load(Ordering::Relaxed)).sum();
         match barrier.wait(progress) {
             BarrierWait::Released => true,
             BarrierWait::Poisoned => false,
             BarrierWait::TimedOut => {
-                let n = next_times.len();
+                let n = ports.len();
+                let time_or = |nanos: u64, none: &str| {
+                    if nanos == u64::MAX {
+                        none.to_string()
+                    } else {
+                        format!("{:?}", SimTime::from_nanos(nanos))
+                    }
+                };
+                let delay_or_dash =
+                    |nanos| some_delay(nanos).map_or("-".to_string(), |d| format!("{d:?}"));
                 eprintln!("barrier watchdog: shard {i} saw no peer progress within the deadline");
-                for (j, d) in diag.iter().enumerate() {
-                    let next = next_times[j].load(Ordering::SeqCst);
-                    let next = if next == u64::MAX {
-                        "idle".to_string()
-                    } else {
-                        format!("{:?}", SimTime::from_nanos(next))
-                    };
-                    let la = lookahead[j * n + i];
-                    let la = if la == NO_INTERACTION {
-                        "-".to_string()
-                    } else {
-                        format!("{:?}", SimDuration::from_nanos(la))
-                    };
+                for (j, port) in ports.iter().enumerate() {
+                    let published = &port.published[port.latest.load(Ordering::SeqCst)];
                     eprintln!(
-                        "  shard {j}: next_event={next} window_end={:?} events={} lookahead[{j}->{i}]={la}",
-                        SimTime::from_nanos(d.window_end.load(Ordering::SeqCst)),
-                        d.events.load(Ordering::SeqCst),
+                        "  shard {j}: next_event={} control_floor={} window_end={:?} events={} \
+                         lookahead[{j}->{i}]: data={} all={}",
+                        time_or(published.next.load(Ordering::SeqCst), "idle"),
+                        time_or(published.floor.load(Ordering::SeqCst), "none"),
+                        SimTime::from_nanos(port.window_end.load(Ordering::SeqCst)),
+                        port.events.load(Ordering::SeqCst),
+                        delay_or_dash(lookahead.data[j * n + i]),
+                        delay_or_dash(lookahead.all[j * n + i]),
                     );
                 }
                 panic!("barrier watchdog expired — a peer shard stopped advancing");
@@ -2001,46 +2261,64 @@ impl<S: AppSet> Simulator<S> {
         }
     }
 
-    /// One shard thread's window loop (see [`Simulator::run_until`]).
-    #[allow(clippy::too_many_arguments)]
+    /// One shard thread's window loop (see [`Simulator::run_until`] and
+    /// the module docs, "Sharded execution").
     fn run_shard_loop(
         i: usize,
         shard: &mut Shard<S>,
         until: SimTime,
-        lookahead: &[u64],
+        lookahead: &Lookahead,
         barrier: &SpinBarrier,
-        inboxes: &[Mutex<Vec<Remote>>],
-        next_times: &[AtomicU64],
-        diag: &[ShardDiag],
+        ports: &[ShardPort],
     ) {
-        let n = inboxes.len();
+        let k = ports.len();
         shard.start_apps();
+        // Every shard's effective next event and floor for the window at
+        // hand, plus the bound computation's scratch.
+        let mut next = vec![u64::MAX; k];
+        let mut floor = vec![u64::MAX; k];
+        let mut act = vec![u64::MAX; k];
+        let mut parity = 0;
         loop {
-            // Phase 1: publish this window's cross-shard events. The
-            // outbox is already partitioned per destination (one lane
-            // per peer shard, filled by `World::schedule`), so each
-            // non-empty batch moves under a single lock acquisition —
-            // no per-record sends, no re-partitioning scratch. Send
-            // order is preserved; the receiving heap canonicalizes
-            // order across sources by lane.
-            for (dest, slot) in inboxes.iter().enumerate() {
-                if shard.world.outboxes[dest].is_empty() {
-                    continue;
+            // Before the barrier: hand over this window's cross-shard
+            // events and publish what peers need to bound the next one.
+            // The outbox is already partitioned per destination (one
+            // lane per peer shard, filled by `World::schedule`), so each
+            // non-empty batch moves under a single lock acquisition — no
+            // per-record sends, no re-partitioning scratch. Send order
+            // is preserved; the receiving queue canonicalizes order
+            // across sources by lane.
+            let mine = &ports[i].published[parity];
+            for (dest, port) in ports.iter().enumerate() {
+                let outbox = &mut shard.world.outboxes[dest];
+                let earliest = outbox.iter().map(|r| r.time.as_nanos()).min();
+                mine.handoffs[dest].store(earliest.unwrap_or(u64::MAX), Ordering::SeqCst);
+                if earliest.is_some() {
+                    debug_assert_ne!(dest, i, "outbox entry addressed to self");
+                    port.inbox.lock().expect("inbox poisoned").append(outbox);
                 }
-                debug_assert_ne!(dest, i, "outbox entry addressed to self");
-                let mut inbox = slot.lock().expect("inbox poisoned");
-                inbox.append(&mut shard.world.outboxes[dest]);
             }
-            if !Self::barrier_sync(i, barrier, lookahead, next_times, diag) {
+            let pending = shard.world.queue.peek_time();
+            mine.next.store(
+                pending.map_or(u64::MAX, SimTime::as_nanos),
+                Ordering::SeqCst,
+            );
+            mine.floor
+                .store(shard.world.control_floor_min(), Ordering::SeqCst);
+            ports[i].latest.store(parity, Ordering::SeqCst);
+            if !Self::barrier_sync(i, barrier, lookahead, ports) {
                 return;
             }
 
-            // Phase 2: absorb incoming events, agree on the next window,
-            // and process it. The assert is the conservative guarantee:
-            // nothing arrives earlier than the clock a shard has already
-            // committed to.
+            // After it: absorb incoming events. The assert is the
+            // conservative guarantee: nothing arrives earlier than the
+            // clock a shard has already committed to. A peer that left
+            // the barrier first may already have appended its *next*
+            // batch; those events lie at or beyond this window's limit
+            // (they are what the bound below guards against), pass the
+            // same assert, and are published again next time round.
             {
-                let mut inbox = inboxes[i].lock().expect("inbox poisoned");
+                let mut inbox = ports[i].inbox.lock().expect("inbox poisoned");
                 for r in inbox.drain(..) {
                     assert!(
                         r.time >= shard.world.now,
@@ -2051,54 +2329,52 @@ impl<S: AppSet> Simulator<S> {
                     shard.world.queue.push_lane(r.time, r.lane, r.event);
                 }
             }
-            let next = shard
-                .world
-                .queue
-                .peek_time()
-                .map_or(u64::MAX, SimTime::as_nanos);
-            next_times[i].store(next, Ordering::SeqCst);
-            if !Self::barrier_sync(i, barrier, lookahead, next_times, diag) {
-                return;
+            // Every shard derives the same picture from the published
+            // records — its own queue may already hold more (see above),
+            // so it reads its own record like a peer's — and all agree
+            // on when the run is over.
+            for j in 0..k {
+                let handed = ports
+                    .iter()
+                    .map(|p| p.published[parity].handoffs[j].load(Ordering::SeqCst))
+                    .min()
+                    .expect("at least one shard");
+                let published = &ports[j].published[parity];
+                next[j] = handed.min(published.next.load(Ordering::SeqCst));
+                floor[j] = published.floor.load(Ordering::SeqCst);
             }
-            // This shard's window opens where the earliest event a
-            // *peer's* pending work could hand it begins: the pairwise
-            // bound. Pairs with no interaction (and idle peers, `next ==
-            // MAX`) impose none. Its own events bound nothing up front:
-            // `World::schedule` lowers the limit when it hands one over.
-            let mut t_min = u64::MAX;
-            let mut bound = u64::MAX;
-            for (j, a) in next_times.iter().enumerate() {
-                let next_j = a.load(Ordering::SeqCst);
-                t_min = t_min.min(next_j);
-                let la = lookahead[j * n + i];
-                if j != i && la != NO_INTERACTION {
-                    bound = bound.min(next_j.saturating_add(la));
-                }
-            }
-            if t_min > until.as_nanos() {
+            if next.iter().all(|&t| t > until.as_nanos()) {
                 break;
             }
+            // This shard's window opens where the earliest event a
+            // *peer* could hand it falls due. Its own events bound
+            // nothing up front: `World::schedule` lowers the limit when
+            // it hands one over.
+            let (bound, by_floor) = lookahead.window_bound(i, &next, &floor, &mut act);
             let opened = SimTime::from_nanos(bound).min(until + SimDuration::from_nanos(1));
             shard.world.limit = opened;
-            diag[i]
+            ports[i]
                 .window_end
                 .store(opened.as_nanos(), Ordering::SeqCst);
-            shard.process_window(&diag[i].events);
-            diag[i]
+            shard.process_window(&ports[i].events);
+            ports[i]
                 .events
                 .store(shard.world.events_processed, Ordering::SeqCst);
             let reached = shard.world.limit;
             if reached < opened {
                 shard.window_ends.by_own_send += 1;
-            } else if reached.as_nanos() == bound {
-                shard.window_ends.by_peer += 1;
-            } else {
+            } else if reached.as_nanos() != bound {
                 shard.window_ends.by_until += 1;
+            } else if by_floor {
+                shard.window_ends.by_floor += 1;
+            } else {
+                shard.window_ends.by_peer += 1;
             }
             let advanced = reached.min(until);
             if advanced > shard.world.now {
                 shard.world.now = advanced;
             }
+            parity ^= 1;
         }
         if shard.world.now < until {
             shard.world.now = until;
@@ -2588,10 +2864,37 @@ mod tests {
         assert_eq!(sim.lookahead_between(2, 2), Some(ms(8)));
         // The legacy scalar accessor still reports the tightest bound.
         assert_eq!(sim.lookahead(), ms(2));
+        // Every link carries packets, so the data closure is the same.
+        assert_eq!(sim.lookahead.data, sim.lookahead.all);
         // Single-shard simulations have no cross-shard constraint.
         let (t, _, _) = star(2);
         let single = Simulator::new(t, 1);
         assert_eq!(single.lookahead_between(0, 0), None);
+
+        // a <-1ms-> b packet-capable, b <-2ms-> c and a <-9ms-> c
+        // control-only, a shard each: packets and flow records reach
+        // only as far as the packet-capable links go; control payloads
+        // take the shorter way round.
+        let mut tb = TopologyBuilder::new();
+        let (a, b, c) = (tb.node(), tb.node(), tb.node());
+        tb.duplex(a, b, LinkConfig::new(2_000_000, ms(1)));
+        tb.duplex(b, c, LinkConfig::new(2_000_000, ms(2)).control_only());
+        tb.duplex(a, c, LinkConfig::new(2_000_000, ms(9)).control_only());
+        let sim = Simulator::new_sharded(tb.build(), 1, vec![0, 1, 2]);
+        let data = |from: usize, to: usize| some_delay(sim.lookahead.data[from * 3 + to]);
+        assert_eq!(data(0, 1), Some(ms(1)));
+        assert_eq!(data(1, 0), Some(ms(1)));
+        assert_eq!(data(0, 0), Some(ms(2)), "echo through b");
+        for (from, to) in [(0, 2), (2, 0), (1, 2), (2, 1), (2, 2)] {
+            assert_eq!(data(from, to), None, "no packet route {from} -> {to}");
+        }
+        assert_eq!(sim.lookahead_between(1, 2), Some(ms(2)));
+        assert_eq!(
+            sim.lookahead_between(0, 2),
+            Some(ms(3)),
+            "via b, not the 9 ms link"
+        );
+        assert_eq!(sim.lookahead_between(2, 2), Some(ms(4)));
     }
 
     // ------------------------------------------------- window bounds
@@ -2642,6 +2945,7 @@ mod tests {
             by_peer: 1,
             by_own_send: 0,
             by_until: 1,
+            by_floor: 0,
         };
         assert_eq!(sharded.2, one_each);
     }
@@ -2750,6 +3054,42 @@ mod tests {
         assert_eq!(waited, BarrierWait::Released);
     }
 
+    /// 10^5 releases between two threads: no wake-up may be lost (a
+    /// parked waiter nobody notifies would sit out the 10 s watchdog and
+    /// report `TimedOut`) and nobody may leave a round its peer has not
+    /// entered.
+    fn hammer_barrier(live_threads: usize) {
+        const ROUNDS: usize = 100_000;
+        let barrier = SpinBarrier::new(2, live_threads, std::time::Duration::from_secs(10));
+        let arrivals = AtomicUsize::new(0);
+        let rounds = || {
+            for round in 1..=ROUNDS {
+                arrivals.fetch_add(1, Ordering::SeqCst);
+                assert_eq!(barrier.wait(|| 0), BarrierWait::Released, "round {round}");
+                assert!(
+                    arrivals.load(Ordering::SeqCst) >= 2 * round,
+                    "round {round}"
+                );
+            }
+        };
+        std::thread::scope(|scope| {
+            let peer = scope.spawn(rounds);
+            rounds();
+            peer.join().expect("peer thread exits");
+        });
+        assert_eq!(barrier.parked.load(Ordering::SeqCst), 0);
+    }
+
+    #[test]
+    fn barrier_loses_no_wakeup_when_every_wait_parks() {
+        hammer_barrier(usize::MAX); // oversubscribed: zero spin budget
+    }
+
+    #[test]
+    fn barrier_loses_no_wakeup_when_waits_spin() {
+        hammer_barrier(0); // the full spin budget, whatever the host
+    }
+
     // ------------------------------------------- app control payloads
 
     /// Broadcasts a control payload to its peers at fixed times.
@@ -2759,7 +3099,9 @@ mod tests {
     }
     impl App for CtlSender {
         fn start(&mut self, ctx: &mut Ctx) {
-            ctx.set_timer(SimDuration::from_millis(10), 1);
+            let after = SimDuration::from_millis(10);
+            ctx.control_quiet_until(ctx.now() + after);
+            ctx.set_timer(after, 1);
         }
         fn on_timer(&mut self, ctx: &mut Ctx, _token: u64) {
             for &p in &self.peers {
@@ -2848,6 +3190,313 @@ mod tests {
         assert_eq!(single.len(), 4, "all payloads delivered");
         assert_eq!(single, run(Some(vec![0, 1, 1, 2, 2])));
         assert_eq!(single, run(Some(vec![0, 1, 2, 3, 4])));
+    }
+
+    // ------------------------- control-only links and quiet floors
+
+    /// Ticks every `tick` and, every `every`-th tick, sends its tick
+    /// count to `peer` as a control payload — declaring its quiet floor
+    /// one period ahead each time, as a replica publishing digests does.
+    struct Beacon {
+        peer: NodeId,
+        tick: SimDuration,
+        every: u64,
+        ticks: u64,
+        got: Vec<(SimTime, NodeId, Vec<u64>)>,
+        restarts: Vec<SimTime>,
+    }
+    impl Beacon {
+        fn new(peer: NodeId, tick: SimDuration, every: u64) -> Box<Self> {
+            Box::new(Beacon {
+                peer,
+                tick,
+                every,
+                ticks: 0,
+                got: Vec::new(),
+                restarts: Vec::new(),
+            })
+        }
+    }
+    impl App for Beacon {
+        fn start(&mut self, ctx: &mut Ctx) {
+            ctx.control_quiet_until(ctx.now() + self.tick * self.every);
+            ctx.set_timer(self.tick, 0);
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx, _token: u64) {
+            self.ticks += 1;
+            if self.ticks.is_multiple_of(self.every) {
+                ctx.send_control(self.peer, vec![self.ticks].into_boxed_slice());
+                ctx.control_quiet_until(ctx.now() + self.tick * self.every);
+            }
+            ctx.set_timer(self.tick, 0);
+        }
+        fn on_control(&mut self, ctx: &mut Ctx, src: NodeId, payload: &[u64]) {
+            self.got.push((ctx.now(), src, payload.to_vec()));
+        }
+        fn on_restart(&mut self, ctx: &mut Ctx) {
+            self.restarts.push(ctx.now());
+            self.ticks = 0;
+            self.start(ctx);
+        }
+    }
+
+    /// Two beacons (1 ms ticks; `x` sends every `x_every`-th, `y` every
+    /// 10th) joined by nothing but a 500 µs control-only link, run to
+    /// each of `stops_ms` in turn: what each received and when it
+    /// restarted, plus the engine's window counts.
+    type BeaconLog = Vec<(Vec<(SimTime, NodeId, Vec<u64>)>, Vec<SimTime>)>;
+    fn run_beacons(
+        assignment: Option<Vec<u32>>,
+        x_every: u64,
+        stops_ms: &[u64],
+        faults: impl Fn(NodeId, NodeId) -> FaultSchedule,
+    ) -> (BeaconLog, WindowEnds, u64) {
+        let mut b = TopologyBuilder::new();
+        let (x, y) = (b.node(), b.node());
+        let mesh = LinkConfig::new(1_000_000_000, SimDuration::from_micros(500)).control_only();
+        b.duplex(x, y, mesh);
+        let t = b.build();
+        let mut sim = match assignment {
+            None => Simulator::new(t, 29),
+            Some(a) => Simulator::new_sharded(t, 29, a),
+        };
+        let tick = SimDuration::from_millis(1);
+        sim.add_app(x, Beacon::new(y, tick, x_every));
+        sim.add_app(y, Beacon::new(x, tick, 10));
+        sim.inject_faults(&faults(x, y));
+        for &ms in stops_ms {
+            sim.run_until(SimTime::ZERO + SimDuration::from_millis(ms));
+        }
+        let log = [x, y]
+            .iter()
+            .map(|&n| {
+                let app = sim
+                    .app::<Beacon>(n)
+                    .expect("invariant: Beacon installed on both nodes");
+                (app.got.clone(), app.restarts.clone())
+            })
+            .collect();
+        (log, sim.window_ends(), sim.cross_shard_events())
+    }
+
+    #[test]
+    fn quiet_floors_open_one_window_per_control_period() {
+        let single = run_beacons(None, 10, &[1000], no_faults);
+        let split = run_beacons(Some(vec![0, 1]), 10, &[1000], no_faults);
+        assert_eq!(single.0, split.0, "K = 2 must equal K = 1");
+        // Payloads leave at 10, 20, … 1000 ms; the last lands past the end.
+        assert_eq!(single.0[0].0.len(), 99);
+        assert_eq!(
+            single.0[1].0[0],
+            (
+                SimTime::from_nanos(10_500_000),
+                NodeId::from_index(0),
+                vec![10]
+            )
+        );
+        assert_eq!(split.2, 200, "nothing but the payloads crossed");
+        // The peer ticks every millisecond, 500 µs away: bounded by its
+        // next event the run would take ~2000 windows. Bounded by its
+        // floor it takes one per period (+1 to find the run over).
+        let ends = split.1;
+        let windows = (ends.by_peer + ends.by_own_send + ends.by_until + ends.by_floor) / 2;
+        assert!(
+            (100..=102).contains(&windows),
+            "{windows} windows: {ends:?}"
+        );
+        assert!(ends.by_floor > 0, "{ends:?}");
+    }
+
+    #[test]
+    fn a_crashed_control_node_restarts_shard_invariantly() {
+        // y dies mid-period (its floor, declared at 40 ms for 50 ms, goes
+        // stale) and comes back at 68.5 ms with a new cadence: payloads
+        // at 78.5, 88.5, … ms. x, itself silent until 200 ms, has only
+        // y's floor to stop it. The driver pauses the clock at 60 ms, so
+        // the next window is opened on what a *downed* y publishes: the
+        // stale floor must still count (x may not run past the restart
+        // to its own send at 200 ms), and after the restart the new one.
+        let crash = |_x: NodeId, y: NodeId| {
+            let mut f = FaultSchedule::new();
+            f.node_crash(
+                SimTime::from_nanos(43_500_000),
+                y,
+                SimDuration::from_millis(25),
+            );
+            f
+        };
+        let stops = [60, 1000];
+        let single = run_beacons(None, 200, &stops, crash);
+        assert_eq!(single.0[1].1, vec![SimTime::from_nanos(68_500_000)]);
+        let from_y: Vec<SimTime> = single.0[0].0.iter().map(|g| g.0).collect();
+        assert_eq!(from_y[3], SimTime::from_nanos(40_500_000));
+        assert_eq!(from_y[4], SimTime::from_nanos(79_000_000));
+        assert_eq!(
+            single.0,
+            run_beacons(Some(vec![0, 1]), 200, &stops, crash).0
+        );
+        assert_eq!(
+            single.0,
+            run_beacons(Some(vec![1, 0]), 200, &stops, crash).0
+        );
+    }
+
+    /// Runs `misuse` from a timer 5 ms in, after declaring (or not) a
+    /// quiet floor in `start` — on one shard, where no window is at
+    /// stake: the promises are checked in every layout.
+    fn misuse_control(floor_ms: Option<u64>, misuse: fn(&mut Ctx, NodeId)) {
+        struct Misuser {
+            peer: NodeId,
+            floor_ms: Option<u64>,
+            misuse: fn(&mut Ctx, NodeId),
+        }
+        impl App for Misuser {
+            fn start(&mut self, ctx: &mut Ctx) {
+                if let Some(ms) = self.floor_ms {
+                    ctx.control_quiet_until(SimTime::ZERO + SimDuration::from_millis(ms));
+                }
+                ctx.set_timer(SimDuration::from_millis(5), 0);
+            }
+            fn on_timer(&mut self, ctx: &mut Ctx, _token: u64) {
+                (self.misuse)(ctx, self.peer);
+            }
+        }
+        let (t, a, z) = two_nodes(1_000_000, 1);
+        let mut sim = Simulator::new(t, 1);
+        sim.add_app(
+            a,
+            Box::new(Misuser {
+                peer: z,
+                floor_ms,
+                misuse,
+            }),
+        );
+        sim.run_until(SimTime::from_secs(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "before its quiet floor")]
+    fn send_control_before_the_declared_floor_panics() {
+        misuse_control(Some(6), |ctx, peer| ctx.send_control(peer, Box::new([1])));
+    }
+
+    #[test]
+    #[should_panic(expected = "declared no control quiet floor")]
+    fn send_control_without_a_floor_panics() {
+        misuse_control(None, |ctx, peer| ctx.send_control(peer, Box::new([1])));
+    }
+
+    #[test]
+    #[should_panic(expected = "declared outside App::start")]
+    fn a_first_floor_outside_start_panics() {
+        misuse_control(None, |ctx, _| ctx.control_quiet_until(ctx.now()));
+    }
+
+    #[test]
+    #[should_panic(expected = "lowered from")]
+    fn lowering_a_floor_panics() {
+        misuse_control(Some(6), |ctx, _| ctx.control_quiet_until(ctx.now()));
+    }
+
+    #[test]
+    #[should_panic(expected = "crosses a control-only link")]
+    fn open_flow_across_a_control_only_link_panics() {
+        let mut b = TopologyBuilder::new();
+        let (a, m, z) = (b.node(), b.node(), b.node());
+        let link = LinkConfig::new(1_000_000, SimDuration::from_millis(1));
+        b.duplex(a, m, link);
+        b.duplex(m, z, link.control_only());
+        let mut sim = Simulator::new(b.build(), 1);
+        sim.add_app(
+            a,
+            Box::new(Sender {
+                dst: z,
+                bytes: 100,
+                flow: None,
+                drained_at: None,
+            }),
+        );
+        sim.run_until(SimTime::from_secs(1));
+    }
+
+    /// Forwards what it hears on flows to `to` as control payloads, at
+    /// most one per `quiet`: messages arriving before its floor are
+    /// counted into the next payload.
+    struct Relay {
+        to: NodeId,
+        quiet: SimDuration,
+        floor: SimTime,
+        held: u64,
+    }
+    impl App for Relay {
+        fn start(&mut self, ctx: &mut Ctx) {
+            ctx.control_quiet_until(self.floor);
+        }
+        fn on_message(&mut self, ctx: &mut Ctx, _flow: FlowId, tag: u64) {
+            self.held += 1;
+            if ctx.now() >= self.floor {
+                ctx.send_control(self.to, vec![tag, self.held].into_boxed_slice());
+                self.held = 0;
+                self.floor = ctx.now() + self.quiet;
+                ctx.control_quiet_until(self.floor);
+            }
+        }
+    }
+
+    #[test]
+    fn a_data_hop_into_a_control_relay_matches_single_shard() {
+        // a —packets→ b —control only→ c, a shard each. b owns no timer:
+        // only a's traffic wakes it, so c's bound has to come from *a's*
+        // next event relaxed through b — and from b's floor whenever
+        // that is later. With `quiet` zero b forwards the moment a
+        // message lands (the relaxation alone keeps c behind it); with
+        // 40 ms between payloads the floor lets c run ahead of busy a.
+        let run = |assignment: Option<Vec<u32>>, quiet_ms: u64| {
+            let mut tb = TopologyBuilder::new();
+            let (a, b, c) = (tb.node(), tb.node(), tb.node());
+            let ms = SimDuration::from_millis;
+            tb.duplex(a, b, LinkConfig::new(2_000_000, ms(1)));
+            tb.duplex(b, c, LinkConfig::new(2_000_000, ms(2)).control_only());
+            let t = tb.build();
+            let mut sim = match assignment {
+                None => Simulator::new(t, 5),
+                Some(asg) => Simulator::new_sharded(t, 5, asg),
+            };
+            // One 1 kB message every 7 ms for a second.
+            let script: Vec<(u64, Step)> = std::iter::once((7, Step::Open(b, 1_000)))
+                .chain((2..140).map(|i| (7 * i, Step::Send(1_000))))
+                .collect();
+            sim.add_app(a, Scripted::new(flow_id(a, 0), &script));
+            sim.add_app(
+                b,
+                Box::new(Relay {
+                    to: c,
+                    quiet: ms(quiet_ms),
+                    floor: SimTime::ZERO,
+                    held: 0,
+                }),
+            );
+            sim.add_app(c, Box::new(CtlReceiver::default()));
+            sim.run_until(SimTime::from_secs(1));
+            let got = sim
+                .app::<CtlReceiver>(c)
+                .expect("invariant: CtlReceiver installed on c")
+                .got
+                .clone();
+            (got, sim.window_ends())
+        };
+        for quiet_ms in [0, 40] {
+            let single = run(None, quiet_ms);
+            assert!(single.0.len() >= 20, "{} payloads", single.0.len());
+            let chain = run(Some(vec![0, 1, 2]), quiet_ms);
+            assert_eq!(
+                single.0, chain.0,
+                "quiet {quiet_ms} ms: K = 3 must equal K = 1"
+            );
+            assert_eq!(single.0, run(Some(vec![0, 1, 1]), quiet_ms).0);
+            assert_eq!(single.0, run(Some(vec![0, 0, 1]), quiet_ms).0);
+            assert_eq!(chain.1.by_floor > 0, quiet_ms > 0, "{:?}", chain.1);
+        }
     }
 
     /// Watches a peer's flow from its first tick on and drains delivery

@@ -111,6 +111,7 @@ impl TopologyBuilder {
         // forwarding chain (each hop re-consults its own next-hop row,
         // which may differ from the source's BFS tree).
         let mut path_delays = vec![None; n * n];
+        let mut packet_routes = vec![false; n * n];
         for src in 0..n {
             for dst in 0..n {
                 if src == dst {
@@ -118,16 +119,19 @@ impl TopologyBuilder {
                 }
                 let mut at = src;
                 let mut d = crate::time::SimDuration::ZERO;
+                let mut packets = true;
                 while at != dst {
                     let Some(lid) = next_hop[at * n + dst] else {
                         break;
                     };
                     let e = &self.edges[lid.index()];
                     d += e.cfg.delay;
+                    packets &= !e.cfg.control_only;
                     at = e.to.index();
                 }
                 if at == dst {
                     path_delays[src * n + dst] = Some(d);
+                    packet_routes[src * n + dst] = packets;
                 }
             }
         }
@@ -136,6 +140,7 @@ impl TopologyBuilder {
             edges: self.edges,
             next_hop,
             path_delays,
+            packet_routes,
         }
     }
 }
@@ -153,6 +158,10 @@ pub struct Topology {
     /// this on every control record (flow open, message boundary,
     /// abort), so it must not walk the route — or allocate — per call.
     path_delays: Vec<Option<crate::time::SimDuration>>,
+    /// `packet_routes[src * n + dst]`: the forwarding route exists and
+    /// crosses no control-only link, memoized with the delays (every
+    /// flow open asks, once per direction).
+    packet_routes: Vec<bool>,
 }
 
 impl Topology {
@@ -181,6 +190,13 @@ impl Topology {
     /// Whether `dst` is reachable from `src`.
     pub fn reachable(&self, src: NodeId, dst: NodeId) -> bool {
         src == dst || self.next_hop(src, dst).is_some()
+    }
+
+    /// Whether packets can travel `src -> dst`: the forwarding route
+    /// exists and none of its links is control-only
+    /// ([`LinkConfig::control_only`]).
+    pub fn carries_packets(&self, src: NodeId, dst: NodeId) -> bool {
+        src == dst || self.packet_routes[src.index() * self.node_slots() + dst.index()]
     }
 
     /// The full ordered list of links a packet from `src` to `dst` will
@@ -268,6 +284,22 @@ mod tests {
         assert!(!t.reachable(a, d));
         assert_eq!(t.path(a, d), None);
         assert!(t.reachable(d, d));
+    }
+
+    #[test]
+    fn a_control_only_hop_carries_delay_but_no_packets() {
+        // a <-> m packet-capable, m <-> z control-only: the routed delay
+        // sums over both, but only the first hop carries packets.
+        let mut b = TopologyBuilder::new();
+        let (a, m, z) = (b.node(), b.node(), b.node());
+        b.duplex(a, m, cfg());
+        b.duplex(m, z, cfg().control_only());
+        let t = b.build();
+        assert_eq!(t.path_delay(a, z), Some(SimDuration::from_millis(10)));
+        assert!(t.carries_packets(a, m) && t.carries_packets(m, a));
+        assert!(!t.carries_packets(m, z) && !t.carries_packets(z, m));
+        assert!(!t.carries_packets(a, z) && !t.carries_packets(z, a));
+        assert!(t.carries_packets(z, z));
     }
 
     #[test]

@@ -134,6 +134,52 @@ fn oversized_shard_requests_clamp_instead_of_spinning() {
 }
 
 #[test]
+fn replica_islands_run_a_window_per_sync_period_and_exchange_only_digests() {
+    // fig2_replicated's R = 2, sync 10 ms point at --shards 2: one
+    // replica island per shard, joined by the control-only mesh alone.
+    let secs = 3;
+    let entry = registry::find("fig2_replicated").expect("registered");
+    let mut sc = entry
+        .build_grid()
+        .into_iter()
+        .find(|s| s.thinners == 2 && s.sync_period == SimDuration::from_millis(10))
+        .expect("the grid has an R = 2, 10 ms point");
+    sc.duration = SimDuration::from_secs(secs);
+    let report = run_sharded(&sc, 2);
+    let epochs = sc.duration.as_nanos() / sc.sync_period.as_nanos();
+
+    // Windows follow the replicas' quiet floors, not the 500 µs mesh
+    // delay (which would make ~2000 of them per simulated second).
+    let ends = report.window_ends;
+    let windows = (ends.by_peer + ends.by_own_send + ends.by_until + ends.by_floor) / 2;
+    assert!(
+        windows <= 3 * epochs,
+        "{windows} windows for {epochs} epochs"
+    );
+    assert!(ends.by_floor > 0, "{ends:?}");
+
+    // Both loops carry the load.
+    let total: u64 = report.shard_events.iter().sum();
+    assert_eq!(report.shard_events.len(), 2);
+    for (shard, &events) in report.shard_events.iter().enumerate() {
+        assert!(
+            events * 5 >= total * 2,
+            "shard {shard} ran {events} of {total} events"
+        );
+    }
+
+    // Nothing but digests crosses: every epoch each replica sends one to
+    // each peer, and with R replicas over K shards (island r on shard
+    // r % K) a pair is cross-shard when its members differ mod K.
+    let (r, k) = (u64::from(sc.thinners), 2);
+    let cross_pairs = (0..r)
+        .flat_map(|a| (a + 1..r).map(move |b| (a, b)))
+        .filter(|(a, b)| a % k != b % k)
+        .count() as u64;
+    assert_eq!(report.cross_shard_events, epochs * cross_pairs * 2);
+}
+
+#[test]
 fn dispatch_counts_are_shard_invariant_and_fully_devirtualized() {
     // The devirtualized `AppSet` layer tallies events per app variant.
     // Two checks ride on those counters: sharding must not change what
