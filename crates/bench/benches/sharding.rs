@@ -1,82 +1,59 @@
-//! Shard-layer performance: the same scenario run on one event loop and
-//! split over K synchronized shard loops. Results are byte-identical by
-//! construction (asserted here on a fingerprint), so the interesting
-//! number is the per-shard-count runtime: cliffs in the barrier or
-//! cross-shard exchange path show up as the K > 1 rows regressing
-//! against K = 1. CI runs this with `--quick`.
+//! Shard-layer performance: the same replicated scenario run on one
+//! event loop and split over K synchronized shard loops, one or more
+//! replica islands each. Results are byte-identical by construction
+//! (asserted here on a fingerprint), so the interesting number is the
+//! per-shard-count runtime: cliffs in the barrier or cross-shard
+//! exchange path show up as the K > 1 rows regressing against K = 1. CI
+//! runs this with `--quick`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use speakup_core::client::ClientProfile;
 use speakup_exp::runner::{run, run_sharded};
-use speakup_exp::scenario::{ClientSpec, Mode, Scenario};
+use speakup_exp::scenario::{Mode, Scenario};
 use speakup_exp::scenarios;
 use speakup_net::time::SimDuration;
 use std::hint::black_box;
 
-fn scenario() -> Scenario {
-    let mut s = Scenario::new("bench shard", 50.0, Mode::Auction);
-    s.add_clients(15, ClientSpec::lan(ClientProfile::good()));
-    s.add_clients(15, ClientSpec::lan(ClientProfile::bad()));
-    s.duration(SimDuration::from_secs(5))
+const THINNERS: u32 = 4;
+
+fn replicated() -> Scenario {
+    scenarios::fig2(0.5, Mode::Auction)
+        .duration(SimDuration::from_secs(5))
+        .thinners(THINNERS)
+        .sync_period(SimDuration::from_millis(10))
 }
 
 fn bench_shard_scaling(c: &mut Criterion) {
-    let baseline = run(&scenario());
+    let baseline = run(&replicated());
     let fingerprint = (
         baseline.allocation.good,
         baseline.allocation.bad,
         baseline.payment_bytes_total,
     );
-    // Load balance first: with the split hub, shard 0 should hold only
-    // the thinner's share of the events (the old engine pinned the hub,
-    // every hub link, and all receiver flow halves there — about half
-    // of everything). Printed alongside the timings so regressions in
-    // placement are as visible as regressions in barrier cost.
-    for shards in [1u32, 2, 4, 8] {
-        let r = run_sharded(&scenario(), shards);
-        let total: u64 = r.shard_events.iter().sum();
-        let share = r.shard_events.first().copied().unwrap_or(0) as f64 / total.max(1) as f64;
-        println!(
-            "shard_scaling/balance: shards={shards} shard0_share={share:.3} events={:?}",
-            r.shard_events
-        );
-        assert!(
-            shards == 1 || share < 0.5,
-            "shard 0 regressed to the pre-split-hub bottleneck: {share:.3} of all events"
-        );
-    }
-    // Replicated thinners: the single thinner was the last serial
-    // component (~25% of all events on shard 0 after the split-hub
-    // work). With R = 4 replicas the placement unit is the replica
-    // island — a replica with its clients — one per shard, so the bar is
-    // balance: no shard above its even share by more than 5 points.
-    let thinners = 4u32;
-    let replicated = scenarios::fig2(0.5, Mode::Auction)
-        .duration(SimDuration::from_secs(5))
-        .thinners(thinners)
-        .sync_period(SimDuration::from_millis(10));
+    // The placement unit is the replica island — a replica with its
+    // clients — one per shard, so the bar is balance: no shard above its
+    // even share by more than 5 points.
     for shards in [4u32, 8] {
-        let r = run_sharded(&replicated, shards);
+        let r = run_sharded(&replicated(), shards);
         let total = r.shard_events.iter().sum::<u64>().max(1) as f64;
         let share = r.shard_events.first().copied().unwrap_or(0) as f64 / total;
         let largest = r.shard_events.iter().copied().max().unwrap_or(0) as f64 / total;
         println!(
-            "shard_scaling/replicated: fig2 thinners={thinners} shards={shards} \
+            "shard_scaling/replicated: fig2 thinners={THINNERS} shards={shards} \
              shard0_share={share:.3} largest_share={largest:.3} events={:?}",
             r.shard_events
         );
         assert!(
-            largest <= 1.0 / f64::from(shards.min(thinners)) + 0.05,
-            "fig2 with {thinners} thinner replicas concentrates {largest:.3} of all \
+            largest <= 1.0 / f64::from(shards.min(THINNERS)) + 0.05,
+            "fig2 with {THINNERS} thinner replicas concentrates {largest:.3} of all \
              events on one shard — replica-island placement regressed"
         );
     }
     let mut g = c.benchmark_group("shard_scaling");
     g.sample_size(10);
-    for shards in [1u32, 2, 4, 8] {
+    for shards in [1u32, 2, 4] {
         g.bench_with_input(BenchmarkId::new("shards", shards), &shards, |b, &k| {
             b.iter(|| {
-                let r = run_sharded(&scenario(), k);
+                let r = run_sharded(&replicated(), k);
                 assert_eq!(
                     (r.allocation.good, r.allocation.bad, r.payment_bytes_total),
                     fingerprint,

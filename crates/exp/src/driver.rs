@@ -89,10 +89,11 @@ OPTIONS (run):
     --seeds K   seed replicates per grid point (default 1); with K > 1 the
                 figure tables report mean ± 95% CI across replicates
     --jobs N    worker pool size for grid points × replicates
-                (default: available cores / shards)
-    --shards K  shard event loops per run: the client population splits
-                across K synchronized loops (default 1). Reports are
-                byte-identical for every K; only wall-clock time changes.
+                (default: available cores / loops per run)
+    --shards K  shard event loops per run: the thinner replica islands
+                split across min(K, R) synchronized loops (default 1), so
+                a single-thinner run uses one. Reports are byte-identical
+                for every K; only wall-clock time changes.
     --thinners R
                 override the thinner replica count of every auction-mode
                 grid point: the virtual auction runs on R replicas
@@ -468,7 +469,7 @@ pub fn execute(entry: &'static Entry, opts: &RunOptions) -> EntryRun {
                     all.push(replicate);
                 }
             }
-            let jobs = opts.jobs.unwrap_or_else(|| default_jobs(opts.shards));
+            let jobs = opts.jobs.unwrap_or_else(|| default_jobs(&all, opts.shards));
             let reports = run_all_pooled(&all, jobs, opts.shards);
             let groups: Vec<Reps> = reports.chunks(opts.seeds as usize).map(Reps).collect();
             let mut text = render(&grid, &groups);

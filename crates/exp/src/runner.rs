@@ -6,52 +6,38 @@
 //!   points × seed replicates through a host-sized worker pool instead
 //!   of one OS thread per run, so `run_all` no longer oversubscribes
 //!   small machines.
-//! * **Within a run** — [`run_sharded`] splits one scenario's client
-//!   population over `K` shard event loops with a synchronized clock
-//!   (`speakup-net`'s conservative lookahead engine). Reports are
+//! * **Within a run** — [`run_sharded`] splits one scenario's thinner
+//!   replica islands over `K` shard event loops with a synchronized
+//!   clock (`speakup-net`'s conservative lookahead engine). Reports are
 //!   byte-identical for every `K`.
 //!
-//! ## Split-hub topology and placement
+//! ## Topology and placement
 //!
 //! Direct (non-bottlenecked) clients are partitioned into *aggregation
 //! groups* — same-access-delay classes, each class split into at most
 //! [`HUB_SUBGROUPS_PER_CLASS`] subgroups. Every group gets its own hub
 //! node owning the group's client links, with a single aggregation link
-//! into the (unique) thinner. The grouping depends only on the scenario,
-//! never on `--shards`, so the topology — and therefore the report — is
-//! identical for every shard count.
+//! into its thinner replica. The access delay rides the aggregation
+//! link and the client leaf link gets the scenario's short hub-wire
+//! delay, which leaves each client's end-to-end path delay and every
+//! queue's rate as they would be on a direct link. The grouping depends
+//! only on the scenario, never on `--shards`, so the topology — and
+//! therefore the report — is identical for every shard count.
 //!
-//! The access delay is carried by the *aggregation* link (the client
-//! leaf link gets the scenario's short hub-wire delay instead): each
-//! client's end-to-end path delay and every queue's rate are unchanged,
-//! but the links that cross shard boundaries are now the long ones, so
-//! the engine's pairwise lookahead between a long-RTT group's shard and
-//! the thinner's shard is that group's access delay rather than the
-//! global minimum.
-//!
-//! With one thinner, placement is distance-aware: groups (and
-//! individually-placed bottlenecked clients) are sorted by delay,
-//! longest first, and split into contiguous client-count-balanced blocks
-//! over shards `1..K`, so long-RTT fig7-style clients land together and
-//! keep their wide windows. The thinner, the legacy hub (gateway + Fig 9
-//! bystander attach point), and the bottleneck gateway stay on shard 0 —
-//! shard 0's packet work is the thinner proper.
-//!
-//! With `R > 1` thinner replicas placement is *replica-affine*: the unit
-//! is the replica island — replica `r`, every aggregation group and
-//! cohort homed on it (`g % R`, `c % R`), their hubs and clients — and
-//! island `r` goes to shard `r % K`; whatever attaches through the
-//! legacy hub stays with replica 0 on shard 0. The only links that then
-//! cross shards are the replica mesh, which is built control-only
-//! ([`LinkConfig::control_only`]): nothing but digests crosses it, each
-//! replica promises when its next digest leaves
+//! A shard is a *replica island*: replica `r` with every aggregation
+//! group and cohort homed on it (`g % R`, `c % R`), their hubs and
+//! clients. Island `r` goes to shard `r % k`, with `k = min(K, R)`, and
+//! whatever attaches through the legacy hub stays with replica 0 on
+//! shard 0. The only links between islands are the replica mesh, built
+//! control-only ([`LinkConfig::control_only`]), which is what the engine
+//! requires of every cross-shard link: nothing but digests crosses it,
+//! each replica promises when its next digest leaves
 //! (`Ctx::control_quiet_until`), and the engine opens one window per
-//! sync period instead of one per 500 µs mesh delay. Islands share
-//! nothing else, so `K` of them run in parallel.
+//! sync period. Islands share nothing else, so `k` of them run in
+//! parallel. A single-thinner run is one island, on one loop.
 //!
-//! `--shards` beyond the number of placement units (groups + 1, or `R`)
-//! clamps (with a one-time warning) so no shard spins empty at every
-//! barrier window.
+//! `--shards` beyond `R` clamps (with a one-time warning) so no shard
+//! spins empty at every barrier window.
 
 use crate::agents::client::{ClientAgent, ClientMetrics, PaymentMode};
 use crate::agents::cohort::CohortAgent;
@@ -251,11 +237,8 @@ pub fn run(scenario: &Scenario) -> RunReport {
     run_sharded(scenario, 1)
 }
 
-/// Default upper bound on aggregation subgroups per access-delay class:
-/// the parallelism ceiling of a delay-homogeneous population. Tunable
-/// per scenario via [`Scenario::hub_subgroups_per_class`] — a scenario
-/// property rather than a CLI flag, so the topology (and the report)
-/// never depends on `--shards`.
+/// Upper bound on aggregation subgroups per access-delay class. Node and
+/// link ids, and so every RNG stream and committed report, depend on it.
 pub const HUB_SUBGROUPS_PER_CLASS: usize = 16;
 
 /// One aggregation group: a hub node's worth of direct clients sharing
@@ -269,8 +252,8 @@ struct HubGroup {
 
 /// Group the direct (non-bottlenecked) clients into aggregation groups:
 /// exact access-delay classes, each split round-robin into at most
-/// [`Scenario::hub_subgroups_per_class`] subgroups. Deterministic and
-/// independent of the shard count.
+/// [`HUB_SUBGROUPS_PER_CLASS`] subgroups. Deterministic and independent
+/// of the shard count.
 fn hub_groups(scenario: &Scenario) -> Vec<HubGroup> {
     let mut classes: std::collections::BTreeMap<u64, Vec<usize>> =
         std::collections::BTreeMap::new();
@@ -282,10 +265,9 @@ fn hub_groups(scenario: &Scenario) -> Vec<HubGroup> {
                 .push(i);
         }
     }
-    let cap = scenario.hub_subgroups_per_class.max(1);
     let mut groups = Vec::new();
     for (delay, members) in classes {
-        let n_sub = members.len().min(cap);
+        let n_sub = members.len().min(HUB_SUBGROUPS_PER_CLASS);
         let first = groups.len();
         groups.extend((0..n_sub).map(|_| HubGroup {
             delay: SimDuration::from_nanos(delay),
@@ -298,34 +280,13 @@ fn hub_groups(scenario: &Scenario) -> Vec<HubGroup> {
     groups
 }
 
-/// Split `weights.len()` units into `parts` contiguous blocks with
-/// roughly equal total weight, every block non-empty. Returns the block
-/// index per unit. Requires `1 <= parts <= weights.len()`.
-fn partition_units(weights: &[usize], parts: usize) -> Vec<usize> {
-    assert!(parts >= 1 && parts <= weights.len(), "parts must fit units");
-    let total: usize = weights.iter().sum::<usize>().max(1);
-    let mut out = vec![0; weights.len()];
-    let mut part = 0usize;
-    let mut cum = 0usize;
-    let mut in_part = 0usize;
-    for (i, &w) in weights.iter().enumerate() {
-        let units_left = weights.len() - i;
-        let parts_after = parts - part - 1;
-        if part + 1 < parts
-            && in_part > 0
-            && (units_left <= parts_after || cum * parts >= (part + 1) * total)
-        {
-            part += 1;
-            in_part = 0;
-        }
-        out[i] = part;
-        in_part += 1;
-        cum += w;
-    }
-    out
+/// The shard loops `scenario` runs on at `--shards shards`: one per
+/// thinner replica island at most, so `min(K, R)`.
+fn shard_loops(scenario: &Scenario, shards: u32) -> u32 {
+    shards.clamp(1, scenario.thinners.max(1))
 }
 
-/// Warn that `--shards` exceeded the scenario's placement units and was
+/// Warn that `--shards` exceeded the scenario's replica islands and was
 /// clamped — once per distinct `(requested, effective)` pair, so grid
 /// points and seed replicates of one scenario don't spam while
 /// differently-sized scenarios in the same invocation each still report
@@ -339,15 +300,16 @@ fn warn_shards_clamped(requested: u32, effective: u32) {
     }
     seen.push((requested, effective));
     eprintln!(
-        "warning: --shards {requested} exceeds the scenario's parallel units; \
-         clamping to {effective} (further shards would own no nodes and only \
-         spin at every barrier window)"
+        "warning: --shards {requested} exceeds the scenario's thinner replica \
+         islands; clamping to {effective} (further shards would own no nodes \
+         and only spin at every barrier window)"
     );
 }
 
-/// Run one scenario with its client population split over `shards` event
-/// loops (1 = the classic single loop). The report is byte-identical for
-/// every shard count; sharding only changes wall-clock time.
+/// Run one scenario with its replica islands split over `min(shards, R)`
+/// event loops (1 = the classic single loop). The report is
+/// byte-identical for every shard count; sharding only changes
+/// wall-clock time.
 pub fn run_sharded(scenario: &Scenario, shards: u32) -> RunReport {
     assert!(
         !scenario.clients.is_empty() || !scenario.cohorts.is_empty(),
@@ -364,7 +326,6 @@ pub fn run_sharded(scenario: &Scenario, shards: u32) -> RunReport {
         "scenario {:?} has a zero duration: rates would be NaN",
         scenario.name
     );
-    let shards = shards.max(1);
     let groups = hub_groups(scenario);
 
     // ---- topology ----
@@ -490,111 +451,40 @@ pub fn run_sharded(scenario: &Scenario, shards: u32) -> RunReport {
     // ever crosses them: with one replica island per shard they are the
     // only cross-shard links, and a digest is bounded by its sender's
     // quiet floor (a sync period away), not by the 500 µs delay.
-    if r_count > 1 {
-        let mesh = LinkConfig::new(1_000_000_000, SimDuration::from_micros(500)).control_only();
-        for i in 0..replica_nodes.len() {
-            for j in (i + 1)..replica_nodes.len() {
-                b.duplex(replica_nodes[i], replica_nodes[j], mesh);
-            }
+    let mesh = LinkConfig::new(1_000_000_000, SimDuration::from_micros(500)).control_only();
+    for i in 0..replica_nodes.len() {
+        for j in (i + 1)..replica_nodes.len() {
+            b.duplex(replica_nodes[i], replica_nodes[j], mesh);
         }
     }
     let topo = b.build();
 
     // ---- shard plan ----
+    // Island `r` — replica `r` with every aggregation group and cohort
+    // homed on it, hubs and clients included — goes to shard `r % k`.
+    // The gateway, the legacy hub, the bottlenecked clients and the Fig 9
+    // bystanders all attach to replica 0 and stay with it on shard 0.
+    // Only the replica mesh then crosses shards.
+    let k = shard_loops(scenario, shards);
+    if shards > k {
+        warn_shards_clamped(shards, k);
+    }
+    let shard_of_replica = |r: usize| r as u32 % k;
     let mut assignment = vec![0u32; topo.node_count() as usize];
-    if r_count > 1 {
-        // Replica-affine: the placement unit is the replica island —
-        // replica `r` with every aggregation group and cohort homed on
-        // it, hubs and clients included — and island `r` goes to shard
-        // `r % K`. The gateway, the legacy hub, the bottlenecked clients
-        // and the Fig 9 bystanders all attach to replica 0 and stay with
-        // it on shard 0. Only the replica mesh then crosses shards.
-        let k = shards.min(r_count as u32);
-        if shards > k {
-            warn_shards_clamped(shards, k);
+    for (r, &rn) in replica_nodes.iter().enumerate() {
+        assignment[rn.0 as usize] = shard_of_replica(r);
+    }
+    for (g, group) in groups.iter().enumerate() {
+        let shard = shard_of_replica(g % r_count);
+        assignment[group_hubs[g].0 as usize] = shard;
+        for &c in &group.members {
+            assignment[client_nodes[c].0 as usize] = shard;
         }
-        let shard_of_replica = |r: usize| r as u32 % k;
-        for (r, &rn) in replica_nodes.iter().enumerate() {
-            assignment[rn.0 as usize] = shard_of_replica(r);
-        }
-        for (g, group) in groups.iter().enumerate() {
-            let shard = shard_of_replica(g % r_count);
-            assignment[group_hubs[g].0 as usize] = shard;
-            for &c in &group.members {
-                assignment[client_nodes[c].0 as usize] = shard;
-            }
-        }
-        for c in 0..scenario.cohorts.len() {
-            let shard = shard_of_replica(c % r_count);
-            assignment[cohort_hubs[c].0 as usize] = shard;
-            assignment[cohort_nodes[c].0 as usize] = shard;
-        }
-    } else {
-        // One thinner: it stays on shard 0 with the legacy hub and the
-        // gateway. Placement units: one per aggregation group (weight =
-        // member count), one per bottlenecked client (the shared gateway
-        // itself stays on shard 0). Sorted by delay, longest RTT first,
-        // and split into contiguous balanced blocks over shards 1..K so
-        // long-delay clients land together and keep their wide lookahead
-        // windows.
-        let bottlenecked: Vec<usize> = (0..scenario.clients.len())
-            .filter(|&i| group_of_client[i].is_none())
-            .collect();
-        // Unit kinds, chosen so the sort tiebreak below preserves the
-        // pre-cohort ordering exactly (bottlenecked < group) and slots
-        // cohorts after same-delay groups.
-        const UNIT_BOTTLENECKED: u8 = 0;
-        const UNIT_GROUP: u8 = 1;
-        const UNIT_COHORT: u8 = 2;
-        let mut units: Vec<(SimDuration, usize, u8)> = groups
-            .iter()
-            .enumerate()
-            .map(|(g, group)| (group.delay, g, UNIT_GROUP))
-            .chain(
-                bottlenecked
-                    .iter()
-                    .map(|&i| (scenario.clients[i].access_delay, i, UNIT_BOTTLENECKED)),
-            )
-            .chain(
-                scenario
-                    .cohorts
-                    .iter()
-                    .enumerate()
-                    .map(|(c, spec)| (spec.spec.access_delay, c, UNIT_COHORT)),
-            )
-            .collect();
-        units.sort_by(|a, b| b.0.cmp(&a.0).then(a.2.cmp(&b.2)).then(a.1.cmp(&b.1)));
-        let client_shards = (shards.saturating_sub(1) as usize).min(units.len());
-        if shards as usize > client_shards + 1 {
-            warn_shards_clamped(shards, client_shards as u32 + 1);
-        }
-        if client_shards >= 1 {
-            let weights: Vec<usize> = units
-                .iter()
-                .map(|&(_, id, kind)| match kind {
-                    UNIT_GROUP => groups[id].members.len(),
-                    UNIT_COHORT => scenario.cohorts[id].members as usize,
-                    _ => 1,
-                })
-                .collect();
-            let parts = partition_units(&weights, client_shards);
-            for (&(_, id, kind), &part) in units.iter().zip(&parts) {
-                let shard = 1 + part as u32;
-                match kind {
-                    UNIT_GROUP => {
-                        assignment[group_hubs[id].0 as usize] = shard;
-                        for &c in &groups[id].members {
-                            assignment[client_nodes[c].0 as usize] = shard;
-                        }
-                    }
-                    UNIT_COHORT => {
-                        assignment[cohort_hubs[id].0 as usize] = shard;
-                        assignment[cohort_nodes[id].0 as usize] = shard;
-                    }
-                    _ => assignment[client_nodes[id].0 as usize] = shard,
-                }
-            }
-        }
+    }
+    for c in 0..scenario.cohorts.len() {
+        let shard = shard_of_replica(c % r_count);
+        assignment[cohort_hubs[c].0 as usize] = shard;
+        assignment[cohort_nodes[c].0 as usize] = shard;
     }
     let mut sim = Simulator::<AppSlot>::new_sharded_slots(topo, scenario.seed, assignment);
 
@@ -919,18 +809,24 @@ pub fn run_sharded(scenario: &Scenario, shards: u32) -> RunReport {
     report
 }
 
-/// The default worker count for a given shard depth: the host's
-/// available parallelism divided by the threads each run uses, at least 1.
-pub fn default_jobs(shards: u32) -> usize {
+/// The default worker count for running `scenarios` at `--shards
+/// shards`: the host's available parallelism divided by the loops the
+/// most parallel run really uses, `min(shards, R)`, at least 1.
+pub fn default_jobs(scenarios: &[Scenario], shards: u32) -> usize {
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    (cores / shards.max(1) as usize).max(1)
+    let loops = scenarios
+        .iter()
+        .map(|sc| shard_loops(sc, shards))
+        .max()
+        .unwrap_or(1);
+    (cores / loops as usize).max(1)
 }
 
 /// Run several scenarios in parallel on a host-sized worker pool.
 pub fn run_all(scenarios: &[Scenario]) -> Vec<RunReport> {
-    run_all_pooled(scenarios, default_jobs(1), 1)
+    run_all_pooled(scenarios, default_jobs(scenarios, 1), 1)
 }
 
 /// Run scenarios through a pool of `jobs` workers, each run split over
@@ -998,84 +894,37 @@ mod tests {
     }
 
     #[test]
-    fn partition_is_contiguous_balanced_and_never_empty() {
-        for (weights, parts) in [
-            (vec![10, 1, 1], 3),
-            (vec![1; 6], 3),
-            (vec![5, 1, 1, 1], 2),
-            (vec![1, 1, 5, 1], 2),
-            (vec![3], 1),
-            (vec![2; 16], 7),
-        ] {
-            let out = partition_units(&weights, parts);
-            assert_eq!(out.len(), weights.len());
-            // Contiguous and monotone, covering exactly 0..parts.
-            assert!(out.windows(2).all(|w| w[0] <= w[1] && w[1] - w[0] <= 1));
-            assert_eq!(out[0], 0);
-            assert_eq!(*out.last().unwrap(), parts - 1, "{weights:?}/{parts}");
+    fn oversized_shard_requests_clamp_to_the_replica_count() {
+        // fig2 at R = 1 and R = 2: a shard is a replica island, so
+        // --shards 8 must run one and two loops — more would own no
+        // node — and report what a single loop reports.
+        for (r, loops) in [(1, 1), (2, 2)] {
+            let mut sc = scenarios::fig2(0.5, crate::scenario::Mode::Auction).thinners(r);
+            sc.duration = SimDuration::from_secs(1);
+            let single = run(&sc);
+            let clamped = run_sharded(&sc, 8);
+            assert_eq!(clamped.shard_events.len(), loops, "one shard per island");
+            assert!(clamped.shard_events.iter().all(|&n| n > 0));
+            assert_eq!(
+                crate::driver::report_json(&single).pretty(),
+                crate::driver::report_json(&clamped).pretty(),
+                "R = {r}"
+            );
         }
     }
 
     #[test]
-    fn oversized_shard_requests_clamp_to_the_unit_count() {
-        // profiling: 10 clients, one delay class -> 10 units. --shards 64
-        // must still produce a dense assignment (11 shards max) and the
-        // same report as a single loop.
-        let mut sc = scenarios::profiling_comparison(crate::scenario::Mode::Auction, false);
-        sc.duration = SimDuration::from_secs(1);
-        let single = run(&sc);
-        let clamped = run_sharded(&sc, 64);
-        assert_eq!(clamped.shard_events.len(), 11, "10 units + shard 0");
-        assert_eq!(single.allocation.good, clamped.allocation.good);
-        assert_eq!(single.allocation.bad, clamped.allocation.bad);
-        assert_eq!(single.payment_bytes_total, clamped.payment_bytes_total);
-    }
-
-    #[test]
-    fn oversized_shard_requests_clamp_to_the_replica_count() {
-        // fig2 --thinners 2: the placement units are the two replica
-        // islands, so --shards 8 must run two loops — six more would own
-        // no node — and report what a single loop reports.
-        let mut sc = scenarios::fig2(0.5, crate::scenario::Mode::Auction).thinners(2);
-        sc.duration = SimDuration::from_secs(1);
-        let single = run(&sc);
-        let clamped = run_sharded(&sc, 8);
-        assert_eq!(clamped.shard_events.len(), 2, "one shard per island");
-        assert!(clamped.shard_events.iter().all(|&n| n > 0));
-        assert_eq!(single.allocation.good, clamped.allocation.good);
-        assert_eq!(single.allocation.bad, clamped.allocation.bad);
-        assert_eq!(single.payment_bytes_total, clamped.payment_bytes_total);
-        assert_eq!(single.thinner_drops, clamped.thinner_drops);
-    }
-
-    #[test]
-    fn raised_subgroup_cap_changes_placement_but_not_results() {
-        // fig2's 50 direct clients form one delay class. Raising the cap
-        // from the default 16 to 32 doubles the aggregation groups — more
-        // parallel placement units — without changing what the run
-        // measures: end-to-end client delays and per-queue rates are
-        // preserved, only how clients share (uncontended) aggregation
-        // links shifts.
-        let mut base = scenarios::fig2(0.5, crate::scenario::Mode::Auction);
-        base.duration = SimDuration::from_secs(2);
-        let raised = base.clone().hub_subgroups_per_class(32);
-        assert_eq!(hub_groups(&base).len(), HUB_SUBGROUPS_PER_CLASS);
-        assert_eq!(hub_groups(&raised).len(), 32, "cap no longer binds at 32");
-        // More groups ⇒ more placement units ⇒ a raised cap admits more
-        // shards before clamping.
-        let wide = run_sharded(&raised, 33);
-        assert_eq!(wide.shard_events.len(), 33, "32 units + shard 0");
-        let a = run(&base);
-        let b = run(&raised);
-        assert_eq!(a.allocation.good, b.allocation.good);
-        assert_eq!(a.allocation.bad, b.allocation.bad);
-        assert_eq!(a.payment_bytes_total, b.payment_bytes_total);
-        assert_eq!(a.thinner_drops, b.thinner_drops);
-        assert_eq!(
-            (wide.allocation.good, wide.allocation.bad),
-            (a.allocation.good, a.allocation.bad),
-            "sharded raised-cap run diverged"
-        );
+    fn default_pool_counts_the_loops_each_run_really_uses() {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let one = scenarios::fig2(0.5, crate::scenario::Mode::Auction);
+        let four = one.clone().thinners(4);
+        // R = 1 runs on one loop at any --shards: a worker per core.
+        assert_eq!(default_jobs(std::slice::from_ref(&one), 4), cores);
+        // The largest R in the batch, capped by K, sets the loops per run.
+        let batch = [one, four];
+        assert_eq!(default_jobs(&batch, 1), cores);
+        assert_eq!(default_jobs(&batch, 2), (cores / 2).max(1));
+        assert_eq!(default_jobs(&batch, 8), (cores / 4).max(1));
     }
 
     #[test]

@@ -196,12 +196,6 @@ pub struct Scenario {
     /// *access links* are the binding constraint, which is the regime the
     /// paper analyzes.
     pub hub_link: LinkConfig,
-    /// Upper bound on aggregation subgroups per access-delay class — the
-    /// parallelism ceiling for a delay-homogeneous population (default
-    /// [`crate::runner::HUB_SUBGROUPS_PER_CLASS`]). Part of the scenario,
-    /// not the CLI, so the topology never depends on `--shards`; raise it
-    /// when a host with more cores than the default cap shows up.
-    pub hub_subgroups_per_class: usize,
     /// Number of thinner replicas (default 1: the classic single
     /// thinner). With R > 1, aggregation groups and cohorts are
     /// partitioned round-robin across R replicas, each running the
@@ -235,7 +229,6 @@ impl Scenario {
             bottleneck: None,
             web: None,
             hub_link: LinkConfig::new(1_000_000_000, SimDuration::from_micros(100)),
-            hub_subgroups_per_class: crate::runner::HUB_SUBGROUPS_PER_CLASS,
             thinners: 1,
             sync_period: SimDuration::from_millis(100),
             faults: Vec::new(),
@@ -363,13 +356,6 @@ impl Scenario {
     pub fn stale_after(mut self, k: u64) -> Self {
         assert!(k >= 1, "stale_after must be at least one sync period");
         self.stale_after = k;
-        self
-    }
-
-    /// Raise (or lower) the aggregation-subgroup cap per delay class.
-    pub fn hub_subgroups_per_class(mut self, cap: usize) -> Self {
-        assert!(cap >= 1, "at least one subgroup per delay class");
-        self.hub_subgroups_per_class = cap;
         self
     }
 

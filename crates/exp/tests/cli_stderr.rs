@@ -11,7 +11,7 @@ use std::time::Duration;
 
 #[test]
 fn pooled_clamped_sharded_run_exits_and_warns() {
-    // `--shards 64` exceeds fig2's placement units, so the clamp warning
+    // `--shards 64` exceeds fig2's one replica island, so the clamp warning
     // fires on a `--jobs 2` pool worker while `main` waits for the pool.
     let mut child = Command::new(env!("CARGO_BIN_EXE_speakup"))
         .args([

@@ -10,7 +10,8 @@
 //!    tolerances (the statistical claim: superposing N Poisson arrival
 //!    processes and aggregating the access link preserves the figure).
 //! 3. `fig2_xl`'s cohort topology keeps the engine's core invariant:
-//!    reports are byte-identical at every `--shards` count.
+//!    reports are byte-identical at every `--shards` count, with the
+//!    crowd split over two replica islands.
 
 use speakup_core::client::ClientProfile;
 use speakup_exp::driver::report_json;
@@ -177,10 +178,13 @@ fn small_n_cohorts_match_full_simulation_statistically() {
 
 /// `fig2_xl`'s mixed topology (foreground clients + cohort nodes) must
 /// keep the engine's core determinism guarantee: the report is
-/// byte-identical no matter how the population splits across shards.
+/// byte-identical no matter how its two replica islands split across
+/// shards.
 #[test]
 fn fig2_xl_reports_are_shard_count_invariant() {
-    let scenario = scenarios::fig2_xl_sized(4, 4, 25).duration(SimDuration::from_secs(2));
+    let scenario = scenarios::fig2_xl_sized(4, 4, 25)
+        .duration(SimDuration::from_secs(2))
+        .thinners(2);
     assert_eq!(scenario.population(), 208);
     let single = run_sharded(&scenario, 1);
     let baseline = report_json(&single).pretty();

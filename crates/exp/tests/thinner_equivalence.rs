@@ -4,12 +4,12 @@
 //!
 //! 1. `--thinners 1` is the classic engine, byte for byte: for each of
 //!    the four golden workloads, an explicit single-replica run must
-//!    serialize identically to the unmodified scenario at every shard
-//!    width the CI sweep uses.
+//!    serialize identically to the unmodified scenario, and at
+//!    `--shards 8` it must still be one loop (one replica island).
 //! 2. `--thinners R` for R > 1 is still a deterministic simulation: its
 //!    report must be invariant to `--shards` (the digest exchange rides
-//!    ordinary control packets at path delay, so the conservative
-//!    lookahead engine must not reorder it).
+//!    control payloads at path delay, so the conservative lookahead
+//!    engine must not reorder it).
 //! 3. Fairness regression: the replicated auction's good-client
 //!    allocation must stay within the committed band of the R = 1
 //!    baseline on the fig2_replicated grid.
@@ -28,7 +28,7 @@ fn payload(r: &RunReport) -> String {
 }
 
 /// One representative scenario per committed golden workload, shortened
-/// so the 4 workloads × 4 shard widths battery stays test-suite sized.
+/// so the 4 workloads × 2 shard widths battery stays test-suite sized.
 fn golden_workloads() -> Vec<Scenario> {
     vec![
         scenarios::fig2(0.5, Mode::Auction).duration(SimDuration::from_secs(3)),
@@ -42,10 +42,17 @@ fn golden_workloads() -> Vec<Scenario> {
 fn single_replica_is_byte_identical_to_the_classic_engine() {
     for sc in golden_workloads() {
         let classic = payload(&run_sharded(&sc, 1));
-        for shards in [1u32, 2, 4, 8] {
-            let explicit = payload(&run_sharded(&sc.clone().thinners(1), shards));
+        for shards in [1u32, 8] {
+            let explicit = run_sharded(&sc.clone().thinners(1), shards);
             assert_eq!(
-                classic, explicit,
+                explicit.shard_events.len(),
+                1,
+                "{}: one replica island is one loop at --shards {shards}",
+                sc.name
+            );
+            assert_eq!(
+                classic,
+                payload(&explicit),
                 "{}: --thinners 1 --shards {shards} diverged from the classic engine",
                 sc.name
             );

@@ -68,11 +68,12 @@ impl LinkConfig {
     /// (`Ctx::send_control`) are delayed by it like by any other link on
     /// their path, but no packet may ever be offered to it —
     /// [`Link::enqueue`] panics, and the simulator refuses to open a
-    /// flow whose route crosses one. That is a promise the sharded
-    /// engine can use: between two shards joined only by control-only
-    /// links the sole possible hand-off is a control payload, which its
-    /// sender's declared quiet floor (`Ctx::control_quiet_until`) bounds
-    /// far more loosely than its next event does.
+    /// flow whose route crosses one. The sharded engine rests on that
+    /// promise: shards may meet only over control-only links
+    /// (`Simulator::new_sharded` panics otherwise), so the sole hand-off
+    /// between them is a control payload, which its sender's declared
+    /// quiet floor (`Ctx::control_quiet_until`) bounds far more loosely
+    /// than its next event does.
     pub fn control_only(mut self) -> Self {
         self.control_only = true;
         self
@@ -241,8 +242,8 @@ impl Link {
     /// # Panics
     ///
     /// Panics on a [control-only](LinkConfig::control_only) link: that
-    /// no packet ever crosses one is what the sharded engine's data
-    /// lookahead rests on.
+    /// no packet ever crosses one is what keeps every packet on the
+    /// shard it started on.
     pub fn enqueue(&mut self, packet: Packet, fault_roll: f64) -> Enqueue {
         assert!(
             !self.cfg.control_only,

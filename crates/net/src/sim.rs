@@ -10,60 +10,36 @@
 //! ## Sharded execution
 //!
 //! A simulation can be split across `K` shard event loops
-//! ([`Simulator::new_sharded`]): each shard owns a subset of the nodes,
-//! the links leaving those nodes, its own event queue, and per-node RNG
-//! streams. Shards advance concurrently in *lookahead windows* (classic
-//! conservative synchronization) separated by one barrier each.
+//! ([`Simulator::new_sharded`]), each owning a subset of the nodes, the
+//! links leaving them, an event queue and per-entity RNG streams. Shards
+//! advance concurrently in *lookahead windows* (conservative
+//! synchronization), one barrier per window.
 //!
-//! Two kinds of thing cross a shard boundary, and each link declares
-//! which it can carry. Packets, and the flow control records that
-//! travel their routes, cross *packet-capable* links only. Application
-//! control payloads ([`Ctx::send_control`]) cross any link, including
-//! those marked [control-only](crate::link::LinkConfig::control_only),
-//! which carry nothing else — `Link::enqueue` and `open_flow` panic on
-//! the attempt. So there are two pairwise lookahead matrices, each the
-//! min-plus closure, over the shard interaction graph, of the smallest
-//! propagation delay on any direct link from a `j`-owned node to an
-//! `i`-owned node: `data[j][i]` over packet-capable links, `all[j][i]`
-//! over all of them. And a node that sends control payloads declares
-//! when it will next do so — its *quiet floor*
-//! ([`Ctx::control_quiet_until`]), checked on every send.
+//! **Shards are islands.** Every link between two shards must be
+//! [control-only](crate::link::LinkConfig::control_only), carrying
+//! application control payloads ([`Ctx::send_control`]) and nothing else:
+//! [`Simulator::new_sharded`] rejects a packet-capable cross-shard link,
+//! and [`World::open_flow`] a flow routed over a control-only one. So
+//! packets and flow records never leave their shard, and a control
+//! payload is the only hand-off. The lookahead `d[j][i]` is the min-plus
+//! closure of the least delay on a direct link from a `j`-owned node to
+//! an `i`-owned one, and a node that sends payloads declares when it
+//! next will: its *quiet floor* ([`Ctx::control_quiet_until`]), checked
+//! on every send. Two things bound shard `i`'s window:
 //!
-//! Three things can reach shard `i`, and each bounds its window its own
-//! way:
-//!
-//! * **A peer's pending work.** Peer `j`, whose earliest pending event
-//!   is `next_j`, can hand `i` a packet or flow record no earlier than
-//!   `next_j + data[j][i]`: a pair of distant shards can run hundreds
-//!   of milliseconds ahead of each other even while a LAN-scale pair
-//!   stays tightly coupled, and an idle peer (`next_j = ∞`) imposes no
-//!   bound.
-//! * **A peer's control floor.** With `floor_j` the lowest floor
-//!   declared on `j` (`∞` if none: nobody there may send), a control
-//!   payload arrives no earlier than `max(next_j, floor_j) +
-//!   all[j][i]`. Two shards joined by control-only links alone are
-//!   bounded by this term only — a whole publishing period per window,
-//!   however busy either side is. Because the two terms differ, a peer
-//!   woken early *by a third shard's packet* matters: each `next_j` is
-//!   first relaxed through the other peers' arrivals
+//! * **A peer's next event or floor.** Peer `j`, with earliest pending
+//!   event `next_j` and lowest floor `floor_j` (`∞` if none), hands `i`
+//!   nothing before `max(next_j, floor_j) + d[j][i]`: a silent peer
+//!   bounds nothing, a periodic publisher one window per period
 //!   (`Lookahead::window_bound`).
-//! * **A reflection of `i`'s own sends.** Nothing is charged up front:
-//!   the moment `i` hands a peer an event, [`World::schedule`] lowers
-//!   the running limit to that event's arrival time, and the limit
-//!   resets at the next exchange, after which the peer's `next_j`
-//!   accounts for what it was handed. A shard that sends nothing owes
-//!   no barrier for echoes that cannot exist: it runs to its peers'
-//!   bound, or to the end of the run, in one window. (`arrival +
-//!   data[d][i]`, the reflection's earliest return, would be the latest
-//!   safe limit. But past `arrival` the peer holds work it cannot see
-//!   before the exchange: measured, the later limit locks two coupled
-//!   shards into strict alternation for no fewer windows.)
-//!
-//! The window opens at the minimum of the first two over all peers.
+//! * **`i`'s own sends.** A hand-off lowers the running limit to its
+//!   arrival time ([`Ctx::send_control`]) until the next exchange, after
+//!   which the peer's `next_j` accounts for it. A shard that sends
+//!   nothing owes no barrier.
 //!
 //! **The exchange.** Before the barrier a shard appends its outboxes to
 //! the peers' inboxes and publishes `next`, `floor` and, per
-//! destination, the earliest event it just handed over. After the
+//! destination, the earliest payload it just handed over. After the
 //! barrier it drains its own inbox and reads everyone's records: a
 //! peer's effective `next_j` is the smaller of what `j` published and
 //! what anybody handed `j` — the same for every reader, so all shards
@@ -75,33 +51,15 @@
 //!
 //! ## Determinism — shard-count invariance
 //!
-//! The hard guarantee is that results are *byte-identical for any shard
-//! count*, which is stronger than mere reproducibility. Three mechanisms
-//! provide it:
-//!
-//! * **Location-keyed randomness.** Every node and every link owns its
-//!   own PCG-32 stream derived from `(seed, entity id)`, so the random
-//!   sequence an entity consumes does not depend on how entities are
-//!   grouped into shards (a single global stream would be consumed in
-//!   schedule order, which sharding changes).
-//! * **Canonical event ordering.** The event queue orders same-time
-//!   events by a canonical *lane* (the link, node, or flow the event
-//!   belongs to) before insertion order. Each lane is only ever written
-//!   by the shard owning its entity, so per-lane insertion order is
-//!   shard-count invariant, and cross-lane ties resolve by lane id the
-//!   same way in every configuration.
-//! * **Split flows with delayed control records.** A flow's sender state
-//!   lives on the source node's shard and its receiver state on the
-//!   destination's. Sender-side facts the receiver needs (flow open,
-//!   message boundaries, aborts) travel as control records delayed by the
-//!   path's propagation delay — at least the lookahead, so they fit the
-//!   window protocol, and strictly ahead of any data they describe. The
-//!   same delay applies even when both halves share a shard, so `K = 1`
-//!   and `K = 4` see identical timelines. Each half is retired on its own
-//!   shard's clock — when its application aborts the flow, or has been
-//!   told the peer did — and whatever the other side still had in flight
-//!   toward it is dropped on arrival, so the flow tables hold the
-//!   connections that are live, not every flow ever opened.
+//! Results are *byte-identical for any shard count*. Every node and link
+//! draws from its own PCG-32 stream derived from `(seed, entity id)`, so
+//! what an entity draws does not depend on how entities are grouped into
+//! shards. The event queue orders same-time events by a canonical *lane*
+//! (the link, node, flow or sender an event belongs to) before insertion
+//! order, and each lane is written by one shard only, so per-lane order
+//! is shard-count invariant and cross-lane ties resolve by lane id
+//! everywhere. And a control payload falls due one path delay after it
+//! is sent, whether or not it crosses shards.
 
 use crate::event::{EventHandle, EventQueue};
 use crate::fault::{FaultKind, FaultSchedule};
@@ -274,11 +232,9 @@ fn opened_by(node: NodeId, id: FlowId) -> bool {
 
 // Canonical lanes: a total order over same-time events that is identical
 // in every sharding. Links sort before nodes before flow timers before
-// flow control records. Control records get a lane class of their own
-// because they are written into the *peer's* queue: sharing a lane with
-// the locally-armed RTO events would let an exact-time RTO/abort tie
-// fall to insertion order, which barrier exchange changes with the
-// shard count.
+// flow control records. Control records get a lane class of their own,
+// apart from the RTO events of the same flow, so an exact-time RTO/abort
+// tie is ordered by lane class rather than by insertion order.
 /// Vec index for a dense shard number.
 #[inline]
 fn shard_idx(shard: u32) -> usize {
@@ -425,14 +381,28 @@ enum Event {
     },
 }
 
-/// A cross-shard handoff: an event for another shard's queue, exchanged
-/// at the next window barrier. The destination is implicit — remotes
-/// live in per-destination outbox lanes, so a whole `(src, dst)` batch
-/// moves under one lock with no per-record routing.
+/// A control payload from `src` due at `dst` at `time`. One bound for
+/// another shard waits in a per-destination outbox lane for the next
+/// window barrier, so a whole batch moves under one lock with no
+/// per-record routing.
 struct Remote {
     time: SimTime,
-    lane: u64,
-    event: Event,
+    src: NodeId,
+    dst: NodeId,
+    payload: Box<[u64]>,
+}
+
+impl Remote {
+    /// File the payload in `dst`'s queue, on its sender's lane: the one
+    /// place a payload becomes an event, on its own shard or another.
+    fn file(self, queue: &mut EventQueue<Event>) {
+        let event = Event::AppControl {
+            node: self.dst,
+            src: self.src,
+            payload: self.payload,
+        };
+        queue.push_lane(self.time, lane_app_ctl(self.src), event);
+    }
 }
 
 enum Notify {
@@ -510,15 +480,15 @@ pub struct World {
     progress_rx: Vec<FlowId>,
     notifies: VecDeque<Notify>,
     actions_scratch: Vec<FlowAction>,
-    /// Events bound for other shards, one lane per destination shard,
-    /// exchanged wholesale at the next barrier. The lanes live for the
-    /// whole run and keep their capacity, so the steady-state exchange
-    /// path allocates nothing.
+    /// Control payloads bound for other shards, one lane per destination
+    /// shard, exchanged wholesale at the next barrier. The lanes live for
+    /// the whole run and keep their capacity, so the steady-state
+    /// exchange path allocates nothing.
     outboxes: Vec<Vec<Remote>>,
     cross_shard_events: u64,
     /// Where the running window ends (exclusive). The shard loop opens
-    /// each window at the bound its peers impose; [`World::schedule`]
-    /// lowers it whenever this shard hands a peer an event.
+    /// each window at the bound its peers impose; [`Ctx::send_control`]
+    /// lowers it whenever this shard hands a peer a payload.
     limit: SimTime,
     /// Events this shard's loop has handled (load-balance diagnostics).
     events_processed: u64,
@@ -699,25 +669,23 @@ impl World {
         }
     }
 
-    /// Queue `event` for `to_shard` (locally, or via its outbox lane for
-    /// a barrier exchange). A handoff ends the running window where the
-    /// event falls due: until the next exchange no peer's `next` accounts
-    /// for it (module docs, "Sharded execution").
-    fn schedule(&mut self, time: SimTime, lane: u64, event: Event, to_shard: u32) {
-        if to_shard == self.shard {
-            self.queue.push_lane(time, lane, event);
-        } else {
-            self.cross_shard_events += 1;
-            self.limit = self.limit.min(time);
-            self.outboxes[shard_idx(to_shard)].push(Remote { time, lane, event });
-        }
+    /// Queue a packet or flow record for `node`, which this shard owns:
+    /// only control payloads cross shards (module docs, "Sharded
+    /// execution"), and only [`Ctx::send_control`] fills an outbox.
+    fn push_local(&mut self, time: SimTime, lane: u64, node: NodeId, event: Event) {
+        debug_assert_eq!(
+            self.shard_of(node),
+            self.shard,
+            "a packet or flow record for {node} left its shard"
+        );
+        self.queue.push_lane(time, lane, event);
     }
 
-    /// The latency of flow control records: the path's propagation delay.
-    /// It is at least the lookahead (the path crosses any shard boundary
-    /// through at least one cross-shard link) and strictly less than any
-    /// data byte's arrival (which also pays transmission time), so control
-    /// records always precede the data they describe, in every sharding.
+    /// The latency of flow records and control payloads: the path's
+    /// propagation delay. It is at least the lookahead whenever the path
+    /// crosses shards, and strictly less than any data byte's arrival
+    /// (which also pays transmission time), so flow records always
+    /// precede the data they describe.
     fn ctl_delay(&self, from: NodeId, to: NodeId) -> SimDuration {
         self.topology
             .path_delay(from, to)
@@ -732,7 +700,7 @@ impl World {
         assert_ne!(src, dst, "flows must connect distinct nodes");
         // Every flow record and packet of the flow then travels a
         // packet-capable route, so control-only links see nothing but
-        // `Ctx::send_control` payloads — what the data lookahead assumes.
+        // `Ctx::send_control` payloads and the flow stays on its shard.
         assert!(
             self.topology.carries_packets(src, dst) && self.topology.carries_packets(dst, src),
             "flow route {src} <-> {dst} crosses a control-only link"
@@ -748,16 +716,16 @@ impl World {
             },
         );
         let at = self.now + self.ctl_delay(src, dst);
-        self.schedule(
+        self.push_local(
             at,
             lane_ctl(id),
+            dst,
             Event::FlowOpen {
                 id,
                 src,
                 dst,
                 cfg: Box::new(cfg),
             },
-            self.shard_of(dst),
         );
         id
     }
@@ -914,14 +882,14 @@ impl World {
             return;
         }
         let at = self.now + self.ctl_delay(node, peer);
-        self.schedule(
+        self.push_local(
             at,
             lane_ctl(id),
+            peer,
             Event::FlowAbort {
                 id,
                 at_receiver: at_sender,
             },
-            self.shard_of(peer),
         );
         self.retire_half(id, !at_sender);
     }
@@ -959,11 +927,11 @@ impl World {
                 {
                     self.total_drops += 1;
                 } else {
-                    self.schedule(
+                    self.push_local(
                         self.now + delay,
                         lane_link(lid),
+                        dst,
                         Event::Arrive { node: dst, packet },
-                        self.shard_of(dst),
                     );
                 }
             }
@@ -1199,12 +1167,11 @@ impl<'a> Ctx<'a> {
             // Replicate the message boundary to the receiver half, one
             // propagation delay ahead of the data.
             let at = now + self.world.ctl_delay(self.node, dst);
-            let to = self.world.shard_of(dst);
-            self.world.schedule(
+            self.world.push_local(
                 at,
                 lane_ctl(flow),
+                dst,
                 Event::FlowBoundary { id: flow, end, tag },
-                to,
             );
         }
         self.world.apply_flow_actions(flow);
@@ -1320,15 +1287,13 @@ impl<'a> Ctx<'a> {
 
     /// Send an out-of-band control payload to the application on `dst`,
     /// delivered via [`App::on_control`] one routed path propagation
-    /// delay from now. Control payloads ride the same delayed-record
-    /// machinery as flow control (identical delay whether or not the
-    /// route crosses shards), so they preserve byte-identical
-    /// shard-count invariance — this is the lane replicated thinners
-    /// exchange bid digests over. Unlike flow records, a payload may
-    /// cross control-only links ([`LinkConfig::control_only`]), where the
-    /// sender's next event no longer bounds the receiver's window; its
-    /// declared quiet floor does instead, so sending is a checked
-    /// promise.
+    /// delay from now, whether or not the route crosses shards — this is
+    /// the lane replicated thinners exchange bid digests over. A payload
+    /// may cross control-only links ([`LinkConfig::control_only`]), and
+    /// it is the only thing that ever crosses a shard boundary: a payload
+    /// for another shard goes to that shard's outbox and ends the running
+    /// window at its arrival time. The sender's declared quiet floor is
+    /// what bounds the receiver's window, so sending is a checked promise.
     ///
     /// # Panics
     ///
@@ -1349,18 +1314,23 @@ impl<'a> Ctx<'a> {
                 "send_control from {src} at {now:?}, before its quiet floor {floor:?}"
             ),
         }
-        let at = now + self.world.ctl_delay(src, dst);
-        let to = self.world.shard_of(dst);
-        self.world.schedule(
-            at,
-            lane_app_ctl(src),
-            Event::AppControl {
-                node: dst,
-                src,
-                payload,
-            },
-            to,
-        );
+        let world = &mut *self.world;
+        let remote = Remote {
+            time: now + world.ctl_delay(src, dst),
+            src,
+            dst,
+            payload,
+        };
+        let to = world.shard_of(dst);
+        if to == world.shard {
+            remote.file(&mut world.queue);
+        } else {
+            // Until the next exchange no peer's `next` accounts for the
+            // hand-off, so the window ends where it falls due.
+            world.cross_shard_events += 1;
+            world.limit = world.limit.min(remote.time);
+            world.outboxes[shard_idx(to)].push(remote);
+        }
     }
 
     /// Promise that this node calls [`Ctx::send_control`] no earlier
@@ -1420,7 +1390,7 @@ struct Shard<S: AppSet> {
 pub struct WindowEnds {
     /// A peer's pending event could reach the shard at the bound.
     pub by_peer: u64,
-    /// The shard handed a peer an event that could reflect back.
+    /// The shard handed a peer a payload that could reflect back.
     pub by_own_send: u64,
     /// The run's end time came first.
     pub by_until: u64,
@@ -1700,119 +1670,75 @@ impl SpinBarrier {
     }
 }
 
-/// Sentinel for "these two shards can never hand each other an event".
+/// Sentinel for "these two shards can never hand each other a payload".
 const NO_INTERACTION: u64 = u64::MAX;
 
-/// A lookahead matrix entry as a delay, `None` for [`NO_INTERACTION`].
-fn some_delay(nanos: u64) -> Option<SimDuration> {
-    (nanos != NO_INTERACTION).then_some(SimDuration::from_nanos(nanos))
-}
-
-/// Pairwise conservative lookahead, two row-major `K × K` matrices of
-/// nanoseconds: `m[j * K + i]` bounds how soon shard `j` can hand shard
-/// `i` an event ([`NO_INTERACTION`] when it never can). Each is the
-/// min-plus closure of direct cross-shard link delays — `data` over the
-/// packet-capable links only, `all` over every link — so `data[j][i] >=
-/// all[j][i]`, with equality everywhere when no link is control-only.
-///
-/// What each closure lower-bounds: packets hop shard to shard over
-/// packet-capable links, and a flow control record (scheduled straight
-/// into the endpoint's queue at routed-path propagation delay) follows
-/// a route that [`World::open_flow`] checked to be packet-capable, so
-/// both pay at least `data`. An application control payload
-/// ([`Ctx::send_control`]) may cross any link and pays at least `all` —
-/// but leaves no earlier than its sender's declared quiet floor.
+/// Pairwise conservative lookahead: `d[j * K + i]`, in nanoseconds, is
+/// the least propagation delay of any route from a `j`-owned node to an
+/// `i`-owned one ([`NO_INTERACTION`] if none), the min-plus closure of
+/// direct cross-shard link delays (module docs, "Sharded execution").
 struct Lookahead {
     k: usize,
-    data: Vec<u64>,
-    all: Vec<u64>,
+    d: Vec<u64>,
 }
 
 impl Lookahead {
-    /// Build both matrices. Direct `j -> i` links seed them with their
-    /// propagation delays; Floyd–Warshall over the shard interaction
-    /// graph adds multi-hop distances. The diagonals are the minimum
-    /// echo cycles through peers; no window bound reads them (a shard's
-    /// own sends bound its window, see [`World::schedule`]).
+    /// Build the matrix, enforcing the island contract: every
+    /// cross-shard link is control-only, with a positive delay.
+    /// Floyd–Warshall closes the direct delays over multi-hop routes; the
+    /// diagonal (echo cycles through peers) is never read.
     fn new(topology: &Topology, assignment: &[u32], k: usize) -> Self {
-        let mut data = vec![NO_INTERACTION; k * k];
-        let mut all = vec![NO_INTERACTION; k * k];
+        let mut d = vec![NO_INTERACTION; k * k];
         for e in topology.edges() {
             let j = shard_idx(assignment[e.from.index()]);
             let i = shard_idx(assignment[e.to.index()]);
             if j != i {
+                assert!(
+                    e.cfg.control_only,
+                    "cross-shard link {} -> {} carries packets: shards may meet \
+                     only over control-only links",
+                    e.from, e.to
+                );
                 assert!(
                     e.cfg.delay > SimDuration::ZERO,
                     "cross-shard link {} -> {} has zero delay: no lookahead",
                     e.from,
                     e.to
                 );
-                let delay = e.cfg.delay.as_nanos();
-                all[j * k + i] = all[j * k + i].min(delay);
-                if !e.cfg.control_only {
-                    data[j * k + i] = data[j * k + i].min(delay);
-                }
+                d[j * k + i] = d[j * k + i].min(e.cfg.delay.as_nanos());
             }
         }
-        for la in [&mut data, &mut all] {
-            for m in 0..k {
-                for a in 0..k {
-                    for b in 0..k {
-                        let via = la[a * k + m].saturating_add(la[m * k + b]);
-                        if via < la[a * k + b] {
-                            la[a * k + b] = via;
-                        }
+        for m in 0..k {
+            for a in 0..k {
+                for b in 0..k {
+                    let via = d[a * k + m].saturating_add(d[m * k + b]);
+                    if via < d[a * k + b] {
+                        d[a * k + b] = via;
                     }
                 }
             }
         }
-        Lookahead { k, data, all }
-    }
-
-    /// The earliest shard `from`, idle until `act` and with control
-    /// quiet floor `floor`, can hand shard `to` an event, and whether
-    /// the floor (not `act`) decided it: a packet or flow record at
-    /// `act + data`, a control payload at `max(act, floor) + all`.
-    fn arrival(&self, from: usize, to: usize, act: u64, floor: u64) -> (u64, bool) {
-        let at = from * self.k + to;
-        let by_data = act.saturating_add(self.data[at]);
-        let by_control = act.max(floor).saturating_add(self.all[at]);
-        (by_data.min(by_control), by_control < by_data && floor > act)
+        Lookahead { k, d }
     }
 
     /// Where shard `i`'s window opens, given every shard's effective
-    /// next event `next` and control floor `floor`: the earliest arrival
-    /// from any peer, and whether a floor set it. `act` is scratch: each
-    /// peer's activation time, its own next event relaxed `K` times
-    /// through the other peers' arrivals — a data hop into a peer can
-    /// wake it before its own next event, and what it then sends
-    /// obeys *its* floor, not the waker's. Chains through `i` itself are
-    /// left out: what `i` hands over bounds it through
-    /// [`World::schedule`]. With no control-only link, or no floor
-    /// declared, the closures make every relaxation redundant and this
-    /// is `min over m of next[m] + all[m][i]`.
-    fn window_bound(&self, i: usize, next: &[u64], floor: &[u64], act: &mut [u64]) -> (u64, bool) {
-        act.copy_from_slice(next);
-        for _ in 0..self.k {
-            let mut moved = false;
-            for m in (0..self.k).filter(|&m| m != i) {
-                for p in (0..self.k).filter(|&p| p != i && p != m) {
-                    let (t, _) = self.arrival(p, m, act[p], floor[p]);
-                    if t < act[m] {
-                        act[m] = t;
-                        moved = true;
-                    }
-                }
-            }
-            if !moved {
-                break;
-            }
-        }
+    /// next event `next` and control floor `floor`, and whether a floor
+    /// (not a next event) set it: `min over m ≠ i of max(next[m],
+    /// floor[m]) + d[m][i]`.
+    ///
+    /// A peer woken early by a third shard needs no term of its own. Say
+    /// `p` hands `m` a payload and `m` then sends to `i`: that reply
+    /// arrives no earlier than `max(next_p, floor_p) + d[p][m] +
+    /// d[m][i]`, which is at least `p`'s own term `max(next_p, floor_p)
+    /// + d[p][i]` by the closure's triangle inequality. Chains through
+    /// `i` itself are left out: what `i` hands over bounds it through
+    /// [`Ctx::send_control`].
+    fn window_bound(&self, i: usize, next: &[u64], floor: &[u64]) -> (u64, bool) {
         let mut bound = (u64::MAX, false);
         for m in (0..self.k).filter(|&m| m != i) {
-            let arrival = self.arrival(m, i, act[m], floor[m]);
-            if arrival.0 < bound.0 {
-                bound = arrival;
+            let at = next[m].max(floor[m]).saturating_add(self.d[m * self.k + i]);
+            if at < bound.0 {
+                bound = (at, floor[m] > next[m]);
             }
         }
         bound
@@ -1845,7 +1771,7 @@ pub struct Simulator<S: AppSet = Box<dyn App>> {
 /// buffer, what it published for the window exchange, and its progress
 /// counters for whichever shard's watchdog fires (hence atomics).
 struct ShardPort {
-    /// Events peers handed this shard, appended before a window's
+    /// Payloads peers handed this shard, appended before a window's
     /// barrier (or, by a peer already a window ahead, after it) and
     /// drained by the owner after it.
     inbox: Mutex<Vec<Remote>>,
@@ -1871,7 +1797,7 @@ struct Published {
     next: AtomicU64,
     /// Its control quiet floor ([`World::control_floor_min`]).
     floor: AtomicU64,
-    /// Per destination shard, the earliest event it handed over in this
+    /// Per destination shard, the earliest payload it handed over in this
     /// exchange (`u64::MAX` for none): the receiver's `next` predates
     /// the hand-off, so peers take the minimum of the two.
     handoffs: Vec<AtomicU64>,
@@ -1905,8 +1831,14 @@ impl Simulator {
     /// Create a simulator whose node population is split across shard
     /// event loops: `assignment[node]` names the shard owning each node
     /// (shard ids must be dense, `0..K`). Results are byte-identical for
-    /// every assignment; see the module docs for the mechanism. Panics if
-    /// any cross-shard link has zero propagation delay (no lookahead).
+    /// every assignment; see the module docs for the mechanism.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless every link between two shards is
+    /// [control-only](crate::link::LinkConfig::control_only) with a
+    /// positive propagation delay: shards are islands that exchange
+    /// control payloads and nothing else, at least one lookahead apart.
     pub fn new_sharded(topology: Topology, seed: u64, assignment: Vec<u32>) -> Self {
         Self::new_sharded_slots(topology, seed, assignment)
     }
@@ -2007,28 +1939,7 @@ impl<S: AppSet> Simulator<S> {
         self.shards.len()
     }
 
-    /// The tightest conservative lookahead over all shard pairs and
-    /// every kind of link (diagnostics). `SimDuration` max when nothing
-    /// ever crosses.
-    pub fn lookahead(&self) -> SimDuration {
-        SimDuration::from_nanos(
-            self.lookahead
-                .all
-                .iter()
-                .copied()
-                .min()
-                .unwrap_or(NO_INTERACTION),
-        )
-    }
-
-    /// The conservative lookahead from shard `from` to shard `to` over
-    /// every kind of link: `None` when `from` can never hand `to` an
-    /// event.
-    pub fn lookahead_between(&self, from: u32, to: u32) -> Option<SimDuration> {
-        some_delay(self.lookahead.all[shard_idx(from) * self.shards.len() + shard_idx(to)])
-    }
-
-    /// Total events handed across shard boundaries so far.
+    /// Total control payloads handed across shard boundaries so far.
     pub fn cross_shard_events(&self) -> u64 {
         self.shards.iter().map(|s| s.world.cross_shard_events).sum()
     }
@@ -2124,11 +2035,6 @@ impl<S: AppSet> Simulator<S> {
         &self.shards[0].world
     }
 
-    /// Read access to the world shard owning `node`.
-    pub fn world_of(&self, node: NodeId) -> &World {
-        &self.shards[shard_idx(self.assignment[node.index()])].world
-    }
-
     /// Downcast the application on `node` to a concrete type.
     pub fn app<T: App>(&self, node: NodeId) -> Option<&T> {
         let shard = shard_idx(self.assignment[node.index()]);
@@ -2154,10 +2060,6 @@ impl<S: AppSet> Simulator<S> {
         if self.shards.len() == 1 {
             let shard = &mut self.shards[0];
             shard.start_apps();
-            debug_assert!(
-                shard.world.outboxes.iter().all(Vec::is_empty),
-                "single shard has no peers"
-            );
             // `t <= until` is `t < until + 1ns`; the add saturates, so
             // `until = MAX` is no bound (an event at exactly `u64::MAX`
             // ns is unreachable either way).
@@ -2240,20 +2142,22 @@ impl<S: AppSet> Simulator<S> {
                         format!("{:?}", SimTime::from_nanos(nanos))
                     }
                 };
-                let delay_or_dash =
-                    |nanos| some_delay(nanos).map_or("-".to_string(), |d| format!("{d:?}"));
                 eprintln!("barrier watchdog: shard {i} saw no peer progress within the deadline");
                 for (j, port) in ports.iter().enumerate() {
                     let published = &port.published[port.latest.load(Ordering::SeqCst)];
+                    let delay = lookahead.d[j * n + i];
                     eprintln!(
                         "  shard {j}: next_event={} control_floor={} window_end={:?} events={} \
-                         lookahead[{j}->{i}]: data={} all={}",
+                         lookahead[{j}->{i}]={}",
                         time_or(published.next.load(Ordering::SeqCst), "idle"),
                         time_or(published.floor.load(Ordering::SeqCst), "none"),
                         SimTime::from_nanos(port.window_end.load(Ordering::SeqCst)),
                         port.events.load(Ordering::SeqCst),
-                        delay_or_dash(lookahead.data[j * n + i]),
-                        delay_or_dash(lookahead.all[j * n + i]),
+                        if delay == NO_INTERACTION {
+                            "-".to_string()
+                        } else {
+                            format!("{:?}", SimDuration::from_nanos(delay))
+                        },
                     );
                 }
                 panic!("barrier watchdog expired — a peer shard stopped advancing");
@@ -2273,21 +2177,15 @@ impl<S: AppSet> Simulator<S> {
     ) {
         let k = ports.len();
         shard.start_apps();
-        // Every shard's effective next event and floor for the window at
-        // hand, plus the bound computation's scratch.
+        // Every shard's effective next event and floor for this window.
         let mut next = vec![u64::MAX; k];
         let mut floor = vec![u64::MAX; k];
-        let mut act = vec![u64::MAX; k];
         let mut parity = 0;
         loop {
-            // Before the barrier: hand over this window's cross-shard
-            // events and publish what peers need to bound the next one.
-            // The outbox is already partitioned per destination (one
-            // lane per peer shard, filled by `World::schedule`), so each
-            // non-empty batch moves under a single lock acquisition — no
-            // per-record sends, no re-partitioning scratch. Send order
-            // is preserved; the receiving queue canonicalizes order
-            // across sources by lane.
+            // Before the barrier: hand over this window's payloads, one
+            // lock per non-empty outbox lane, and publish what peers need
+            // to bound the next window. The receiving queue orders
+            // payloads from different senders by lane.
             let mine = &ports[i].published[parity];
             for (dest, port) in ports.iter().enumerate() {
                 let outbox = &mut shard.world.outboxes[dest];
@@ -2310,23 +2208,21 @@ impl<S: AppSet> Simulator<S> {
                 return;
             }
 
-            // After it: absorb incoming events. The assert is the
-            // conservative guarantee: nothing arrives earlier than the
-            // clock a shard has already committed to. A peer that left
-            // the barrier first may already have appended its *next*
-            // batch; those events lie at or beyond this window's limit
-            // (they are what the bound below guards against), pass the
-            // same assert, and are published again next time round.
+            // After it: absorb incoming payloads, none earlier than the
+            // clock this shard has committed to. A peer that left the
+            // barrier first may already have appended its *next* batch:
+            // it lies at or beyond this window's limit, passes the same
+            // assert, and is published again next time round.
             {
                 let mut inbox = ports[i].inbox.lock().expect("inbox poisoned");
                 for r in inbox.drain(..) {
                     assert!(
                         r.time >= shard.world.now,
-                        "lookahead violation: event at {:?} delivered at {:?}",
+                        "lookahead violation: payload at {:?} delivered at {:?}",
                         r.time,
                         shard.world.now
                     );
-                    shard.world.queue.push_lane(r.time, r.lane, r.event);
+                    r.file(&mut shard.world.queue);
                 }
             }
             // Every shard derives the same picture from the published
@@ -2346,11 +2242,9 @@ impl<S: AppSet> Simulator<S> {
             if next.iter().all(|&t| t > until.as_nanos()) {
                 break;
             }
-            // This shard's window opens where the earliest event a
-            // *peer* could hand it falls due. Its own events bound
-            // nothing up front: `World::schedule` lowers the limit when
-            // it hands one over.
-            let (bound, by_floor) = lookahead.window_bound(i, &next, &floor, &mut act);
+            // The window opens where a *peer's* earliest payload could
+            // land; `Ctx::send_control` lowers it on each own hand-off.
+            let (bound, by_floor) = lookahead.window_bound(i, &next, &floor);
             let opened = SimTime::from_nanos(bound).min(until + SimDuration::from_nanos(1));
             shard.world.limit = opened;
             ports[i]
@@ -2702,113 +2596,141 @@ mod tests {
 
     // ------------------------------------------------------- sharding
 
-    /// A star: `leaves` clients around a hub, each uploading to a
-    /// receiver app on the hub, with per-leaf byte counts.
-    fn star(leaves: usize) -> (Topology, NodeId, Vec<NodeId>) {
+    /// A star: `leaves` nodes around a hub, leaf `i` on a 2 Mbit/s link
+    /// of `2 + i` ms — packet-capable, or control-only so that every node
+    /// may sit on a shard of its own.
+    fn star(leaves: usize, control_only: bool) -> (Topology, NodeId, Vec<NodeId>) {
         let mut b = TopologyBuilder::new();
         let hub = b.node();
         let mut nodes = Vec::new();
         for i in 0..leaves {
             let n = b.node();
+            let link = LinkConfig::new(2_000_000, SimDuration::from_millis(2 + i as u64));
             b.duplex(
                 n,
                 hub,
-                LinkConfig::new(2_000_000, SimDuration::from_millis(2 + i as u64)),
+                if control_only {
+                    link.control_only()
+                } else {
+                    link
+                },
             );
             nodes.push(n);
         }
         (b.build(), hub, nodes)
     }
 
-    /// (message arrivals at the hub, per-leaf drain times, cross-shard
-    /// event count)
-    type StarOutcome = (Vec<(SimTime, FlowId, u64)>, Vec<Option<SimTime>>, u64);
+    /// `n` islands `(a_i, b_i)`, each pair joined by a packet-capable
+    /// 2 Mbit/s link of `2 + i` ms, and every two `b`s by a 1 ms
+    /// control-only link, so each island may have a shard of its own
+    /// ([`island_shards`]). Nodes are numbered `a_0, b_0, a_1, b_1, …`.
+    fn islands(n: usize) -> (Topology, Vec<(NodeId, NodeId)>) {
+        let mut tb = TopologyBuilder::new();
+        let pairs: Vec<_> = (0..n)
+            .map(|i| {
+                let (a, b) = (tb.node(), tb.node());
+                let link = LinkConfig::new(2_000_000, SimDuration::from_millis(2 + i as u64));
+                tb.duplex(a, b, link);
+                (a, b)
+            })
+            .collect();
+        let mesh = LinkConfig::new(1_000_000_000, SimDuration::from_millis(1)).control_only();
+        for i in 0..n {
+            for j in i + 1..n {
+                tb.duplex(pairs[i].1, pairs[j].1, mesh);
+            }
+        }
+        (tb.build(), pairs)
+    }
 
-    fn run_star(assignment: Option<Vec<u32>>, seed: u64) -> StarOutcome {
-        let (t, hub, leaves) = star(4);
-        let mut sim = match assignment {
-            None => Simulator::new(t, seed),
-            Some(a) => Simulator::new_sharded(t, seed, a),
-        };
-        for (i, &n) in leaves.iter().enumerate() {
+    /// The node assignment that puts island `i` of [`islands`] on shard
+    /// `shard_of[i]`.
+    fn island_shards(shard_of: &[u32]) -> Vec<u32> {
+        shard_of.iter().flat_map(|&s| [s, s]).collect()
+    }
+
+    /// (each sender's drain time, the payloads each receiver heard,
+    /// cross-shard payload count)
+    type IslandOutcome = (
+        Vec<Option<SimTime>>,
+        Vec<Vec<(SimTime, NodeId, Vec<u64>)>>,
+        u64,
+    );
+
+    /// Four [`islands`], `a_i` uploading `100 kB × (i + 1)` to `b_i`
+    /// while every `b` publishes to the next island's every 5 ms, run
+    /// for 5 s with island `i` on shard `shard_of[i]`.
+    fn run_islands(shard_of: &[u32]) -> IslandOutcome {
+        let (t, pairs) = islands(4);
+        let mut sim = Simulator::new_sharded(t, 11, island_shards(shard_of));
+        for (i, &(a, b)) in pairs.iter().enumerate() {
             sim.add_app(
-                n,
+                a,
                 Box::new(Sender {
-                    dst: hub,
+                    dst: b,
                     bytes: 100_000 * (i as u64 + 1),
                     flow: None,
                     drained_at: None,
                 }),
             );
+            let next = pairs[(i + 1) % pairs.len()].1;
+            sim.add_app(b, Beacon::new(next, SimDuration::from_millis(1), 5));
         }
-        sim.add_app(hub, Box::new(Receiver::default()));
-        sim.run_until(SimTime::from_secs(20));
-        let got = sim
-            .app::<Receiver>(hub)
-            .expect("invariant: Receiver installed on hub")
-            .got
-            .clone();
-        let drains = leaves
+        sim.run_until(SimTime::from_secs(5));
+        let drains = pairs
             .iter()
-            .map(|&n| {
-                sim.app::<Sender>(n)
-                    .expect("invariant: Sender installed on every leaf")
+            .map(|&(a, _)| {
+                sim.app::<Sender>(a)
+                    .expect("invariant: Sender installed on every a")
                     .drained_at
             })
             .collect();
-        (got, drains, sim.cross_shard_events())
+        let heard = pairs
+            .iter()
+            .map(|&(_, b)| {
+                sim.app::<Beacon>(b)
+                    .expect("invariant: Beacon installed on every b")
+                    .got
+                    .clone()
+            })
+            .collect();
+        (drains, heard, sim.cross_shard_events())
     }
 
     #[test]
     fn sharded_run_matches_single_shard_exactly() {
-        // hub + 4 leaves: single shard vs 3 shards (hub alone on 0).
-        let single = run_star(None, 11);
-        let sharded = run_star(Some(vec![0, 1, 1, 2, 2]), 11);
-        assert_eq!(single.0, sharded.0, "message arrival timelines differ");
-        assert_eq!(single.1, sharded.1, "drain times differ");
+        // Each island runs its own TCP upload while the islands trade
+        // control payloads: a shard per island must reproduce one loop.
+        let single = run_islands(&[0, 0, 0, 0]);
+        let sharded = run_islands(&[0, 1, 2, 3]);
+        assert!(single.0.iter().all(Option::is_some), "every upload drained");
+        assert!(
+            single.1.iter().all(|got| got.len() >= 900),
+            "payloads flowed"
+        );
+        assert_eq!(single.0, sharded.0, "drain times differ");
+        assert_eq!(single.1, sharded.1, "payload timelines differ");
         assert_eq!(single.2, 0, "single shard crosses no boundary");
-        assert!(sharded.2 > 0, "sharded run must exchange events");
+        assert_eq!(sharded.2, 4 * 1000, "every payload crossed");
     }
 
     #[test]
     fn shard_count_does_not_change_results() {
-        // Every split of the same population agrees.
-        let a = run_star(Some(vec![0, 1, 1, 1, 1]), 23);
-        let b = run_star(Some(vec![0, 1, 2, 3, 4]), 23);
-        let c = run_star(Some(vec![0, 0, 1, 0, 1]), 23);
-        assert_eq!(a.0, b.0);
-        assert_eq!(a.0, c.0);
-        assert_eq!(a.1, b.1);
-        assert_eq!(a.1, c.1);
+        // Every grouping of the same islands onto shards agrees.
+        let one = run_islands(&[0, 0, 0, 0]);
+        let a = run_islands(&[0, 1, 1, 1]);
+        let b = run_islands(&[0, 1, 0, 1]);
+        let c = run_islands(&[1, 0, 2, 0]);
+        assert_eq!((&one.0, &one.1), (&a.0, &a.1));
+        assert_eq!((&one.0, &one.1), (&b.0, &b.1));
+        assert_eq!((&one.0, &one.1), (&c.0, &c.1));
     }
 
     #[test]
-    fn lookahead_is_min_cross_shard_delay_and_never_early() {
-        let (t, hub, leaves) = star(4);
-        // Leaves on shard 1: cross-shard delays are 2..5 ms, lookahead 2 ms.
-        let mut sim = Simulator::new_sharded(t, 9, vec![0, 1, 1, 1, 1]);
-        assert_eq!(sim.lookahead(), SimDuration::from_millis(2));
-        for &n in &leaves {
-            sim.add_app(
-                n,
-                Box::new(Sender {
-                    dst: hub,
-                    bytes: 50_000,
-                    flow: None,
-                    drained_at: None,
-                }),
-            );
-        }
-        sim.add_app(hub, Box::new(Receiver::default()));
-        // The engine asserts on every barrier exchange that no event is
-        // delivered before the receiving shard's clock; a violation
-        // panics the run.
-        sim.run_until(SimTime::from_secs(10));
-        assert!(sim.cross_shard_events() > 0);
-        let rx = sim
-            .app::<Receiver>(hub)
-            .expect("invariant: Receiver installed on hub");
-        assert_eq!(rx.got.len(), 4, "all uploads completed");
+    #[should_panic(expected = "carries packets")]
+    fn new_sharded_rejects_a_packet_capable_cross_shard_link() {
+        let (t, _, _) = star(2, false);
+        Simulator::new_sharded(t, 1, vec![0, 0, 1]);
     }
 
     #[test]
@@ -2823,95 +2745,99 @@ mod tests {
                 panic!("app exploded");
             }
         }
-        let (t, hub, leaves) = star(4);
-        let mut sim = Simulator::new_sharded(t, 5, vec![0, 1, 2, 1, 2]);
-        sim.add_app(leaves[0], Box::new(Bomb));
-        for &n in &leaves[1..] {
-            sim.add_app(
-                n,
-                Box::new(Sender {
-                    dst: hub,
-                    bytes: 100_000,
-                    flow: None,
-                    drained_at: None,
-                }),
-            );
-        }
-        sim.add_app(hub, Box::new(Receiver::default()));
+        // Three islands whose receivers publish round the mesh every
+        // 10 ms, so the shards meet at a barrier each period; island 0's
+        // sender explodes while the other two are mid-upload.
+        let run = |assignment: Vec<u32>| {
+            let (t, pairs) = islands(3);
+            let mut sim = Simulator::new_sharded(t, 5, assignment);
+            for (i, &(a, b)) in pairs.iter().enumerate() {
+                if i == 0 {
+                    sim.add_app(a, Box::new(Bomb));
+                } else {
+                    sim.add_app(
+                        a,
+                        Box::new(Sender {
+                            dst: b,
+                            bytes: 100_000,
+                            flow: None,
+                            drained_at: None,
+                        }),
+                    );
+                }
+                let next = pairs[(i + 1) % pairs.len()].1;
+                sim.add_app(b, Beacon::new(next, SimDuration::from_millis(1), 10));
+            }
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                sim.run_until(SimTime::from_secs(5));
+            }))
+            .expect_err("the bomb goes off")
+        };
+        let single = run(island_shards(&[0, 0, 0]));
         // Without barrier poisoning the surviving shards would park
-        // forever and this test would hang rather than panic.
-        sim.run_until(SimTime::from_secs(5));
+        // forever and this would hang rather than return.
+        let sharded = run(island_shards(&[0, 1, 2]));
+        assert_eq!(
+            single.downcast_ref::<&str>(),
+            sharded.downcast_ref::<&str>()
+        );
+        std::panic::resume_unwind(sharded);
     }
 
     #[test]
     fn pairwise_lookahead_closes_over_shard_hops_and_echo_cycles() {
-        let (t, _hub, _leaves) = star(4);
+        let ms = SimDuration::from_millis;
+        let delay = |sim: &Simulator, from: usize, to: usize| {
+            let d = sim.lookahead.d[from * sim.num_shards() + to];
+            (d != NO_INTERACTION).then(|| SimDuration::from_nanos(d))
+        };
         // Shard 0 = hub; shard 1 = leaves with 2/3 ms links; shard 2 =
         // leaves with 4/5 ms links.
+        let (t, _, _) = star(4, true);
         let sim = Simulator::new_sharded(t, 1, vec![0, 1, 1, 2, 2]);
-        let ms = SimDuration::from_millis;
-        assert_eq!(sim.lookahead_between(1, 0), Some(ms(2)));
-        assert_eq!(sim.lookahead_between(0, 1), Some(ms(2)));
-        assert_eq!(sim.lookahead_between(2, 0), Some(ms(4)));
+        assert_eq!(delay(&sim, 1, 0), Some(ms(2)));
+        assert_eq!(delay(&sim, 0, 1), Some(ms(2)));
+        assert_eq!(delay(&sim, 2, 0), Some(ms(4)));
         // No direct links between the leaf shards: the closure routes
         // their distance through the hub shard.
-        assert_eq!(sim.lookahead_between(1, 2), Some(ms(6)));
-        assert_eq!(sim.lookahead_between(2, 1), Some(ms(6)));
+        assert_eq!(delay(&sim, 1, 2), Some(ms(6)));
+        assert_eq!(delay(&sim, 2, 1), Some(ms(6)));
         // Diagonals are echo cycles (out through a peer and back), not
         // zero — a closure fact only: no window bound reads them.
-        assert_eq!(sim.lookahead_between(0, 0), Some(ms(4)));
-        assert_eq!(sim.lookahead_between(1, 1), Some(ms(4)));
-        assert_eq!(sim.lookahead_between(2, 2), Some(ms(8)));
-        // The legacy scalar accessor still reports the tightest bound.
-        assert_eq!(sim.lookahead(), ms(2));
-        // Every link carries packets, so the data closure is the same.
-        assert_eq!(sim.lookahead.data, sim.lookahead.all);
+        assert_eq!(delay(&sim, 0, 0), Some(ms(4)));
+        assert_eq!(delay(&sim, 1, 1), Some(ms(4)));
+        assert_eq!(delay(&sim, 2, 2), Some(ms(8)));
         // Single-shard simulations have no cross-shard constraint.
-        let (t, _, _) = star(2);
-        let single = Simulator::new(t, 1);
-        assert_eq!(single.lookahead_between(0, 0), None);
+        let (t, _, _) = star(2, false);
+        assert_eq!(delay(&Simulator::new(t, 1), 0, 0), None);
 
-        // a <-1ms-> b packet-capable, b <-2ms-> c and a <-9ms-> c
-        // control-only, a shard each: packets and flow records reach
-        // only as far as the packet-capable links go; control payloads
-        // take the shorter way round.
+        // a <-1 ms-> b, b <-2 ms-> c and a <-9 ms-> c, a shard each: the
+        // closure takes the shorter way round, through the third shard.
         let mut tb = TopologyBuilder::new();
         let (a, b, c) = (tb.node(), tb.node(), tb.node());
-        tb.duplex(a, b, LinkConfig::new(2_000_000, ms(1)));
-        tb.duplex(b, c, LinkConfig::new(2_000_000, ms(2)).control_only());
-        tb.duplex(a, c, LinkConfig::new(2_000_000, ms(9)).control_only());
+        let link = |d| LinkConfig::new(2_000_000, ms(d)).control_only();
+        tb.duplex(a, b, link(1));
+        tb.duplex(b, c, link(2));
+        tb.duplex(a, c, link(9));
         let sim = Simulator::new_sharded(tb.build(), 1, vec![0, 1, 2]);
-        let data = |from: usize, to: usize| some_delay(sim.lookahead.data[from * 3 + to]);
-        assert_eq!(data(0, 1), Some(ms(1)));
-        assert_eq!(data(1, 0), Some(ms(1)));
-        assert_eq!(data(0, 0), Some(ms(2)), "echo through b");
-        for (from, to) in [(0, 2), (2, 0), (1, 2), (2, 1), (2, 2)] {
-            assert_eq!(data(from, to), None, "no packet route {from} -> {to}");
-        }
-        assert_eq!(sim.lookahead_between(1, 2), Some(ms(2)));
-        assert_eq!(
-            sim.lookahead_between(0, 2),
-            Some(ms(3)),
-            "via b, not the 9 ms link"
-        );
-        assert_eq!(sim.lookahead_between(2, 2), Some(ms(4)));
+        assert_eq!(delay(&sim, 1, 2), Some(ms(2)));
+        assert_eq!(delay(&sim, 0, 2), Some(ms(3)), "via b, not the 9 ms link");
+        assert_eq!(delay(&sim, 0, 0), Some(ms(2)), "echo through b");
+        assert_eq!(delay(&sim, 2, 2), Some(ms(4)));
     }
 
     // ------------------------------------------------- window bounds
 
     #[test]
     fn a_shard_that_sends_nothing_runs_in_one_window() {
-        // Leaves tick local 1 ms timers on shard 1; the hub, alone on shard
-        // 0, has no app. Nothing is ever handed across, so no echo can
-        // exist: the leaf shard owes no barrier (a static echo-cycle
-        // bound stopped it every 4 ms, 500 times over) and the idle hub
-        // bounds nothing.
-        let run = |assignment: Option<Vec<u32>>| {
-            let (t, _hub, leaves) = star(4);
-            let mut sim = match assignment {
-                None => Simulator::new(t, 3),
-                Some(a) => Simulator::new_sharded(t, 3, a),
-            };
+        // Leaves tick local 1 ms timers on shard 1; the hub, alone on
+        // shard 0, ticks too but declares a quiet floor past the end of
+        // the run. Neither side can hand the other anything before the
+        // run is over, so each runs to the end in one window: a busy
+        // peer bounds nothing that its floor does not.
+        let run = |assignment: Vec<u32>| {
+            let (t, hub, leaves) = star(4, true);
+            let mut sim = Simulator::new_sharded(t, 3, assignment);
             for &n in &leaves {
                 sim.add_app(
                     n,
@@ -2922,6 +2848,10 @@ mod tests {
                     }),
                 );
             }
+            sim.add_app(
+                hub,
+                Beacon::new(leaves[0], SimDuration::from_millis(1), 5_000),
+            );
             sim.run_until(SimTime::from_secs(2));
             let fired: Vec<_> = leaves
                 .iter()
@@ -2934,104 +2864,65 @@ mod tests {
                 .collect();
             (fired, sim.cross_shard_events(), sim.window_ends())
         };
-        let single = run(None);
-        let sharded = run(Some(vec![0, 1, 1, 1, 1]));
+        let single = run(vec![0; 5]);
+        let sharded = run(vec![0, 1, 1, 1, 1]);
         assert_eq!(single.0, sharded.0, "tick timelines differ");
         assert_eq!(single.0[0].len(), 2000);
         assert_eq!(sharded.1, 0, "nothing crossed");
-        // One window, counted once per shard: the leaves ran to the end
-        // of the run, the hub opened at the leaves' first tick + 2 ms.
+        // One window, counted once per shard.
         let one_each = WindowEnds {
-            by_peer: 1,
-            by_own_send: 0,
-            by_until: 1,
-            by_floor: 0,
+            by_until: 2,
+            ..WindowEnds::default()
         };
         assert_eq!(sharded.2, one_each);
-    }
-
-    /// Uploads to `dst` at start (a handoff made before the first
-    /// exchange when `dst` is on another shard) and records what it
-    /// receives.
-    struct RingPeer {
-        dst: NodeId,
-        got: Vec<(SimTime, FlowId, u64)>,
-        drained_at: Option<SimTime>,
-    }
-    impl App for RingPeer {
-        fn start(&mut self, ctx: &mut Ctx) {
-            let f = ctx.open_default_flow(self.dst);
-            ctx.send(f, 200_000, 7);
-        }
-        fn on_message(&mut self, ctx: &mut Ctx, flow: FlowId, tag: u64) {
-            self.got.push((ctx.now(), flow, tag));
-        }
-        fn on_flow_drained(&mut self, ctx: &mut Ctx, _flow: FlowId) {
-            self.drained_at = Some(ctx.now());
-        }
     }
 
     #[test]
     fn three_shard_ring_with_unequal_delays_matches_single_shard() {
         // a -> b is 1 ms, but b's direct link back takes 10 ms: the
         // shortest way anything a hands b can come back is b -> c -> a
-        // (2 ms), through a third shard. Every node uploads to the next
-        // one round the ring, so all three shards end windows on their
-        // own sends while ACKs and data take the long and short ways.
-        let run = |assignment: Option<Vec<u32>>| {
+        // (2 ms), through a third shard. Each node publishes to the next
+        // one round the ring on a period of its own (3, 5 and 7 ms), so
+        // a payload often falls due before its sender's window would
+        // have ended: all three shards end windows on their own sends.
+        let run = |assignment: Vec<u32>| {
             let mut tb = TopologyBuilder::new();
             let (a, b, c) = (tb.node(), tb.node(), tb.node());
             let ms = SimDuration::from_millis;
-            tb.link(a, b, LinkConfig::new(2_000_000, ms(1)));
-            tb.link(b, a, LinkConfig::new(2_000_000, ms(10)));
-            tb.duplex(b, c, LinkConfig::new(2_000_000, ms(1)));
-            tb.duplex(c, a, LinkConfig::new(2_000_000, ms(1)));
-            let t = tb.build();
-            let mut sim = match assignment {
-                None => Simulator::new(t, 17),
-                Some(a) => Simulator::new_sharded(t, 17, a),
-            };
-            for (n, dst) in [(a, b), (b, c), (c, a)] {
-                sim.add_app(
-                    n,
-                    Box::new(RingPeer {
-                        dst,
-                        got: Vec::new(),
-                        drained_at: None,
-                    }),
-                );
+            let link = |d| LinkConfig::new(2_000_000, ms(d)).control_only();
+            tb.link(a, b, link(1));
+            tb.link(b, a, link(10));
+            tb.duplex(b, c, link(1));
+            tb.duplex(c, a, link(1));
+            let mut sim = Simulator::new_sharded(tb.build(), 17, assignment);
+            for (n, dst, every) in [(a, b, 3), (b, c, 5), (c, a, 7)] {
+                sim.add_app(n, Beacon::new(dst, ms(1), every));
             }
             if sim.num_shards() == 3 {
-                assert_eq!(
-                    sim.lookahead_between(1, 0),
-                    Some(ms(2)),
-                    "closed, not direct"
-                );
-                assert_eq!(sim.lookahead_between(0, 1), Some(ms(1)));
+                let d = |from: usize, to: usize| sim.lookahead.d[from * 3 + to];
+                assert_eq!(d(1, 0), ms(2).as_nanos(), "closed, not direct");
+                assert_eq!(d(0, 1), ms(1).as_nanos());
             }
-            sim.run_until(SimTime::from_secs(10));
-            let outcome: Vec<_> = [a, b, c]
+            sim.run_until(SimTime::from_secs(1));
+            let got: Vec<_> = [a, b, c]
                 .iter()
                 .map(|&n| {
-                    let p = sim
-                        .app::<RingPeer>(n)
-                        .expect("invariant: RingPeer installed on every node");
-                    (p.got.clone(), p.drained_at)
+                    sim.app::<Beacon>(n)
+                        .expect("invariant: Beacon installed on every node")
+                        .got
+                        .clone()
                 })
                 .collect();
-            (outcome, sim.window_ends())
+            (got, sim.window_ends())
         };
-        let single = run(None);
-        let ring = run(Some(vec![0, 1, 2]));
+        let single = run(vec![0; 3]);
+        let ring = run(vec![0, 1, 2]);
         assert!(
-            single
-                .0
-                .iter()
-                .all(|(got, drained)| got.len() == 1 && drained.is_some()),
-            "every upload completed"
+            single.0.iter().all(|got| got.len() >= 100),
+            "every node heard its neighbour"
         );
         assert_eq!(single.0, ring.0, "K = 3 must equal K = 1");
-        assert!(ring.1.by_own_send > 0, "handoffs ended windows");
+        assert!(ring.1.by_own_send > 0, "hand-offs ended windows");
     }
 
     #[test]
@@ -3157,7 +3048,7 @@ mod tests {
                     b.duplex(
                         n,
                         hub,
-                        LinkConfig::new(2_000_000, SimDuration::from_millis(3)),
+                        LinkConfig::new(2_000_000, SimDuration::from_millis(3)).control_only(),
                     );
                     n
                 })
@@ -3419,86 +3310,6 @@ mod tests {
         sim.run_until(SimTime::from_secs(1));
     }
 
-    /// Forwards what it hears on flows to `to` as control payloads, at
-    /// most one per `quiet`: messages arriving before its floor are
-    /// counted into the next payload.
-    struct Relay {
-        to: NodeId,
-        quiet: SimDuration,
-        floor: SimTime,
-        held: u64,
-    }
-    impl App for Relay {
-        fn start(&mut self, ctx: &mut Ctx) {
-            ctx.control_quiet_until(self.floor);
-        }
-        fn on_message(&mut self, ctx: &mut Ctx, _flow: FlowId, tag: u64) {
-            self.held += 1;
-            if ctx.now() >= self.floor {
-                ctx.send_control(self.to, vec![tag, self.held].into_boxed_slice());
-                self.held = 0;
-                self.floor = ctx.now() + self.quiet;
-                ctx.control_quiet_until(self.floor);
-            }
-        }
-    }
-
-    #[test]
-    fn a_data_hop_into_a_control_relay_matches_single_shard() {
-        // a —packets→ b —control only→ c, a shard each. b owns no timer:
-        // only a's traffic wakes it, so c's bound has to come from *a's*
-        // next event relaxed through b — and from b's floor whenever
-        // that is later. With `quiet` zero b forwards the moment a
-        // message lands (the relaxation alone keeps c behind it); with
-        // 40 ms between payloads the floor lets c run ahead of busy a.
-        let run = |assignment: Option<Vec<u32>>, quiet_ms: u64| {
-            let mut tb = TopologyBuilder::new();
-            let (a, b, c) = (tb.node(), tb.node(), tb.node());
-            let ms = SimDuration::from_millis;
-            tb.duplex(a, b, LinkConfig::new(2_000_000, ms(1)));
-            tb.duplex(b, c, LinkConfig::new(2_000_000, ms(2)).control_only());
-            let t = tb.build();
-            let mut sim = match assignment {
-                None => Simulator::new(t, 5),
-                Some(asg) => Simulator::new_sharded(t, 5, asg),
-            };
-            // One 1 kB message every 7 ms for a second.
-            let script: Vec<(u64, Step)> = std::iter::once((7, Step::Open(b, 1_000)))
-                .chain((2..140).map(|i| (7 * i, Step::Send(1_000))))
-                .collect();
-            sim.add_app(a, Scripted::new(flow_id(a, 0), &script));
-            sim.add_app(
-                b,
-                Box::new(Relay {
-                    to: c,
-                    quiet: ms(quiet_ms),
-                    floor: SimTime::ZERO,
-                    held: 0,
-                }),
-            );
-            sim.add_app(c, Box::new(CtlReceiver::default()));
-            sim.run_until(SimTime::from_secs(1));
-            let got = sim
-                .app::<CtlReceiver>(c)
-                .expect("invariant: CtlReceiver installed on c")
-                .got
-                .clone();
-            (got, sim.window_ends())
-        };
-        for quiet_ms in [0, 40] {
-            let single = run(None, quiet_ms);
-            assert!(single.0.len() >= 20, "{} payloads", single.0.len());
-            let chain = run(Some(vec![0, 1, 2]), quiet_ms);
-            assert_eq!(
-                single.0, chain.0,
-                "quiet {quiet_ms} ms: K = 3 must equal K = 1"
-            );
-            assert_eq!(single.0, run(Some(vec![0, 1, 1]), quiet_ms).0);
-            assert_eq!(single.0, run(Some(vec![0, 0, 1]), quiet_ms).0);
-            assert_eq!(chain.1.by_floor > 0, quiet_ms > 0, "{:?}", chain.1);
-        }
-    }
-
     /// Watches a peer's flow from its first tick on and drains delivery
     /// progress on a fixed timer cadence, logging what each drain saw.
     struct ProgressWatcher {
@@ -3533,74 +3344,61 @@ mod tests {
 
     #[test]
     fn progress_drains_are_node_local_in_every_sharding() {
-        // Two disjoint sender -> watcher pairs whose drain timers are
-        // offset by 1 ms. Watches are node-keyed, so a watcher's drain
-        // must see exactly its own flow's progress whether the two
-        // watchers share a shard or sit on different shards — a drain
-        // that consumed a co-located peer's entries would make fused
-        // and split placements of the same topology diverge.
-        let build = || {
-            let mut b = TopologyBuilder::new();
-            let link = LinkConfig::new(1_000_000, SimDuration::from_millis(2));
-            let s0 = b.node();
-            let w0 = b.node();
-            b.duplex(s0, w0, link);
-            let s1 = b.node();
-            let w1 = b.node();
-            b.duplex(s1, w1, link);
-            (b.build(), [s0, w0, s1, w1])
-        };
-        let run = |assignment: Option<Vec<u32>>| {
-            let (t, [s0, w0, s1, w1]) = build();
-            let mut sim = match assignment {
-                None => Simulator::new(t, 47),
-                Some(asg) => Simulator::new_sharded(t, 47, asg),
-            };
-            for (s, w) in [(s0, w0), (s1, w1)] {
-                sim.add_app(
-                    s,
-                    Box::new(Sender {
-                        dst: w,
-                        bytes: 30_000,
-                        flow: None,
-                        drained_at: None,
-                    }),
-                );
-            }
-            for (i, (s, w)) in [(s0, w0), (s1, w1)].into_iter().enumerate() {
-                sim.add_app(
-                    w,
-                    Box::new(ProgressWatcher {
-                        watched: flow_id(s, 0),
-                        watching: false,
-                        offset: SimDuration::from_millis(10 + i as u64),
-                        period: SimDuration::from_millis(10),
-                        log: Vec::new(),
-                        scratch: Vec::new(),
-                    }),
-                );
-            }
-            sim.run_until(SimTime::from_secs(1));
-            let log_of = |w| {
-                sim.app::<ProgressWatcher>(w)
-                    .expect("invariant: ProgressWatcher installed")
-                    .log
-                    .clone()
-            };
-            (log_of(w0), log_of(w1))
-        };
-        let fused = run(None);
-        assert!(
-            fused.0.len() >= 5 && fused.1.len() >= 5,
-            "both watchers saw steady progress: {} / {} drains",
-            fused.0.len(),
-            fused.1.len()
-        );
-        // Watchers co-located off shard 0, then one pair per shard,
-        // then fully split: all identical to the single-shard run.
-        assert_eq!(fused, run(Some(vec![0, 1, 1, 1])));
-        assert_eq!(fused, run(Some(vec![0, 0, 1, 1])));
-        assert_eq!(fused, run(Some(vec![0, 1, 2, 3])));
+        // Two disjoint sender -> watcher pairs on one shard, whose drain
+        // timers are offset by 1 ms. Watches are node-keyed, so each
+        // watcher's drain sees exactly its own flow's progress: a drain
+        // that consumed the co-located peer's entries would read a flow
+        // that terminates elsewhere (a panic) or starve the peer.
+        let mut b = TopologyBuilder::new();
+        let link = LinkConfig::new(1_000_000, SimDuration::from_millis(2));
+        let s0 = b.node();
+        let w0 = b.node();
+        b.duplex(s0, w0, link);
+        let s1 = b.node();
+        let w1 = b.node();
+        b.duplex(s1, w1, link);
+        let mut sim = Simulator::new(b.build(), 47);
+        for (s, w) in [(s0, w0), (s1, w1)] {
+            sim.add_app(
+                s,
+                Box::new(Sender {
+                    dst: w,
+                    bytes: 30_000,
+                    flow: None,
+                    drained_at: None,
+                }),
+            );
+        }
+        for (i, (s, w)) in [(s0, w0), (s1, w1)].into_iter().enumerate() {
+            sim.add_app(
+                w,
+                Box::new(ProgressWatcher {
+                    watched: flow_id(s, 0),
+                    watching: false,
+                    offset: SimDuration::from_millis(10 + i as u64),
+                    period: SimDuration::from_millis(10),
+                    log: Vec::new(),
+                    scratch: Vec::new(),
+                }),
+            );
+        }
+        sim.run_until(SimTime::from_secs(1));
+        for w in [w0, w1] {
+            let log = &sim
+                .app::<ProgressWatcher>(w)
+                .expect("invariant: ProgressWatcher installed")
+                .log;
+            assert!(
+                log.len() >= 5,
+                "{w} saw steady progress: {} drains",
+                log.len()
+            );
+            assert!(
+                log.windows(2).all(|p| p[0].1 < p[1].1),
+                "{w} drained a flow that had not moved: {log:?}"
+            );
+            assert_eq!(log.last().map(|e| e.1), Some(30_000), "{w}");
+        }
     }
 
     #[test]
@@ -3609,7 +3407,11 @@ mod tests {
         let mut b = TopologyBuilder::new();
         let a = b.node();
         let z = b.node();
-        b.duplex(a, z, LinkConfig::new(1_000_000, SimDuration::ZERO));
+        b.duplex(
+            a,
+            z,
+            LinkConfig::new(1_000_000, SimDuration::ZERO).control_only(),
+        );
         Simulator::new_sharded(b.build(), 1, vec![0, 1]);
     }
 
@@ -3853,16 +3655,14 @@ mod tests {
 
     #[test]
     fn faults_are_shard_invariant() {
-        // The same explicit fault schedule (one leaf link flap + one
-        // leaf crash) must produce byte-identical outcomes in every
-        // sharding — fault events ride canonical lanes.
-        let run = |assignment: Option<Vec<u32>>| {
-            let (t, hub, leaves) = star(4);
+        // An explicit fault schedule (one leaf link flap + one leaf
+        // crash) replays exactly: fault events ride canonical lanes. A
+        // star of packet-capable links is one island, so its sharded
+        // counterpart is the replica-island battery in `speakup-exp`.
+        let run = || {
+            let (t, hub, leaves) = star(4, false);
             let flapped_link = LinkId(0); // leaves[0] -> hub
-            let mut sim = match assignment {
-                None => Simulator::new(t, 29),
-                Some(a) => Simulator::new_sharded(t, 29, a),
-            };
+            let mut sim = Simulator::new(t, 29);
             for (i, &n) in leaves.iter().enumerate() {
                 sim.add_app(
                     n,
@@ -3900,11 +3700,9 @@ mod tests {
                 .collect();
             (got, drains, sim.total_drops())
         };
-        let single = run(None);
-        assert!(single.2 > 0, "the schedule dropped something");
-        assert_eq!(single, run(Some(vec![0, 1, 1, 2, 2])));
-        assert_eq!(single, run(Some(vec![0, 1, 2, 3, 4])));
-        assert_eq!(single, run(Some(vec![0, 0, 1, 0, 1])));
+        let first = run();
+        assert!(first.2 > 0, "the schedule dropped something");
+        assert_eq!(first, run());
     }
 
     // ---------------------------------------------- flow retirement
@@ -3998,54 +3796,40 @@ mod tests {
     /// hop, so control records take 10 ms end to end; 1 Mbit/s toward
     /// `z` and 50 kbit/s back, so an ACK spends 12.8 ms being serialized
     /// — longer than the 12 ms between data packets, which keeps one
-    /// behind any control record racing it) for 5 s, on one shard and
-    /// with a shard per node: retirement must not make the two differ.
-    /// Returns the common outcome.
+    /// behind any control record racing it) for 5 s.
     fn run_scripts(
         a_script: &[(u64, Step)],
         z_script: &[(u64, Step)],
         faults: impl Fn(NodeId, NodeId) -> FaultSchedule,
     ) -> Aftermath {
-        let run = |assignment: Option<Vec<u32>>| {
-            let mut b = TopologyBuilder::new();
-            let (a, m, z) = (b.node(), b.node(), b.node());
-            let out = LinkConfig::new(1_000_000, SimDuration::from_millis(5));
-            let back = LinkConfig::new(50_000, SimDuration::from_millis(5));
-            b.duplex_asym(a, m, out, back);
-            b.duplex_asym(m, z, out, back);
-            let mut sim = match assignment {
-                None => Simulator::new(b.build(), 31),
-                Some(asg) => Simulator::new_sharded(b.build(), 31, asg),
-            };
-            let f = flow_id(a, 0);
-            sim.add_app(a, Scripted::new(f, a_script));
-            sim.add_app(z, Scripted::new(f, z_script));
-            sim.inject_faults(&faults(a, z));
-            sim.run_until(SimTime::from_secs(5));
-            let log_of = |n| {
-                sim.app::<Scripted>(n)
-                    .expect("invariant: Scripted installed")
-                    .log
-                    .clone()
-            };
-            Aftermath {
-                a_log: log_of(a),
-                z_log: log_of(z),
-                total_drops: sim.total_drops(),
-                retired: (
-                    sim.world_of(a).tx.is_retired(f),
-                    sim.world_of(z).rx.is_retired(f),
-                ),
-                watches_purged: sim.shards.iter().all(|s| {
-                    s.world.progress_rx.is_empty()
-                        && s.world.rx.iter().all(|(_, h)| h.watch.is_none())
-                }),
-                queues_empty: sim.shards.iter().all(|s| s.world.queue.is_empty()),
-            }
+        let mut b = TopologyBuilder::new();
+        let (a, m, z) = (b.node(), b.node(), b.node());
+        let out = LinkConfig::new(1_000_000, SimDuration::from_millis(5));
+        let back = LinkConfig::new(50_000, SimDuration::from_millis(5));
+        b.duplex_asym(a, m, out, back);
+        b.duplex_asym(m, z, out, back);
+        let mut sim = Simulator::new(b.build(), 31);
+        let f = flow_id(a, 0);
+        sim.add_app(a, Scripted::new(f, a_script));
+        sim.add_app(z, Scripted::new(f, z_script));
+        sim.inject_faults(&faults(a, z));
+        sim.run_until(SimTime::from_secs(5));
+        let log_of = |n| {
+            sim.app::<Scripted>(n)
+                .expect("invariant: Scripted installed")
+                .log
+                .clone()
         };
-        let single = run(None);
-        assert_eq!(single, run(Some(vec![0, 1, 2])), "a shard per node differs");
-        single
+        let world = sim.world();
+        Aftermath {
+            a_log: log_of(a),
+            z_log: log_of(z),
+            total_drops: sim.total_drops(),
+            retired: (world.tx.is_retired(f), world.rx.is_retired(f)),
+            watches_purged: world.progress_rx.is_empty()
+                && world.rx.iter().all(|(_, h)| h.watch.is_none()),
+            queues_empty: world.queue.is_empty(),
+        }
     }
 
     fn no_faults(_a: NodeId, _z: NodeId) -> FaultSchedule {
@@ -4101,37 +3885,29 @@ mod tests {
     fn an_aborted_flow_is_readable_in_the_callback_and_retired_after() {
         // `Scripted::on_flow_aborted` reads the flow (or this would have
         // panicked at 60 ms); reading it again at 70 ms is a bug in the
-        // application and says so, in every sharding.
-        let doomed = |shards: Option<Vec<u32>>| {
-            let (t, a, z) = two_nodes(1_000_000, 10);
-            let mut sim = match shards {
-                None => Simulator::new(t, 33),
-                Some(asg) => Simulator::new_sharded(t, 33, asg),
-            };
-            let f = flow_id(a, 0);
-            sim.add_app(
-                a,
-                Scripted::new(f, &[(0, Step::Open(z, 1_000_000)), (70, Step::Read)]),
-            );
-            sim.add_app(z, Scripted::new(f, &[(50, Step::Abort)]));
-            let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                sim.run_until(SimTime::from_secs(1));
-            }))
-            .expect_err("reading a retired flow must panic");
-            let heard = sim
-                .app::<Scripted>(a)
-                .expect("invariant: Scripted installed on a")
-                .log
-                .len();
-            assert_eq!(heard, 1, "the abort callback ran first, and read the flow");
-            panic
-                .downcast_ref::<String>()
-                .expect("a formatted panic message")
-                .clone()
-        };
-        let single = doomed(None);
-        assert!(single.contains("retired"), "{single}");
-        assert_eq!(single, doomed(Some(vec![0, 1])));
+        // application and says so.
+        let (t, a, z) = two_nodes(1_000_000, 10);
+        let mut sim = Simulator::new(t, 33);
+        let f = flow_id(a, 0);
+        sim.add_app(
+            a,
+            Scripted::new(f, &[(0, Step::Open(z, 1_000_000)), (70, Step::Read)]),
+        );
+        sim.add_app(z, Scripted::new(f, &[(50, Step::Abort)]));
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            sim.run_until(SimTime::from_secs(1));
+        }))
+        .expect_err("reading a retired flow must panic");
+        let heard = sim
+            .app::<Scripted>(a)
+            .expect("invariant: Scripted installed on a")
+            .log
+            .len();
+        assert_eq!(heard, 1, "the abort callback ran first, and read the flow");
+        let message = panic
+            .downcast_ref::<String>()
+            .expect("a formatted panic message");
+        assert!(message.contains("retired"), "{message}");
     }
 
     #[test]
@@ -4228,18 +4004,14 @@ mod tests {
                 }
             }
         }
-        let (t, a, z) = two_nodes(1_000_000, 5);
-        let mut sim = Simulator::new_sharded(t, 12, vec![0, 1]);
+        let mut b = TopologyBuilder::new();
+        let (a, z) = (b.node(), b.node());
+        let lane = LinkConfig::new(1_000_000, SimDuration::from_millis(5)).control_only();
+        b.duplex(a, z, lane);
+        let mut sim = Simulator::new_sharded(b.build(), 12, vec![0, 1]);
         sim.add_app(a, Box::new(Staller));
-        sim.add_app(
-            z,
-            Box::new(Sender {
-                dst: a,
-                bytes: 100_000,
-                flow: None,
-                drained_at: None,
-            }),
-        );
+        // Publishing every 10 ms, z reaches a barrier every period.
+        sim.add_app(z, Beacon::new(a, SimDuration::from_millis(1), 10));
         sim.set_barrier_watchdog(std::time::Duration::from_millis(200));
         let releaser = std::thread::spawn(|| {
             std::thread::sleep(std::time::Duration::from_secs(1));

@@ -322,8 +322,8 @@ impl Flow {
 
     /// Record a message boundary on the receiver half of a split flow:
     /// the stream byte range ending at `end` completes the message tagged
-    /// `tag`. The sharded engine replicates the sender's [`Flow::write`]
-    /// boundaries to the receiver's shard through this (boundary records
+    /// `tag`. The engine replicates the sender's [`Flow::write`]
+    /// boundaries to the receiver half through this (boundary records
     /// travel at the path's propagation delay, so they always precede the
     /// data bytes they frame).
     pub fn note_boundary(&mut self, end: u64, tag: u64) {

@@ -1,13 +1,14 @@
 //! Shard-count invariance: the headline guarantee of the sharded engine.
 //!
-//! For every simulated registry entry, running the whole grid with
-//! `--shards 1` and `--shards 4` must produce *byte-identical* human
-//! tables and JSON reports — sharding may only change wall-clock time,
-//! never results. (The lookahead-barrier "never deliver early" property
-//! is asserted inside the engine on every exchange and unit-tested in
-//! `speakup-net`.)
+//! A shard is a thinner replica island, so a run splits only when it has
+//! more than one replica. For every simulated registry entry, each
+//! auction-mode grid point run with at least two replicas must produce
+//! a *byte-identical* report at `--shards 1` and `--shards 2` —
+//! sharding may only change wall-clock time, never results. (The
+//! lookahead-barrier "never deliver early" property is asserted inside
+//! the engine on every exchange and unit-tested in `speakup-net`.)
 
-use speakup_exp::driver::{entry_json, execute};
+use speakup_exp::driver::{entry_json, execute, report_json};
 use speakup_exp::registry::{self, RunOptions};
 use speakup_exp::runner::run_sharded;
 use speakup_exp::scenario::Mode;
@@ -21,7 +22,7 @@ fn opts(seconds: u64, shards: u32) -> RunOptions {
         seeds: 1,
         jobs: Some(1),
         shards,
-        thinners: None,
+        thinners: Some(2),
         sync_period: None,
         faults: Vec::new(),
     }
@@ -33,55 +34,69 @@ fn every_entry_is_shard_count_invariant() {
         if !entry.is_simulated() {
             continue;
         }
-        let single = execute(entry, &opts(2, 1));
-        let sharded = execute(entry, &opts(2, 4));
-        assert_eq!(
-            single.table, sharded.table,
-            "{}: human tables differ between --shards 1 and --shards 4",
-            entry.name
-        );
-        let a = entry_json(&single, &opts(2, 1)).pretty();
-        let b = entry_json(&sharded, &opts(2, 4)).pretty();
-        assert_eq!(
-            a, b,
-            "{}: JSON reports differ between --shards 1 and --shards 4",
-            entry.name
-        );
-        // The queue high-water mark rides along per shard: a shard that
-        // ran an event had at least one filed.
-        for r in single.reports.iter().chain(&sharded.reports) {
-            assert_eq!(r.queue_peak.len(), r.shard_events.len(), "{}", entry.name);
-            for (shard, (&events, &peak)) in r.shard_events.iter().zip(&r.queue_peak).enumerate() {
+        for mut sc in entry.build_grid() {
+            if !matches!(sc.mode, Mode::Auction) {
+                continue;
+            }
+            sc.thinners = sc.thinners.max(2);
+            // A 10^5-client crowd runs ~1.5·10^7 events in its first
+            // 250 ms alone (start-up burst and two digest epochs), more
+            // than every other grid point here over 2 s.
+            sc.duration = if sc.population() > 10_000 {
+                SimDuration::from_millis(250)
+            } else {
+                SimDuration::from_secs(2)
+            };
+            let single = run_sharded(&sc, 1);
+            let sharded = run_sharded(&sc, 2);
+            assert_eq!(
+                report_json(&single).pretty(),
+                report_json(&sharded).pretty(),
+                "{} ({}): reports differ between --shards 1 and --shards 2",
+                entry.name,
+                sc.name
+            );
+            assert_eq!(sharded.shard_events.len(), 2, "{}", sc.name);
+            // The queue high-water mark rides along per shard: a shard
+            // that ran an event had at least one filed.
+            for r in [&single, &sharded] {
+                assert_eq!(r.queue_peak.len(), r.shard_events.len(), "{}", sc.name);
+                for (shard, (&events, &peak)) in
+                    r.shard_events.iter().zip(&r.queue_peak).enumerate()
+                {
+                    assert!(
+                        events == 0 || peak >= 1,
+                        "{} ({}): shard {shard} ran {events} events on an empty queue",
+                        entry.name,
+                        r.name
+                    );
+                }
+                // So do the flow tables' counts: a flow has two halves,
+                // so no shard layout can hold more than twice the flows
+                // opened.
+                assert_eq!(r.flows_opened.len(), r.shard_events.len(), "{}", sc.name);
+                assert_eq!(r.flows_peak.len(), r.shard_events.len(), "{}", sc.name);
+                let opened: u64 = r.flows_opened.iter().sum();
+                let peak: u64 = r.flows_peak.iter().sum();
                 assert!(
-                    events == 0 || peak >= 1,
-                    "{} ({}): shard {shard} ran {events} events on an empty queue",
+                    peak <= 2 * opened,
+                    "{} ({}): {peak} flow halves held for {opened} flows opened",
                     entry.name,
                     r.name
                 );
             }
-            // So do the flow tables' counts: a flow has two halves, so
-            // no shard layout can hold more than twice the flows opened.
-            assert_eq!(r.flows_opened.len(), r.shard_events.len(), "{}", entry.name);
-            assert_eq!(r.flows_peak.len(), r.shard_events.len(), "{}", entry.name);
-            let opened: u64 = r.flows_opened.iter().sum();
-            let peak: u64 = r.flows_peak.iter().sum();
-            assert!(
-                peak <= 2 * opened,
-                "{} ({}): {peak} flow halves held for {opened} flows opened",
-                entry.name,
-                r.name
-            );
         }
     }
 }
 
 #[test]
 fn replicates_are_shard_count_invariant_too() {
-    // Seed replicates exercise the worker pool + sharding together.
+    // Seed replicates exercise the worker pool + sharding together, on
+    // two replica islands per auction point.
     let entry = registry::find("flash_crowd").expect("registered");
     let mut with_seeds = opts(2, 1);
     with_seeds.seeds = 3;
-    let mut sharded = opts(2, 3);
+    let mut sharded = opts(2, 2);
     sharded.seeds = 3;
     let a = execute(entry, &with_seeds);
     let b = execute(entry, &sharded);
@@ -90,47 +105,6 @@ fn replicates_are_shard_count_invariant_too() {
         entry_json(&a, &with_seeds).pretty(),
         entry_json(&b, &sharded).pretty()
     );
-}
-
-#[test]
-fn shards_beyond_the_client_count_still_work() {
-    // More shards than placement units: the runner clamps the shard
-    // count (profiling has 10 single-client groups, so 16 clamps to 11)
-    // instead of spinning node-less loops, without changing results.
-    let entry = registry::find("profiling").expect("registered");
-    let a = execute(entry, &opts(2, 1));
-    let b = execute(entry, &opts(2, 16));
-    assert_eq!(
-        entry_json(&a, &opts(2, 1)).pretty(),
-        entry_json(&b, &opts(2, 16)).pretty()
-    );
-}
-
-#[test]
-fn oversized_shard_requests_clamp_instead_of_spinning() {
-    // Regression for the node-less-shard bug: fig2's 50 clients form 16
-    // aggregation groups, so `--shards 64` must clamp to 17 event loops
-    // (and warn once) rather than leave 47 empty shards hitting every
-    // barrier window — while staying byte-identical to a single loop.
-    let entry = registry::find("fig2").expect("registered");
-    let single = execute(entry, &opts(2, 1));
-    let oversized = execute(entry, &opts(2, 64));
-    assert_eq!(
-        single.table, oversized.table,
-        "fig2: tables differ between --shards 1 and --shards 64"
-    );
-    assert_eq!(
-        entry_json(&single, &opts(2, 1)).pretty(),
-        entry_json(&oversized, &opts(2, 64)).pretty(),
-        "fig2: JSON reports differ between --shards 1 and --shards 64"
-    );
-    for report in &oversized.reports {
-        assert_eq!(
-            report.shard_events.len(),
-            17,
-            "effective shard count should be 16 groups + infra shard 0"
-        );
-    }
 }
 
 #[test]
@@ -188,13 +162,13 @@ fn dispatch_counts_are_shard_invariant_and_fully_devirtualized() {
     // registry agents must route every callback through a concrete enum
     // variant — the `boxed` escape hatch exists for out-of-tree apps
     // and must stay cold in every shipped scenario.
-    let mut sc = scenarios::fig2(0.5, Mode::Auction);
+    let mut sc = scenarios::fig2(0.5, Mode::Auction).thinners(2);
     sc.duration = SimDuration::from_secs(2);
     let single = run_sharded(&sc, 1);
-    let sharded = run_sharded(&sc, 4);
+    let sharded = run_sharded(&sc, 2);
     assert_eq!(
         single.dispatch_counts, sharded.dispatch_counts,
-        "per-variant dispatch counts differ between --shards 1 and --shards 4"
+        "per-variant dispatch counts differ between --shards 1 and --shards 2"
     );
     let concrete: u64 = single
         .dispatch_counts

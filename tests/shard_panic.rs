@@ -3,20 +3,23 @@
 //! peers at the window-exchange barrier, and never replace the payload
 //! with a generic "a scoped thread panicked".
 //!
-//! The engine's own unit tests cover a timer-driven panic on a client
+//! The engine's own unit tests cover a timer-driven panic on an island
 //! shard; these exercise the remaining directions through the public
-//! API: a panic on the infrastructure shard (shard 0) while client
-//! shards are mid-stream, and a panic fired by a cross-shard message
-//! arrival (so the barrier is poisoned with peer traffic in flight).
+//! API: a panic fired by a control payload that crossed from another
+//! shard (so the barrier is poisoned with peer traffic in flight), and
+//! a panic on shard 0 while the other islands stream traffic of their
+//! own. Each is checked against the single-shard run first: sharding
+//! may not change which panic ends the run.
 
 use speakup_net::link::LinkConfig;
-use speakup_net::packet::{FlowId, NodeId};
+use speakup_net::packet::NodeId;
 use speakup_net::sim::{App, Ctx, Simulator};
 use speakup_net::time::{SimDuration, SimTime};
 use speakup_net::topology::{Topology, TopologyBuilder};
+use std::any::Any;
 
-/// Uploads one `bytes`-sized message to `dst`; big uploads keep the
-/// barriers busy, a small one delivers (and detonates a bomb) quickly.
+/// Uploads one `bytes`-sized message to `dst` over the island's own
+/// packet-capable link, keeping its shard busy.
 struct Uploader {
     dst: NodeId,
     bytes: u64,
@@ -29,16 +32,35 @@ impl App for Uploader {
     }
 }
 
-/// Panics the moment a complete message is delivered to it.
-struct MessageBomb;
+/// Sends a control payload to `dst` every `period`, declaring its quiet
+/// floor one period ahead each time.
+struct Publisher {
+    dst: NodeId,
+    period: SimDuration,
+}
 
-impl App for MessageBomb {
-    fn on_message(&mut self, _ctx: &mut Ctx, _flow: FlowId, _tag: u64) {
-        panic!("hub app exploded on message");
+impl App for Publisher {
+    fn start(&mut self, ctx: &mut Ctx) {
+        ctx.control_quiet_until(ctx.now() + self.period);
+        ctx.set_timer(self.period, 0);
+    }
+    fn on_timer(&mut self, ctx: &mut Ctx, _token: u64) {
+        ctx.send_control(self.dst, vec![1].into_boxed_slice());
+        ctx.control_quiet_until(ctx.now() + self.period);
+        ctx.set_timer(self.period, 0);
     }
 }
 
-/// Panics on a timer while other shards stream traffic through it.
+/// Panics the moment a control payload reaches it.
+struct ControlBomb;
+
+impl App for ControlBomb {
+    fn on_control(&mut self, _ctx: &mut Ctx, _src: NodeId, _payload: &[u64]) {
+        panic!("hub app exploded on a control payload");
+    }
+}
+
+/// Panics on a timer while the other islands stream traffic.
 struct TimerBomb;
 
 impl App for TimerBomb {
@@ -46,62 +68,117 @@ impl App for TimerBomb {
         ctx.set_timer(SimDuration::from_millis(40), 7);
     }
     fn on_timer(&mut self, _ctx: &mut Ctx, _token: u64) {
-        panic!("infra shard exploded on timer");
+        panic!("shard 0 exploded on timer");
     }
 }
 
-/// A hub with four 2 Mbit/s leaves at 2..5 ms one-way delay.
-fn star() -> (Topology, NodeId, Vec<NodeId>) {
+/// A hub alone on island 0 and four islands of two nodes each: island
+/// `i` is a sender and a gateway on a 2 Mbit/s link of `2 + i` ms, and
+/// each gateway reaches the hub over a control-only link of the same
+/// delay. Returns the topology, the hub, and `(sender, gateway)` pairs.
+fn islands() -> (Topology, NodeId, Vec<(NodeId, NodeId)>) {
     let mut b = TopologyBuilder::new();
     let hub = b.node();
-    let leaves: Vec<NodeId> = (0..4)
+    let pairs = (0..4)
         .map(|i| {
-            let n = b.node();
-            b.duplex(
-                n,
-                hub,
-                LinkConfig::new(2_000_000, SimDuration::from_millis(2 + i)),
-            );
-            n
+            let (sender, gateway) = (b.node(), b.node());
+            let link = LinkConfig::new(2_000_000, SimDuration::from_millis(2 + i));
+            b.duplex(sender, gateway, link);
+            b.duplex(gateway, hub, link.control_only());
+            (sender, gateway)
         })
         .collect();
-    (b.build(), hub, leaves)
+    (b.build(), hub, pairs)
+}
+
+/// Installs a test's apps, given the hub and the islands' pairs.
+type Install = fn(&mut Simulator, NodeId, &[(NodeId, NodeId)]);
+
+/// Run `install`'s apps on the islands for 30 s, one shard per island or
+/// all on one, and return the panic that ended the run.
+fn explode(one_shard: bool, install: Install) -> Box<dyn Any + Send> {
+    let (t, hub, pairs) = islands();
+    let assignment = if one_shard {
+        vec![0; 9]
+    } else {
+        // The hub on shard 0, island `i` on shard `i + 1`.
+        std::iter::once(0)
+            .chain((1..=4).flat_map(|i| [i, i]))
+            .collect()
+    };
+    let mut sim = Simulator::new_sharded(t, 11, assignment);
+    install(&mut sim, hub, &pairs);
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        sim.run_until(SimTime::from_secs(30));
+    }))
+    .expect_err("the run must end in the bomb's panic")
+}
+
+/// The single-shard and the sharded run end in the same panic; re-raise
+/// the sharded one for `should_panic` to match.
+fn same_panic_at_every_sharding(install: Install) {
+    let single = explode(true, install);
+    // Without barrier poisoning the surviving shards would park forever
+    // and this call would never return.
+    let sharded = explode(false, install);
+    assert_eq!(
+        single.downcast_ref::<&str>(),
+        sharded.downcast_ref::<&str>()
+    );
+    std::panic::resume_unwind(sharded);
 }
 
 #[test]
-#[should_panic(expected = "hub app exploded on message")]
+#[should_panic(expected = "hub app exploded on a control payload")]
 fn cross_shard_message_panic_aborts_the_run_with_its_message() {
-    let (t, hub, leaves) = star();
-    // Hub alone on shard 0; a small message from a shard-2 leaf crosses
-    // the barrier and detonates the receiver mid-window.
-    let mut sim = Simulator::new_sharded(t, 11, vec![0, 1, 1, 2, 2]);
-    for (i, &n) in leaves.iter().enumerate() {
-        // Leaf 3 (shard 2) delivers a small message within milliseconds;
-        // the rest are still mid-upload when the hub detonates.
-        let bytes = if i == 3 { 1_000 } else { 5_000_000 };
-        sim.add_app(n, Box::new(Uploader { dst: hub, bytes }));
-    }
-    sim.add_app(hub, Box::new(MessageBomb));
-    // Without barrier poisoning the three surviving shards would park
-    // forever waiting for shard 0 and this test would time out instead
-    // of observing the panic.
-    sim.run_until(SimTime::from_secs(30));
+    // Every island streams its upload; the last one's gateway publishes
+    // to the hub every 20 ms, and the first payload to cross detonates
+    // the hub mid-window.
+    same_panic_at_every_sharding(|sim, hub, pairs| {
+        for (i, &(sender, gateway)) in pairs.iter().enumerate() {
+            sim.add_app(
+                sender,
+                Box::new(Uploader {
+                    dst: gateway,
+                    bytes: 5_000_000,
+                }),
+            );
+            if i == pairs.len() - 1 {
+                sim.add_app(
+                    gateway,
+                    Box::new(Publisher {
+                        dst: hub,
+                        period: SimDuration::from_millis(20),
+                    }),
+                );
+            }
+        }
+        sim.add_app(hub, Box::new(ControlBomb));
+    });
 }
 
 #[test]
-#[should_panic(expected = "infra shard exploded on timer")]
+#[should_panic(expected = "shard 0 exploded on timer")]
 fn shard_zero_panic_releases_streaming_client_shards() {
-    let (t, hub, leaves) = star();
-    let mut sim = Simulator::new_sharded(t, 12, vec![0, 1, 2, 3, 4]);
-    for &n in &leaves {
-        sim.add_app(
-            n,
-            Box::new(Uploader {
-                dst: hub,
-                bytes: 5_000_000,
-            }),
-        );
-    }
-    sim.add_app(hub, Box::new(TimerBomb));
-    sim.run_until(SimTime::from_secs(30));
+    // The islands stream uploads and publish to the hub every 10 ms, so
+    // they meet shard 0 at a barrier each period until it explodes.
+    same_panic_at_every_sharding(|sim, hub, pairs| {
+        for &(sender, gateway) in pairs {
+            sim.add_app(
+                sender,
+                Box::new(Uploader {
+                    dst: gateway,
+                    bytes: 5_000_000,
+                }),
+            );
+            sim.add_app(
+                gateway,
+                Box::new(Publisher {
+                    dst: hub,
+                    period: SimDuration::from_millis(10),
+                }),
+            );
+        }
+        sim.add_app(hub, Box::new(TimerBomb));
+    });
 }
