@@ -894,6 +894,23 @@ mod tests {
     }
 
     #[test]
+    fn oversized_shard_requests_clamp_to_the_unit_count() {
+        // profiling: 10 clients behind one thinner -> one replica island,
+        // the only placement unit. --shards 64 must run a single loop and
+        // produce the same report as an unsharded run.
+        let mut sc = scenarios::profiling_comparison(crate::scenario::Mode::Auction, false);
+        sc.duration = SimDuration::from_secs(1);
+        let single = run(&sc);
+        let clamped = run_sharded(&sc, 64);
+        assert_eq!(clamped.shard_events.len(), 1, "one island, one loop");
+        assert!(clamped.shard_events[0] > 0);
+        assert_eq!(
+            crate::driver::report_json(&single).pretty(),
+            crate::driver::report_json(&clamped).pretty()
+        );
+    }
+
+    #[test]
     fn oversized_shard_requests_clamp_to_the_replica_count() {
         // fig2 at R = 1 and R = 2: a shard is a replica island, so
         // --shards 8 must run one and two loops — more would own no
