@@ -3,26 +3,42 @@
 //! Large background populations (Fig 2 at 10^5+ clients) do not need one
 //! [`RequestTracker`](crate::client::RequestTracker) object, one RNG, and
 //! one map allocation per client. A [`CohortTracker`] keeps the *union*
-//! of N members' request bookkeeping in struct-of-arrays columns keyed by
-//! a dense [`MemberId`]: per-member sequence counters, window occupancy,
-//! and backlog queues live in flat [`IdVec`] tables, while the (sparse)
-//! outstanding set is one cohort-wide map keyed by a packed global id.
+//! of N members' request bookkeeping in flat struct-of-arrays tables
+//! keyed by a dense [`MemberId`], and holds each piece of per-request
+//! state once, sized by what is live:
+//!
+//! * **Window slots.** Issued requests live in one flat array of
+//!   `members × window` slots; member `m` owns `[m·w, (m+1)·w)`, and its
+//!   first `window_fill[m]` slots are the live ones. A slot is the
+//!   request's member-local sequence number beside its [`Outstanding`]
+//!   times (24 bytes), so finding, issuing or retiring a request scans at
+//!   most `w` slots of one member, with no tree and no allocation.
+//! * **Backlogs of creation times.** A member's backlog is non-empty only
+//!   while its window is full: `on_fire` issues directly whenever the
+//!   window has room, and every completion refills the window from the
+//!   backlog before anything else happens. So the backlog always holds
+//!   consecutive member-local numbers ending at `next_local − 1`, the
+//!   front one is `next_local − len`, and an entry needs only the time
+//!   its request was created.
 //!
 //! The semantics per member are *exactly* [`RequestTracker`]'s — same
 //! window rule, same backlog expiry, same denial taxonomy — so a cohort
 //! of one member is observably identical to one fully simulated client
-//! (a property the test suite pins down). For N > 1 the members share
-//! the arrival process (the superposition of N Poisson processes of rate
-//! λ is one Poisson process of rate Nλ, with the firing member uniform)
-//! which is statistically exact; what a *driver* chooses to share (e.g.
-//! one access flow) is its own documented approximation.
+//! (a property the test suite pins down, and `tests/cohort_props.rs`
+//! checks member by member against one `RequestTracker` each). For N > 1
+//! the members share the arrival process (the superposition of N Poisson
+//! processes of rate λ is one Poisson process of rate Nλ, with the
+//! firing member uniform) which is statistically exact; what a *driver*
+//! chooses to share (e.g. one access flow) is its own documented
+//! approximation.
 //!
 //! [`RequestTracker`]: crate::client::RequestTracker
 
 use crate::client::{ClientProfile, ClientStats, Outstanding};
-use speakup_net::ids::{IdVec, MemberId};
+use speakup_net::ids::{IdVec, Ident, MemberId};
 use speakup_net::time::SimTime;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
+use std::ops::Range;
 
 /// Bits of a cohort-global request id holding the member-local sequence
 /// number; the high bits hold the member index. Member 0's global ids
@@ -43,23 +59,35 @@ pub fn gid_member(id: u64) -> MemberId {
     MemberId((id >> GID_LOCAL_BITS) as u32)
 }
 
+/// The member-local sequence number of a cohort-global request id (its
+/// low [`GID_LOCAL_BITS`] bits).
+#[inline]
+fn gid_local(id: u64) -> u32 {
+    id as u32
+}
+
 /// Request bookkeeping for a cohort of N identical clients.
 ///
 /// Mirrors [`RequestTracker`](crate::client::RequestTracker) member by
 /// member; outcome counters aggregate across the cohort into one
-/// [`ClientStats`].
+/// [`ClientStats`]. See the module docs for the layout.
 #[derive(Clone, Debug)]
 pub struct CohortTracker {
     profile: ClientProfile,
     /// SoA column: next member-local sequence number.
     next_local: IdVec<MemberId, u32>,
-    /// SoA column: issued, unanswered requests per member (window fill).
+    /// SoA column: issued, unanswered requests per member (window fill),
+    /// which is also how many of the member's window slots are live.
     window_fill: IdVec<MemberId, u32>,
-    /// SoA column: per-member backlog of (global id, creation time).
-    backlogs: IdVec<MemberId, VecDeque<(u64, SimTime)>>,
-    /// Cohort-wide outstanding set, keyed by global id. Sparse (bounded
-    /// by N × window), so one ordered map beats N tiny ones.
-    outstanding: BTreeMap<u64, Outstanding>,
+    /// SoA column: creation times of each member's backlogged requests,
+    /// oldest first. Their ids are derived (module docs), not stored.
+    backlogs: IdVec<MemberId, VecDeque<SimTime>>,
+    /// Window slots, `window` per member: (member-local sequence number,
+    /// times). Member `m`'s live slots are `[m·w, m·w + window_fill[m])`
+    /// in no particular order; the rest hold stale values.
+    slots: Vec<(u32, Outstanding)>,
+    /// Issued requests across the whole cohort (Σ `window_fill`).
+    outstanding_total: usize,
     /// Aggregated outcome counters and latencies for the whole cohort.
     pub stats: ClientStats,
 }
@@ -69,12 +97,17 @@ impl CohortTracker {
     pub fn new(profile: ClientProfile, members: u32) -> Self {
         assert!(members > 0, "a cohort needs at least one member");
         let n = members as usize;
+        let vacant = Outstanding {
+            created: SimTime::ZERO,
+            issued: SimTime::ZERO,
+        };
         CohortTracker {
             profile,
             next_local: IdVec::with(n, |_| 0),
             window_fill: IdVec::with(n, |_| 0),
             backlogs: IdVec::with(n, |_| VecDeque::new()),
-            outstanding: BTreeMap::new(),
+            slots: vec![(0, vacant); n * profile.window as usize],
+            outstanding_total: 0,
             stats: ClientStats::default(),
         }
     }
@@ -91,7 +124,7 @@ impl CohortTracker {
 
     /// Issued requests across the whole cohort.
     pub fn outstanding_total(&self) -> usize {
-        self.outstanding.len()
+        self.outstanding_total
     }
 
     /// Backlogged requests across the whole cohort.
@@ -101,19 +134,59 @@ impl CohortTracker {
 
     /// Metadata for an issued request.
     pub fn outstanding(&self, id: u64) -> Option<Outstanding> {
-        self.outstanding.get(&id).copied()
+        self.find(id).map(|slot| self.slots[slot].1)
     }
 
-    fn issue(&mut self, member: MemberId, id: u64, created: SimTime, now: SimTime) {
-        self.outstanding.insert(
-            id,
+    /// `member`'s live window slots.
+    fn live(&self, member: MemberId) -> Range<usize> {
+        let start = member.index() * self.profile.window as usize;
+        start..start + self.window_fill[member] as usize
+    }
+
+    /// The slot holding issued request `id`, if it is one.
+    fn find(&self, id: u64) -> Option<usize> {
+        let member = gid_member(id);
+        if member.index() >= self.window_fill.len() {
+            return None;
+        }
+        let local = gid_local(id);
+        self.live(member).find(|&slot| self.slots[slot].0 == local)
+    }
+
+    /// Every issued request as (member, slot), members in order.
+    fn all_issued(&self) -> impl Iterator<Item = (MemberId, &(u32, Outstanding))> {
+        self.window_fill
+            .ids()
+            .flat_map(move |m| self.slots[self.live(m)].iter().map(move |s| (m, s)))
+    }
+
+    /// Put `member`'s request `local` into its window; returns its id.
+    fn issue(&mut self, member: MemberId, local: u32, created: SimTime, now: SimTime) -> u64 {
+        let slot = self.live(member).end;
+        self.slots[slot] = (
+            local,
             Outstanding {
                 created,
                 issued: now,
             },
         );
         self.window_fill[member] += 1;
+        self.outstanding_total += 1;
         self.stats.issued += 1;
+        gid(member, local)
+    }
+
+    /// Take issued request `id` out of its member's window: its last
+    /// live slot moves into the hole.
+    fn take(&mut self, id: u64) -> Option<(MemberId, Outstanding)> {
+        let slot = self.find(id)?;
+        let member = gid_member(id);
+        let last = self.live(member).end - 1;
+        let meta = self.slots[slot].1;
+        self.slots[slot] = self.slots[last];
+        self.window_fill[member] -= 1;
+        self.outstanding_total -= 1;
+        Some((member, meta))
     }
 
     /// `member`'s Poisson process fired: returns the global request id to
@@ -124,19 +197,17 @@ impl CohortTracker {
         self.expire_backlog(member, now);
         let local = self.next_local[member];
         self.next_local[member] += 1;
-        let id = gid(member, local);
         if self.window_fill[member] < self.profile.window {
-            self.issue(member, id, now, now);
-            Some(id)
+            Some(self.issue(member, local, now, now))
         } else {
-            self.backlogs[member].push_back((id, now));
+            self.backlogs[member].push_back(now);
             None
         }
     }
 
     /// Drop `member`'s expired backlog entries, logging denials.
     pub fn expire_backlog(&mut self, member: MemberId, now: SimTime) {
-        while let Some(&(_, created)) = self.backlogs[member].front() {
+        while let Some(&created) = self.backlogs[member].front() {
             if now.saturating_since(created) > self.profile.backlog_timeout {
                 self.backlogs[member].pop_front();
                 self.stats.denied_backlog += 1;
@@ -149,24 +220,30 @@ impl CohortTracker {
     /// Pull `member`'s next viable backlogged request into the window.
     fn refill(&mut self, member: MemberId, now: SimTime) -> Option<u64> {
         self.expire_backlog(member, now);
-        if self.window_fill[member] < self.profile.window {
-            if let Some((id, created)) = self.backlogs[member].pop_front() {
-                self.issue(member, id, created, now);
-                return Some(id);
-            }
+        if self.window_fill[member] >= self.profile.window {
+            return None;
         }
-        None
+        let waiting = self.backlogs[member].len() as u32;
+        let created = self.backlogs[member].pop_front()?;
+        // The backlog is the member's newest requests, and it waits only
+        // behind a full window, which this completion just opened.
+        debug_assert!(
+            waiting <= self.next_local[member]
+                && self.window_fill[member] + 1 == self.profile.window,
+            "{member}: {waiting} backlogged of {} behind a window of {}",
+            self.next_local[member],
+            self.window_fill[member],
+        );
+        let local = self.next_local[member] - waiting;
+        Some(self.issue(member, local, created, now))
     }
 
     /// A response arrived for `id`. Returns the owning member's next
     /// backlogged request, if one becomes eligible.
     pub fn on_served(&mut self, now: SimTime, id: u64) -> Option<u64> {
-        let meta = self
-            .outstanding
-            .remove(&id)
+        let (member, meta) = self
+            .take(id)
             .expect("served a request that is not outstanding");
-        let member = gid_member(id);
-        self.window_fill[member] -= 1;
         self.stats.served += 1;
         self.stats
             .latency
@@ -176,9 +253,7 @@ impl CohortTracker {
 
     /// The thinner dropped `id`. Returns the next request to issue.
     pub fn on_dropped(&mut self, now: SimTime, id: u64) -> Option<u64> {
-        self.outstanding.remove(&id)?;
-        let member = gid_member(id);
-        self.window_fill[member] -= 1;
+        let (member, _) = self.take(id)?;
         self.stats.denied_dropped += 1;
         self.refill(member, now)
     }
@@ -186,29 +261,32 @@ impl CohortTracker {
     /// Abandon an issued request (give-up timeout). Returns the next
     /// request to issue.
     pub fn on_gave_up(&mut self, now: SimTime, id: u64) -> Option<u64> {
-        self.outstanding.remove(&id)?;
-        let member = gid_member(id);
-        self.window_fill[member] -= 1;
+        let (member, _) = self.take(id)?;
         self.stats.denied_outstanding += 1;
         self.refill(member, now)
     }
 
-    /// Issued requests past the give-up timeout, across all members.
+    /// Issued requests past the give-up timeout, across all members, in
+    /// ascending global id order.
     pub fn overdue(&self, now: SimTime) -> Vec<u64> {
         let Some(give_up) = self.profile.give_up else {
             return Vec::new();
         };
-        self.outstanding
-            .iter()
-            .filter(|(_, o)| now.saturating_since(o.issued) >= give_up)
-            .map(|(id, _)| *id)
-            .collect()
+        let mut ids: Vec<u64> = self
+            .all_issued()
+            .filter(|(_, (_, o))| now.saturating_since(o.issued) >= give_up)
+            .map(|(m, &(local, _))| gid(m, local))
+            .collect();
+        ids.sort_unstable();
+        ids
     }
 
     /// The earliest give-up deadline among outstanding requests, if any.
     pub fn next_give_up_deadline(&self) -> Option<SimTime> {
         let give_up = self.profile.give_up?;
-        self.outstanding.values().map(|o| o.issued + give_up).min()
+        self.all_issued()
+            .map(|(_, (_, o))| o.issued + give_up)
+            .min()
     }
 }
 

@@ -1164,8 +1164,9 @@ impl<'a> Ctx<'a> {
         f.write(now, bytes, tag, &mut self.world.actions_scratch);
         let end = f.written_bytes();
         if end > before {
-            // Replicate the message boundary to the receiver half, one
-            // propagation delay ahead of the data.
+            // The sender half keeps no framing: the boundary lives on the
+            // receiver half alone, and travels there one propagation
+            // delay ahead of the data.
             let at = now + self.world.ctl_delay(self.node, dst);
             self.world.push_local(
                 at,

@@ -157,8 +157,10 @@ pub struct Flow {
     /// Out-of-order ranges received: start -> end (coalesced).
     ooo: BTreeMap<u64, u64>,
 
-    // ---- framing ----
-    /// Message boundaries in write order: (end offset, tag).
+    // ---- framing (receiver half only) ----
+    /// Message boundaries not yet delivered, in write order: (end
+    /// offset, tag). [`Flow::note_boundary`] is the only writer, so a
+    /// sender half keeps this empty.
     boundaries: VecDeque<(u64, u64)>,
 
     // ---- lifecycle ----
@@ -204,14 +206,19 @@ impl Flow {
 
     // ---------------------------------------------------------------- inputs
 
-    /// The application writes a message of `bytes` bytes tagged `tag`.
-    pub fn write(&mut self, now: SimTime, bytes: u64, tag: u64, out: &mut Vec<FlowAction>) {
+    /// The application writes a message of `bytes` bytes and a tag.
+    ///
+    /// The sender keeps no framing: the message's end and tag reach the
+    /// receiving half only through [`Flow::note_boundary`], which the
+    /// engine calls with the boundary record `Ctx::send` emits beside
+    /// this write. The tag is a parameter so a caller states the whole
+    /// message in one place; the sender never reads it.
+    pub fn write(&mut self, now: SimTime, bytes: u64, _tag: u64, out: &mut Vec<FlowAction>) {
         assert!(bytes > 0, "zero-length messages are not supported");
         if self.aborted {
             return;
         }
         self.write_limit += bytes;
-        self.boundaries.push_back((self.write_limit, tag));
         self.drained_notified = false;
         self.pump(now, out);
         self.update_timer(out);
@@ -227,19 +234,6 @@ impl Flow {
             let acked = cum - self.snd_una;
             self.snd_una = cum;
             self.dup_acks = 0;
-
-            // Drop fully-acked message boundaries: on a split sender half
-            // nothing ever consumes them (delivery runs on the receiver
-            // half), and on a combined instance delivery has already
-            // popped everything at or below the acked watermark, so this
-            // only bounds memory.
-            while self
-                .boundaries
-                .front()
-                .is_some_and(|&(end, _)| end <= self.snd_una)
-            {
-                self.boundaries.pop_front();
-            }
 
             // RTT sample (Karn's rule: the probe is invalidated whenever the
             // probed range is retransmitted).
@@ -320,12 +314,16 @@ impl Flow {
         self.update_timer(out);
     }
 
-    /// Record a message boundary on the receiver half of a split flow:
-    /// the stream byte range ending at `end` completes the message tagged
-    /// `tag`. The engine replicates the sender's [`Flow::write`]
-    /// boundaries to the receiver half through this (boundary records
-    /// travel at the path's propagation delay, so they always precede the
-    /// data bytes they frame).
+    /// Record a message boundary on the receiving side: the stream byte
+    /// range ending at `end` completes the message tagged `tag`, and
+    /// [`FlowAction::Deliver`] fires once `end` is received in order.
+    ///
+    /// This is the one writer of the boundary queue; [`Flow::write`]
+    /// keeps no framing. The engine calls it on the receiver half with
+    /// each boundary record `Ctx::send` emits (the records travel at the
+    /// path's propagation delay, so they always precede the data bytes
+    /// they frame). A flow driven by hand as both ends calls it after
+    /// each `write` the same way.
     pub fn note_boundary(&mut self, end: u64, tag: u64) {
         self.boundaries.push_back((end, tag));
     }
@@ -622,6 +620,14 @@ mod tests {
         SimTime::from_nanos(ms * 1_000_000)
     }
 
+    /// Write a message and frame it on the receiving side, as the engine
+    /// does with its boundary record: these tests drive one flow as both
+    /// ends.
+    fn send(f: &mut Flow, now: SimTime, bytes: u64, tag: u64, out: &mut Vec<FlowAction>) {
+        f.write(now, bytes, tag, out);
+        f.note_boundary(f.written_bytes(), tag);
+    }
+
     /// Collect the data segments from an action list.
     fn datas(out: &[FlowAction]) -> Vec<(u64, u32)> {
         out.iter()
@@ -661,7 +667,7 @@ mod tests {
     fn receiver_delivers_in_order_message() {
         let mut f = flow();
         let mut out = Vec::new();
-        f.write(t(0), 2 * MSS, 42, &mut out);
+        send(&mut f, t(0), 2 * MSS, 42, &mut out);
         out.clear();
         f.on_data(t(5), 0, MSS as u32, &mut out);
         assert!(!out.iter().any(|a| matches!(a, FlowAction::Deliver { .. })));
@@ -677,7 +683,7 @@ mod tests {
     fn out_of_order_data_is_reassembled() {
         let mut f = flow();
         let mut out = Vec::new();
-        f.write(t(0), 3 * MSS, 9, &mut out);
+        send(&mut f, t(0), 3 * MSS, 9, &mut out);
         out.clear();
         // Segment 2 arrives first: duplicate ACK for 0.
         f.on_data(t(5), MSS, MSS as u32, &mut out);
@@ -695,7 +701,7 @@ mod tests {
     fn duplicate_data_reacked_not_redelivered() {
         let mut f = flow();
         let mut out = Vec::new();
-        f.write(t(0), MSS, 5, &mut out);
+        send(&mut f, t(0), MSS, 5, &mut out);
         out.clear();
         f.on_data(t(5), 0, MSS as u32, &mut out);
         assert_eq!(
@@ -858,9 +864,9 @@ mod tests {
     fn multiple_message_boundaries_deliver_in_order() {
         let mut f = flow();
         let mut out = Vec::new();
-        f.write(t(0), 100, 1, &mut out);
-        f.write(t(0), 200, 2, &mut out);
-        f.write(t(0), 300, 3, &mut out);
+        send(&mut f, t(0), 100, 1, &mut out);
+        send(&mut f, t(0), 200, 2, &mut out);
+        send(&mut f, t(0), 300, 3, &mut out);
         out.clear();
         f.on_data(t(5), 0, 600, &mut out);
         let tags: Vec<u64> = out
@@ -877,12 +883,25 @@ mod tests {
     fn partial_message_not_delivered() {
         let mut f = flow();
         let mut out = Vec::new();
-        f.write(t(0), 1000, 1, &mut out);
+        send(&mut f, t(0), 1000, 1, &mut out);
         out.clear();
         f.on_data(t(5), 0, 999, &mut out);
         assert!(!out.iter().any(|a| matches!(a, FlowAction::Deliver { .. })));
         f.on_data(t(6), 999, 1, &mut out);
         assert!(out.contains(&FlowAction::Deliver { tag: 1 }));
+    }
+
+    #[test]
+    fn a_sender_half_keeps_no_framing() {
+        let mut f = flow();
+        let mut out = Vec::new();
+        for tag in 0..10_000 {
+            f.write(t(0), 400, tag, &mut out);
+            out.clear();
+        }
+        assert_eq!(f.written_bytes(), 4_000_000);
+        assert_eq!(f.acked_bytes(), 0, "nothing was acked");
+        assert!(f.boundaries.is_empty(), "{} boundaries", f.boundaries.len());
     }
 
     #[test]

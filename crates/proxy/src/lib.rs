@@ -89,6 +89,11 @@ pub enum Verdict {
     Dropped,
 }
 
+/// State shared by every thread. The three per-request maps hold an id
+/// from its first GET until a GET has been answered with its verdict;
+/// then `forget` drops all three entries, so memory follows requests
+/// in progress, not every id ever seen. A verdict no GET ever comes back
+/// for (a client that went away) stays until shutdown.
 #[derive(Default)]
 struct Shared {
     fe: Option<AuctionFrontEnd>,
@@ -298,14 +303,24 @@ pub fn spawn(config: ProxyConfig) -> std::io::Result<ProxyHandle> {
     })
 }
 
-/// Wait (bounded) until `id` has a verdict; returns it.
+/// Drop everything the proxy holds for `id`: its verdict has been
+/// written.
+fn forget(shared: &mut Shared, id: u64) {
+    shared.verdicts.remove(&id);
+    shared.known.remove(&id);
+    shared.terminated.remove(&id);
+}
+
+/// Wait (bounded) until `id` has a verdict; returns it. An id that is
+/// no longer known had its verdict collected by another GET while this
+/// one waited: it gets `Dropped` rather than waiting for shutdown.
 fn await_verdict(inner: &Inner, id: u64) -> Verdict {
     let mut shared = inner.state.lock().expect("state");
     loop {
         if let Some(v) = shared.verdicts.get(&id) {
             return *v;
         }
-        if inner.shutdown.load(Ordering::SeqCst) {
+        if inner.shutdown.load(Ordering::SeqCst) || !shared.known.contains_key(&id) {
             return Verdict::Dropped;
         }
         let (guard, _) = inner
@@ -402,17 +417,14 @@ fn handle_connection(inner: &Inner, mut stream: TcpStream) -> std::io::Result<()
 fn serve_get(inner: &Inner, stream: &mut TcpStream, id: u64) -> std::io::Result<()> {
     let key = key_of(id);
     enum Next {
-        Respond(bytes::Bytes),
+        Verdict(Verdict),
+        Encourage(u64),
         Await,
     }
     let next = {
         let mut shared = inner.state.lock().expect("state");
-        if let Some(v) = shared.verdicts.get(&id) {
-            let wire = match v {
-                Verdict::Served => encode_served(b"<html>ok</html>"),
-                Verdict::Dropped => encode_dropped(),
-            };
-            Next::Respond(wire)
+        if let Some(&v) = shared.verdicts.get(&id) {
+            Next::Verdict(v)
         } else if let std::collections::hash_map::Entry::Vacant(e) = shared.known.entry(id) {
             e.insert(());
             let mut admitted = false;
@@ -428,22 +440,80 @@ fn serve_get(inner: &Inner, stream: &mut TcpStream, id: u64) -> std::io::Result<
                     .as_ref()
                     .and_then(|fe| fe.going_rate())
                     .unwrap_or(0);
-                Next::Respond(encode_encourage(rate))
+                Next::Encourage(rate)
             }
         } else {
             // Re-poll of a contending/executing request: hold until done.
             Next::Await
         }
     };
-    match next {
-        Next::Respond(wire) => stream.write_all(&wire),
-        Next::Await => {
-            let verdict = await_verdict(inner, id);
-            let wire = match verdict {
-                Verdict::Served => encode_served(b"<html>ok</html>"),
-                Verdict::Dropped => encode_dropped(),
-            };
-            stream.write_all(&wire)
+    let verdict = match next {
+        Next::Encourage(rate) => return stream.write_all(&encode_encourage(rate)),
+        Next::Verdict(v) => v,
+        Next::Await => await_verdict(inner, id),
+    };
+    let wire = match verdict {
+        Verdict::Served => encode_served(b"<html>ok</html>"),
+        Verdict::Dropped => encode_dropped(),
+    };
+    let written = stream.write_all(&wire);
+    forget(&mut inner.state.lock().expect("state"), id);
+    written
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::{fetch, FetchConfig};
+
+    /// Sizes of the three per-request maps once they settle: a fetch
+    /// returns as soon as its verdict is read, a moment before the
+    /// connection thread that wrote it forgets the id.
+    fn retained(proxy: &ProxyHandle) -> (usize, usize, usize) {
+        let sizes = || {
+            let s = proxy.inner.state.lock().expect("state");
+            (s.verdicts.len(), s.known.len(), s.terminated.len())
+        };
+        for _ in 0..500 {
+            if sizes() == (0, 0, 0) {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(10));
         }
+        sizes()
+    }
+
+    #[test]
+    fn a_written_verdict_is_forgotten() {
+        let cfg = |capacity| ProxyConfig {
+            capacity,
+            seed: 9,
+            auction: AuctionConfig {
+                channel_timeout: SimDuration::from_secs(5),
+            },
+        };
+        // An idle server: 200 distinct ids, each served on its first GET.
+        let proxy = spawn(cfg(2000.0)).expect("spawn");
+        for id in 1..=200 {
+            let out = fetch(proxy.addr(), id, FetchConfig::default()).expect("fetch");
+            assert_eq!(out.verdict, Verdict::Served, "request {id}");
+        }
+        assert_eq!(proxy.outcomes(), (200, 0));
+        assert_eq!(retained(&proxy), (0, 0, 0), "verdicts, known, terminated");
+        proxy.shutdown();
+
+        // A held server: request 2 is encouraged, pays, wins (its channel
+        // is terminated) and collects its verdict on a second GET.
+        let proxy = spawn(cfg(2.0)).expect("spawn");
+        let addr = proxy.addr();
+        let holder = std::thread::spawn(move || fetch(addr, 1, FetchConfig::default()));
+        std::thread::sleep(Duration::from_millis(150));
+        let paid = fetch(addr, 2, FetchConfig::default()).expect("fetch");
+        assert!(paid.posts >= 1, "request 2 had to pay");
+        assert_eq!(paid.verdict, Verdict::Served);
+        let held = holder.join().expect("join").expect("fetch");
+        assert_eq!(held.verdict, Verdict::Served);
+        assert_eq!(retained(&proxy), (0, 0, 0), "verdicts, known, terminated");
+        proxy.shutdown();
     }
 }
