@@ -190,9 +190,9 @@ struct Workload {
     dispatch: Vec<(&'static str, u64)>,
 }
 
-/// Stand-in for the transport's per-flow state (`tcp::Flow` is ~this
-/// size); the replay mutates a couple of fields per event the way
-/// `on_ack`/`on_data` do.
+/// Stand-in for the transport's per-flow state (a `tcp::Sender` is
+/// about this size); the replay mutates a couple of fields per event
+/// the way `on_ack`/`on_data` do.
 struct FakeFlow {
     acked: u64,
     delivered: u64,

@@ -45,7 +45,7 @@ fn bench_bulk_transfer(c: &mut Criterion) {
             sim.add_app(a, Box::new(Blaster { dst: z, bytes }));
             sim.add_app(z, Box::new(Sink));
             sim.run_until(SimTime::from_secs(30));
-            let f = sim.world().flow(flow_id(a, 0));
+            let f = sim.world().sender(flow_id(a, 0));
             assert_eq!(f.acked_bytes(), bytes);
             black_box(f.stats.segments_sent)
         })

@@ -138,7 +138,7 @@ impl Payer {
             if !ch.drained {
                 p.time += ctx.now().saturating_since(ch.post_start).as_secs_f64();
             }
-            p.bytes += ctx.flow(flow).acked_bytes();
+            p.bytes += ctx.sender(flow).acked_bytes();
         }
     }
 
@@ -210,11 +210,11 @@ impl Payer {
             return;
         };
         self.by_flow.remove(&ch.flow);
-        p.bytes += ctx.flow(ch.flow).acked_bytes();
+        p.bytes += ctx.sender(ch.flow).acked_bytes();
         if !ch.drained {
             p.time += ctx.now().saturating_since(ch.post_start).as_secs_f64();
         }
-        if abort && !ctx.flow(ch.flow).is_aborted() {
+        if abort && !ctx.sender(ch.flow).is_aborted() {
             ctx.abort_flow(ch.flow);
         }
     }

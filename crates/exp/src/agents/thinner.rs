@@ -374,7 +374,7 @@ impl ThinnerAgent {
         let Some(ch) = self.channels.get_mut(&flow) else {
             return 0;
         };
-        let delivered = ctx.flow(flow).delivered_bytes();
+        let delivered = ctx.receiver(flow).delivered_bytes();
         let delta = delivered.saturating_sub(ch.seen);
         if delta > 0 {
             ch.seen = delivered;
@@ -551,7 +551,7 @@ impl ThinnerAgent {
     }
 
     fn client_of_flow(&self, ctx: &Ctx, flow: FlowId) -> Option<ClientInfo> {
-        let src = ctx.flow(flow).src;
+        let src = ctx.receiver(flow).src;
         self.clients_by_node.get(&src).copied()
     }
 
@@ -646,7 +646,7 @@ impl App for ThinnerAgent {
                     self.sync_channel(ctx, old);
                     self.close_channel(ctx, old);
                 }
-                let seen = ctx.flow(flow).delivered_bytes();
+                let seen = ctx.receiver(flow).delivered_bytes();
                 let ch = Channel {
                     key,
                     seen,

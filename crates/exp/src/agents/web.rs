@@ -31,7 +31,7 @@ impl App for WebServerAgent {
         if kind != Kind::FileRequest {
             return;
         }
-        let requester = ctx.flow(flow).src;
+        let requester = ctx.receiver(flow).src;
         let f = ctx.open_default_flow(requester);
         ctx.send(f, self.file_bytes, pack(Kind::FileResponse, id));
     }

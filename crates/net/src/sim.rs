@@ -68,7 +68,7 @@ use crate::link::{DropSampler, Enqueue, Link, LinkStats};
 use crate::packet::{FlowId, LinkId, NodeId, Packet, PacketKind, FLOW_NTH_BITS};
 use crate::rng::Pcg32;
 use crate::slab::FlowSlab;
-use crate::tcp::{Flow, FlowAction, FlowConfig};
+use crate::tcp::{FlowAction, FlowConfig, Receiver, Sender};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::Topology;
 use std::any::Any;
@@ -103,8 +103,9 @@ pub trait App: Any + Send {
     fn on_flow_drained(&mut self, ctx: &mut Ctx, flow: FlowId) {
         let _ = (ctx, flow);
     }
-    /// The peer aborted `flow`. This call is the last look at it:
-    /// [`Ctx::flow`] still reads the flow here and panics afterwards.
+    /// The peer aborted `flow`. This call is the last look at it: this
+    /// node's half ([`Ctx::sender`] if it opened the flow, else
+    /// [`Ctx::receiver`]) still reads here and panics afterwards.
     fn on_flow_aborted(&mut self, ctx: &mut Ctx, flow: FlowId) {
         let _ = (ctx, flow);
     }
@@ -289,7 +290,7 @@ struct RtoTimer {
 
 /// What the source node's shard holds of a flow.
 struct TxHalf {
-    flow: Flow,
+    flow: Sender,
     /// Lazy retransmission timer. Re-arming on every advancing ACK is
     /// the transport's behaviour, but cancel + re-push against the wheel
     /// per ACK litters high wheel levels with dead entries that all
@@ -303,7 +304,7 @@ struct TxHalf {
 
 /// What the destination node's shard holds of a flow.
 struct RxHalf {
-    flow: Flow,
+    flow: Receiver,
     /// Delivery-progress tracking (see [`Ctx::watch_flow`]): the
     /// watcher's node plus the flow's dirty bit, set when its in-order
     /// delivered byte count advances and cleared by the watcher's
@@ -335,14 +336,14 @@ enum Event {
     },
     Rto(FlowId),
     /// Control record: `src` opened `id` toward `dst`; create the
-    /// receiver half. The config rides boxed: opens are rare, and an
-    /// inline [`FlowConfig`] would otherwise dominate [`Event`]'s size —
-    /// at 40 bytes a queue node stays within about one cache line.
+    /// receiver half. Of the transport config the receiver needs only
+    /// its ACK size, which rides inline: at 40 bytes a queue node stays
+    /// within about one cache line.
     FlowOpen {
         id: FlowId,
         src: NodeId,
         dst: NodeId,
-        cfg: Box<FlowConfig>,
+        ack_bytes: u32,
     },
     /// Control record: the sender wrote a message ending at stream byte
     /// `end`, tagged `tag`.
@@ -577,7 +578,7 @@ impl World {
     /// The sender half of a live flow (must be anchored on this shard):
     /// window state, acked/written byte counts, retransmission stats.
     /// Panics once the half is retired (aborted by either end).
-    pub fn flow(&self, id: FlowId) -> &Flow {
+    pub fn sender(&self, id: FlowId) -> &Sender {
         match self.tx.get(id) {
             Some(h) => &h.flow,
             None if self.tx.is_retired(id) => panic!("sender half of {id} is retired"),
@@ -588,7 +589,7 @@ impl World {
     /// The receiver half of a live flow (must be anchored on this
     /// shard): delivered byte counts and reassembly state. Panics once
     /// the half is retired (aborted by either end).
-    pub fn flow_rx(&self, id: FlowId) -> &Flow {
+    pub fn receiver(&self, id: FlowId) -> &Receiver {
         match self.rx.get(id) {
             Some(h) => &h.flow,
             None if self.rx.is_retired(id) => panic!("receiver half of {id} is retired"),
@@ -636,26 +637,6 @@ impl World {
             .map(|&(_, t)| t.as_nanos())
             .min()
             .unwrap_or(u64::MAX)
-    }
-
-    /// The view a node's application sees of the flow: its own role's
-    /// half (sender if the node is the source, receiver if it is the
-    /// destination).
-    fn flow_at(&self, node: NodeId, id: FlowId) -> &Flow {
-        if let Some(h) = self.tx.get(id) {
-            if h.flow.src == node {
-                return &h.flow;
-            }
-        }
-        if let Some(h) = self.rx.get(id) {
-            if h.flow.dst == node {
-                return &h.flow;
-            }
-        }
-        if self.half_is_retired(id, !opened_by(node, id)) {
-            panic!("flow {id} is retired at {node}: it was aborted")
-        }
-        panic!("flow {id} is not visible from {node}")
     }
 
     /// Whether that half of `id` was on this shard and has been retired:
@@ -711,7 +692,7 @@ impl World {
         self.tx.insert(
             id,
             TxHalf {
-                flow: Flow::new(id, src, dst, cfg),
+                flow: Sender::new(src, dst, cfg),
                 rto: RtoTimer::default(),
             },
         );
@@ -724,7 +705,7 @@ impl World {
                 id,
                 src,
                 dst,
-                cfg: Box::new(cfg),
+                ack_bytes: cfg.ack_bytes,
             },
         );
         id
@@ -770,26 +751,16 @@ impl World {
         }
     }
 
-    /// The flow fields shared by both halves, read from whichever half
-    /// this shard holds.
-    fn flow_fields(&self, fid: FlowId) -> (NodeId, NodeId, u32, u32) {
-        let f = self
-            .tx
-            .get(fid)
-            .map(|h| &h.flow)
-            .or_else(|| self.rx.get(fid).map(|h| &h.flow))
-            .unwrap_or_else(|| panic!("no half of {fid} on this shard"));
-        (f.src, f.dst, f.cfg.header_bytes, f.cfg.ack_bytes)
-    }
-
-    fn apply_flow_actions(&mut self, fid: FlowId) {
+    /// Carry out the batch in `actions_scratch`, which one half of `fid`
+    /// just produced. The caller knows which: the sender asks for data,
+    /// timers and drain notices, the receiver for ACKs and deliveries.
+    /// `overhead` is that half's wire cost — the header bytes added to
+    /// each data segment, or the size of an ACK.
+    fn apply_flow_actions(&mut self, fid: FlowId, src: NodeId, dst: NodeId, overhead: u32) {
         if self.actions_scratch.is_empty() {
             return;
         }
         let actions = std::mem::take(&mut self.actions_scratch);
-        // One lookup serves the whole batch: both halves agree on these
-        // fields and no action moves or retires a flow mid-batch.
-        let (src, dst, header, ack_bytes) = self.flow_fields(fid);
         for action in &actions {
             match *action {
                 FlowAction::SendData { offset, len } => {
@@ -797,7 +768,7 @@ impl World {
                         flow: fid,
                         src,
                         dst,
-                        size: len + header,
+                        size: len + overhead,
                         kind: PacketKind::Data { offset, len },
                     };
                     self.route_packet(src, p);
@@ -807,7 +778,7 @@ impl World {
                         flow: fid,
                         src: dst,
                         dst: src,
-                        size: ack_bytes,
+                        size: overhead,
                         kind: PacketKind::Ack { cum },
                     };
                     self.route_packet(dst, p);
@@ -861,24 +832,21 @@ impl World {
     fn abort_flow_from(&mut self, node: NodeId, id: FlowId) {
         let at_sender = opened_by(node, id);
         let half = if at_sender {
-            self.tx.get(id).map(|h| &h.flow)
+            self.tx.get(id).map(|h| (h.flow.dst, h.flow.is_aborted()))
         } else {
-            self.rx.get(id).map(|h| &h.flow)
+            self.rx.get(id).map(|h| {
+                assert_eq!(h.flow.dst, node, "abort from a non-endpoint");
+                (h.flow.src, h.flow.is_aborted())
+            })
         };
-        let Some(f) = half else {
+        let Some((peer, aborted)) = half else {
             assert!(
                 self.half_is_retired(id, !at_sender),
                 "abort from a non-endpoint"
             );
             return;
         };
-        let peer = if at_sender {
-            f.dst
-        } else {
-            assert_eq!(f.dst, node, "abort from a non-endpoint");
-            f.src
-        };
-        if f.is_aborted() {
+        if aborted {
             return;
         }
         let at = self.now + self.ctl_delay(node, peer);
@@ -971,7 +939,8 @@ impl World {
                     Some(d) if d <= self.now => {
                         h.rto.deadline = None;
                         h.flow.on_rto(self.now, &mut self.actions_scratch);
-                        self.apply_flow_actions(fid);
+                        let (src, dst, header) = (h.flow.src, h.flow.dst, h.flow.header_bytes());
+                        self.apply_flow_actions(fid, src, dst, header);
                     }
                     Some(d) => {
                         h.rto.scheduled = Some(d);
@@ -980,11 +949,16 @@ impl World {
                     None => {}
                 }
             }
-            Event::FlowOpen { id, src, dst, cfg } => {
+            Event::FlowOpen {
+                id,
+                src,
+                dst,
+                ack_bytes,
+            } => {
                 self.rx.insert(
                     id,
                     RxHalf {
-                        flow: Flow::new(id, src, dst, *cfg),
+                        flow: Receiver::new(src, dst, ack_bytes),
                         watch: None,
                     },
                 );
@@ -994,12 +968,20 @@ impl World {
                 None => assert!(self.rx.is_retired(id), "boundary for an unopened flow"),
             },
             Event::FlowAbort { id, at_receiver } => {
-                let f = if at_receiver {
-                    self.rx.get_mut(id).map(|h| &mut h.flow)
+                let node = if at_receiver {
+                    self.rx.get_mut(id).map(|h| {
+                        h.flow.abort();
+                        h.flow.dst
+                    })
+                } else if let Some(h) = self.tx.get_mut(id) {
+                    h.flow.abort(&mut self.actions_scratch);
+                    let (src, dst, header) = (h.flow.src, h.flow.dst, h.flow.header_bytes());
+                    self.apply_flow_actions(id, src, dst, header);
+                    Some(src)
                 } else {
-                    self.tx.get_mut(id).map(|h| &mut h.flow)
+                    None
                 };
-                let Some(f) = f else {
+                let Some(node) = node else {
                     // Both ends aborted concurrently; nothing to report.
                     assert!(
                         self.half_is_retired(id, at_receiver),
@@ -1007,9 +989,6 @@ impl World {
                     );
                     return;
                 };
-                let node = if at_receiver { f.dst } else { f.src };
-                f.abort(&mut self.actions_scratch);
-                self.apply_flow_actions(id);
                 // The half stays readable for `on_flow_aborted`; the
                 // dispatcher retires it once the callback has returned.
                 self.notifies.push_back(Notify::Aborted { node, flow: id });
@@ -1096,6 +1075,8 @@ impl World {
                         }
                     }
                 }
+                let (src, dst, ack) = (h.flow.src, h.flow.dst, h.flow.ack_bytes());
+                self.apply_flow_actions(fid, src, dst, ack);
             }
             PacketKind::Ack { cum } => {
                 let Some(h) = self.tx.get_mut(fid) else {
@@ -1103,9 +1084,10 @@ impl World {
                     return;
                 };
                 h.flow.on_ack(now, cum, &mut self.actions_scratch);
+                let (src, dst, header) = (h.flow.src, h.flow.dst, h.flow.header_bytes());
+                self.apply_flow_actions(fid, src, dst, header);
             }
         }
-        self.apply_flow_actions(fid);
     }
 }
 
@@ -1159,9 +1141,9 @@ impl<'a> Ctx<'a> {
         };
         let f = &mut h.flow;
         assert_eq!(f.src, self.node, "send from the wrong endpoint");
-        let dst = f.dst;
+        let (dst, header) = (f.dst, f.header_bytes());
         let before = f.written_bytes();
-        f.write(now, bytes, tag, &mut self.world.actions_scratch);
+        f.write(now, bytes, &mut self.world.actions_scratch);
         let end = f.written_bytes();
         if end > before {
             // The sender half keeps no framing: the boundary lives on the
@@ -1175,14 +1157,15 @@ impl<'a> Ctx<'a> {
                 Event::FlowBoundary { id: flow, end, tag },
             );
         }
-        self.world.apply_flow_actions(flow);
+        self.world.apply_flow_actions(flow, self.node, dst, header);
     }
 
     /// Abort `flow` from either endpoint. The peer gets an
     /// [`App::on_flow_aborted`] callback one propagation delay later;
     /// in-flight packets are ignored. This node's half of the flow is
-    /// retired on the spot: from here on [`Ctx::flow`] panics for it, so
-    /// read what is needed (acked or delivered bytes) before aborting.
+    /// retired on the spot: from here on [`Ctx::sender`] (or
+    /// [`Ctx::receiver`]) panics for it, so read what is needed (acked or
+    /// delivered bytes) before aborting.
     /// Aborting a flow that is already over — by this node or by the
     /// peer — does nothing.
     pub fn abort_flow(&mut self, flow: FlowId) {
@@ -1208,16 +1191,28 @@ impl<'a> Ctx<'a> {
         self.world.queue.cancel(handle.0);
     }
 
-    /// Read access to this node's view of a flow: the sender half when
-    /// this node is the source, the receiver half when it is the
-    /// destination. Only live flows can be read. A half is retired when
-    /// this node aborts the flow ([`Ctx::abort_flow`], or a crash of
-    /// the node), or — if the peer aborted — when this node's
-    /// [`App::on_flow_aborted`] returns: inside that callback the flow
-    /// is still readable (and reports `is_aborted()`), afterwards this
-    /// panics.
-    pub fn flow(&self, id: FlowId) -> &Flow {
-        self.world.flow_at(self.node, id)
+    /// Read access to the sender half of `id`, which this node opened:
+    /// acked and written byte counts, window, retransmission stats. Only
+    /// live halves can be read. A half is retired when this node aborts
+    /// the flow ([`Ctx::abort_flow`], or a crash of the node), or — if
+    /// the peer aborted — when this node's [`App::on_flow_aborted`]
+    /// returns: inside that callback the half is still readable (and
+    /// reports `is_aborted()`), afterwards this panics. So does a read
+    /// from any node but the flow's source.
+    pub fn sender(&self, id: FlowId) -> &Sender {
+        let f = self.world.sender(id);
+        assert_eq!(f.src, self.node, "flow {id} is not sent from this node");
+        f
+    }
+
+    /// Read access to the receiver half of `id`, which terminates at
+    /// this node: delivered byte count and the flow's endpoints. Live
+    /// halves only, retired as for [`Ctx::sender`]; reading from any
+    /// node but the flow's destination panics.
+    pub fn receiver(&self, id: FlowId) -> &Receiver {
+        let f = self.world.receiver(id);
+        assert_eq!(f.dst, self.node, "flow {id} does not end at this node");
+        f
     }
 
     /// Watch the receiver half of `id` (which must terminate at this
@@ -2298,6 +2293,18 @@ mod tests {
         assert_eq!(std::mem::size_of::<Option<Event>>(), 40);
     }
 
+    #[test]
+    fn flow_halves_hold_only_their_side() {
+        // At crowd scale some 75 k halves of each kind are live at once:
+        // a sender half carries no reassembly or framing, a receiver
+        // half no window or timer. The slab stores `Option`s of both.
+        use std::mem::size_of;
+        assert!(size_of::<TxHalf>() <= 264, "{}", size_of::<TxHalf>());
+        assert!(size_of::<RxHalf>() <= 96, "{}", size_of::<RxHalf>());
+        assert_eq!(size_of::<Option<TxHalf>>(), size_of::<TxHalf>());
+        assert_eq!(size_of::<Option<RxHalf>>(), size_of::<RxHalf>());
+    }
+
     /// Sends one message at start; records drain time.
     struct Sender {
         dst: NodeId,
@@ -2450,8 +2457,8 @@ mod tests {
         }
         sim.add_app(z, Box::new(Receiver::default()));
         sim.run_until(SimTime::from_secs(40));
-        let f1 = sim.world().flow(flow_id(s1, 0)).acked_bytes() as f64;
-        let f2 = sim.world().flow(flow_id(s2, 0)).acked_bytes() as f64;
+        let f1 = sim.world().sender(flow_id(s1, 0)).acked_bytes() as f64;
+        let f2 = sim.world().sender(flow_id(s2, 0)).acked_bytes() as f64;
         let ratio = f1.min(f2) / f1.max(f2);
         assert!(ratio > 0.6, "unfair split: {f1} vs {f2}");
         // Aggregate goodput should be near 2 Mbit/s payload-adjusted.
@@ -2490,13 +2497,13 @@ mod tests {
             .app::<Receiver>(z)
             .expect("invariant: Receiver installed on z");
         assert_eq!(rx.got.len(), 1, "message must arrive despite loss");
-        let f = sim.world().flow(flow_id(a, 0));
+        let f = sim.world().sender(flow_id(a, 0));
         assert!(
             f.stats.segments_retransmitted > 0,
             "loss caused retransmits"
         );
         assert_eq!(
-            sim.world().flow_rx(flow_id(a, 0)).delivered_bytes(),
+            sim.world().receiver(flow_id(a, 0)).delivered_bytes(),
             500_000
         );
     }
@@ -3336,7 +3343,8 @@ mod tests {
             out.clear();
             ctx.drain_progress(&mut out);
             for &f in &out {
-                self.log.push((ctx.now(), ctx.flow(f).delivered_bytes()));
+                self.log
+                    .push((ctx.now(), ctx.receiver(f).delivered_bytes()));
             }
             self.scratch = out;
             ctx.set_timer(self.period, 0);
@@ -3498,7 +3506,7 @@ mod tests {
                 sim.inject_faults(&faults);
             }
             sim.run_until(SimTime::from_secs(120));
-            let rx_done = sim.world().flow_rx(flow_id(a, 0)).delivered_bytes();
+            let rx_done = sim.world().receiver(flow_id(a, 0)).delivered_bytes();
             (rx_done, sim.world().link_stats(fwd).drops_down)
         };
         let (clean_bytes, clean_down) = run(false);
@@ -3717,7 +3725,7 @@ mod tests {
         Send(u64),
         Abort,
         Watch,
-        /// Read the flow through [`Ctx::flow`].
+        /// Read the sender half through [`Ctx::sender`].
         Read,
     }
 
@@ -3759,7 +3767,7 @@ mod tests {
                 Step::Abort => ctx.abort_flow(self.flow),
                 Step::Watch => ctx.watch_flow(self.flow),
                 Step::Read => {
-                    let seen = ctx.flow(self.flow).written_bytes();
+                    let seen = ctx.sender(self.flow).written_bytes();
                     self.log.push((ctx.now(), "read", seen));
                 }
             }
@@ -3772,9 +3780,15 @@ mod tests {
         }
         fn on_flow_aborted(&mut self, ctx: &mut Ctx, flow: FlowId) {
             // The half is still there for the callback to settle accounts.
-            let f = ctx.flow(flow);
-            assert!(f.is_aborted());
-            let bytes = f.acked_bytes().max(f.delivered_bytes());
+            let bytes = if opened_by(ctx.node(), flow) {
+                let f = ctx.sender(flow);
+                assert!(f.is_aborted());
+                f.acked_bytes()
+            } else {
+                let f = ctx.receiver(flow);
+                assert!(f.is_aborted());
+                f.delivered_bytes()
+            };
             self.log.push((ctx.now(), "aborted", bytes));
         }
     }

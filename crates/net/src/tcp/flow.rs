@@ -1,8 +1,10 @@
-//! The flow state machine. See the module docs in [`crate::tcp`].
+//! The two halves of a flow, and the loopback pair that wires them
+//! back to back. See the module docs in [`crate::tcp`].
 
 use crate::packet::{FlowId, NodeId};
 use crate::time::{SimDuration, SimTime};
 use std::collections::{BTreeMap, VecDeque};
+use std::ops::{Deref, DerefMut};
 
 /// Congestion-control algorithm for a flow.
 ///
@@ -59,7 +61,7 @@ impl Default for FlowConfig {
     }
 }
 
-/// Counters for one flow.
+/// Counters for one flow, kept by its sender.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct FlowStats {
     /// Data segments sent, including retransmissions.
@@ -70,10 +72,6 @@ pub struct FlowStats {
     pub fast_retransmits: u64,
     /// Retransmission timer expirations.
     pub rto_events: u64,
-    /// Pure ACKs emitted by the receiver side.
-    pub acks_sent: u64,
-    /// Largest congestion window observed, in bytes.
-    pub max_cwnd: u64,
 }
 
 /// What the world must do in response to a flow event.
@@ -106,19 +104,25 @@ pub enum FlowAction {
     Drained,
 }
 
-/// One direction of a connection. See module docs.
+/// The sending half of a flow: the byte stream's writer, its congestion
+/// window and its retransmission timer. It holds no receiver state and
+/// no framing. See module docs.
 #[derive(Debug)]
-pub struct Flow {
-    /// Flow identifier.
-    pub id: FlowId,
+pub struct Sender {
     /// Sending endpoint.
     pub src: NodeId,
     /// Receiving endpoint.
     pub dst: NodeId,
-    /// Transport parameters.
-    pub cfg: FlowConfig,
 
-    // ---- sender state ----
+    // ---- the transport parameters read after `new` ----
+    mss: u32,
+    header_bytes: u32,
+    max_cwnd_bytes: u64,
+    min_rto: SimDuration,
+    max_rto: SimDuration,
+    cc: CongestionControl,
+
+    // ---- window state ----
     /// Lowest unacknowledged byte.
     snd_una: u64,
     /// Next byte to transmit.
@@ -151,18 +155,6 @@ pub struct Flow {
     /// Start of the current congestion-avoidance epoch.
     cubic_epoch: Option<SimTime>,
 
-    // ---- receiver state ----
-    /// Next in-order byte expected.
-    rcv_nxt: u64,
-    /// Out-of-order ranges received: start -> end (coalesced).
-    ooo: BTreeMap<u64, u64>,
-
-    // ---- framing (receiver half only) ----
-    /// Message boundaries not yet delivered, in write order: (end
-    /// offset, tag). [`Flow::note_boundary`] is the only writer, so a
-    /// sender half keeps this empty.
-    boundaries: VecDeque<(u64, u64)>,
-
     // ---- lifecycle ----
     aborted: bool,
     drained_notified: bool,
@@ -171,19 +163,22 @@ pub struct Flow {
     pub stats: FlowStats,
 }
 
-impl Flow {
-    /// A fresh flow in the initial (slow-start) state.
-    pub fn new(id: FlowId, src: NodeId, dst: NodeId, cfg: FlowConfig) -> Self {
-        let cwnd = (cfg.init_cwnd_segments as f64) * cfg.mss as f64;
-        Flow {
-            id,
+impl Sender {
+    /// A fresh sender in the initial (slow-start) state.
+    pub fn new(src: NodeId, dst: NodeId, cfg: FlowConfig) -> Self {
+        Sender {
             src,
             dst,
-            cfg,
+            mss: cfg.mss,
+            header_bytes: cfg.header_bytes,
+            max_cwnd_bytes: cfg.max_cwnd_bytes,
+            min_rto: cfg.min_rto,
+            max_rto: cfg.max_rto,
+            cc: cfg.cc,
             snd_una: 0,
             snd_nxt: 0,
             write_limit: 0,
-            cwnd,
+            cwnd: f64::from(cfg.init_cwnd_segments) * f64::from(cfg.mss),
             ssthresh: cfg.max_cwnd_bytes as f64,
             dup_acks: 0,
             in_recovery: false,
@@ -195,9 +190,6 @@ impl Flow {
             rto_armed: false,
             cubic_w_max: 0.0,
             cubic_epoch: None,
-            rcv_nxt: 0,
-            ooo: BTreeMap::new(),
-            boundaries: VecDeque::new(),
             aborted: false,
             drained_notified: false,
             stats: FlowStats::default(),
@@ -206,14 +198,13 @@ impl Flow {
 
     // ---------------------------------------------------------------- inputs
 
-    /// The application writes a message of `bytes` bytes and a tag.
+    /// The application writes a message of `bytes` bytes.
     ///
     /// The sender keeps no framing: the message's end and tag reach the
-    /// receiving half only through [`Flow::note_boundary`], which the
+    /// [`Receiver`] only through [`Receiver::note_boundary`], which the
     /// engine calls with the boundary record `Ctx::send` emits beside
-    /// this write. The tag is a parameter so a caller states the whole
-    /// message in one place; the sender never reads it.
-    pub fn write(&mut self, now: SimTime, bytes: u64, _tag: u64, out: &mut Vec<FlowAction>) {
+    /// this write.
+    pub fn write(&mut self, now: SimTime, bytes: u64, out: &mut Vec<FlowAction>) {
         assert!(bytes > 0, "zero-length messages are not supported");
         if self.aborted {
             return;
@@ -250,22 +241,21 @@ impl Flow {
                 if cum >= self.recover {
                     // Full recovery: deflate to ssthresh.
                     self.in_recovery = false;
-                    self.cwnd = self.ssthresh.max(self.cfg.mss as f64);
+                    self.cwnd = self.ssthresh.max(self.mss as f64);
                 } else {
                     // NewReno partial ACK: retransmit the next hole and
                     // deflate by the amount acked.
                     self.retransmit_head(out);
-                    self.cwnd =
-                        (self.cwnd - acked as f64 + self.cfg.mss as f64).max(self.cfg.mss as f64);
+                    self.cwnd = (self.cwnd - acked as f64 + self.mss as f64).max(self.mss as f64);
                 }
             } else if self.cwnd < self.ssthresh {
                 // Slow start: one MSS per ACK (bounded by bytes acked).
-                self.cwnd += (acked as f64).min(self.cfg.mss as f64);
+                self.cwnd += (acked as f64).min(self.mss as f64);
             } else {
-                match self.cfg.cc {
+                match self.cc {
                     CongestionControl::Reno => {
                         // Congestion avoidance: ~one MSS per RTT.
-                        self.cwnd += self.cfg.mss as f64 * self.cfg.mss as f64 / self.cwnd;
+                        self.cwnd += self.mss as f64 * self.mss as f64 / self.cwnd;
                     }
                     CongestionControl::Cubic => self.cubic_grow(now),
                 }
@@ -279,7 +269,7 @@ impl Flow {
             self.dup_acks += 1;
             if self.in_recovery {
                 // Inflate during recovery so new data keeps flowing.
-                self.cwnd += self.cfg.mss as f64;
+                self.cwnd += self.mss as f64;
                 self.cap_cwnd();
                 self.pump(now, out);
             } else if self.dup_acks == 3 {
@@ -296,60 +286,25 @@ impl Flow {
         }
         self.stats.rto_events += 1;
         let flight = (self.snd_nxt - self.snd_una) as f64;
-        self.ssthresh = match self.cfg.cc {
-            CongestionControl::Reno => (flight / 2.0).max(2.0 * self.cfg.mss as f64),
-            CongestionControl::Cubic => (self.cwnd * 0.7).max(2.0 * self.cfg.mss as f64),
+        self.ssthresh = match self.cc {
+            CongestionControl::Reno => (flight / 2.0).max(2.0 * self.mss as f64),
+            CongestionControl::Cubic => (self.cwnd * 0.7).max(2.0 * self.mss as f64),
         };
         self.on_congestion_event();
-        self.cwnd = self.cfg.mss as f64;
+        self.cwnd = self.mss as f64;
         self.dup_acks = 0;
         self.in_recovery = false;
         self.rtt_probe = None; // Karn: no sampling across a timeout
                                // Exponential backoff, bounded.
         let doubled = SimDuration::from_nanos(self.rto.as_nanos().saturating_mul(2));
-        self.rto = doubled.min(self.cfg.max_rto);
+        self.rto = doubled.min(self.max_rto);
         // Go-back-N: rewind and resend from the hole.
         self.snd_nxt = self.snd_una;
         self.pump_retransmission(out);
         self.update_timer(out);
     }
 
-    /// Record a message boundary on the receiving side: the stream byte
-    /// range ending at `end` completes the message tagged `tag`, and
-    /// [`FlowAction::Deliver`] fires once `end` is received in order.
-    ///
-    /// This is the one writer of the boundary queue; [`Flow::write`]
-    /// keeps no framing. The engine calls it on the receiver half with
-    /// each boundary record `Ctx::send` emits (the records travel at the
-    /// path's propagation delay, so they always precede the data bytes
-    /// they frame). A flow driven by hand as both ends calls it after
-    /// each `write` the same way.
-    pub fn note_boundary(&mut self, end: u64, tag: u64) {
-        self.boundaries.push_back((end, tag));
-    }
-
-    /// A data segment `[offset, offset+len)` arrived at the receiver.
-    pub fn on_data(&mut self, _now: SimTime, offset: u64, len: u32, out: &mut Vec<FlowAction>) {
-        if self.aborted {
-            return;
-        }
-        let end = offset + u64::from(len);
-        if end > self.rcv_nxt {
-            if offset <= self.rcv_nxt && self.ooo.is_empty() {
-                // In-order data with nothing buffered — the steady state
-                // on a loss-free path. Skip the out-of-order machinery.
-                self.rcv_nxt = end;
-                self.deliver_boundaries(out);
-            } else {
-                self.insert_ooo(offset.max(self.rcv_nxt), end);
-                self.advance_rcv(out);
-            }
-        }
-        self.stats.acks_sent += 1;
-        out.push(FlowAction::SendAck { cum: self.rcv_nxt });
-    }
-
-    /// Abort the flow from either endpoint: stop transmitting, ignore
+    /// Abort the flow at the sender: stop transmitting, ignore
     /// stragglers. Irreversible.
     pub fn abort(&mut self, out: &mut Vec<FlowAction>) {
         if self.aborted {
@@ -364,14 +319,9 @@ impl Flow {
 
     // -------------------------------------------------------------- queries
 
-    /// Whether the flow was aborted by either endpoint.
+    /// Whether the flow was aborted at this end.
     pub fn is_aborted(&self) -> bool {
         self.aborted
-    }
-
-    /// Bytes delivered in order to the receiving application.
-    pub fn delivered_bytes(&self) -> u64 {
-        self.rcv_nxt
     }
 
     /// Bytes acknowledged back to the sender.
@@ -410,15 +360,15 @@ impl Flow {
         self.snd_una == self.write_limit
     }
 
+    /// Wire overhead added to each data segment.
+    pub fn header_bytes(&self) -> u32 {
+        self.header_bytes
+    }
+
     // ------------------------------------------------------------ internals
 
     fn cap_cwnd(&mut self) {
-        let cap = self.cfg.max_cwnd_bytes as f64;
-        if self.cwnd > cap {
-            self.cwnd = cap;
-        }
-        // lint: allow(cast) — f64 -> u64 saturates; cwnd is clamped to [mss, cap]
-        self.stats.max_cwnd = self.stats.max_cwnd.max(self.cwnd as u64);
+        self.cwnd = self.cwnd.min(self.max_cwnd_bytes as f64);
     }
 
     /// Send as much new data as the window allows.
@@ -428,7 +378,7 @@ impl Flow {
             if flight + 1.0 > self.cwnd {
                 break;
             }
-            let len = u32::try_from((self.write_limit - self.snd_nxt).min(u64::from(self.cfg.mss)))
+            let len = u32::try_from((self.write_limit - self.snd_nxt).min(u64::from(self.mss)))
                 .expect("invariant: min-clamped by mss");
             out.push(FlowAction::SendData {
                 offset: self.snd_nxt,
@@ -448,7 +398,7 @@ impl Flow {
         // old high-water mark is a retransmission.
         let mut sent = 0f64;
         while self.snd_nxt < self.write_limit && sent + 1.0 <= self.cwnd {
-            let len = u32::try_from((self.write_limit - self.snd_nxt).min(u64::from(self.cfg.mss)))
+            let len = u32::try_from((self.write_limit - self.snd_nxt).min(u64::from(self.mss)))
                 .expect("invariant: min-clamped by mss");
             out.push(FlowAction::SendData {
                 offset: self.snd_nxt,
@@ -463,13 +413,13 @@ impl Flow {
 
     fn enter_fast_retransmit(&mut self, _now: SimTime, out: &mut Vec<FlowAction>) {
         let flight = (self.snd_nxt - self.snd_una) as f64;
-        self.ssthresh = match self.cfg.cc {
-            CongestionControl::Reno => (flight / 2.0).max(2.0 * self.cfg.mss as f64),
-            CongestionControl::Cubic => (self.cwnd * 0.7).max(2.0 * self.cfg.mss as f64),
+        self.ssthresh = match self.cc {
+            CongestionControl::Reno => (flight / 2.0).max(2.0 * self.mss as f64),
+            CongestionControl::Cubic => (self.cwnd * 0.7).max(2.0 * self.mss as f64),
         };
         self.on_congestion_event();
         self.retransmit_head(out);
-        self.cwnd = self.ssthresh + 3.0 * self.cfg.mss as f64;
+        self.cwnd = self.ssthresh + 3.0 * self.mss as f64;
         self.cap_cwnd();
         self.in_recovery = true;
         self.recover = self.snd_nxt;
@@ -479,7 +429,7 @@ impl Flow {
 
     /// Retransmit the first unacknowledged segment.
     fn retransmit_head(&mut self, out: &mut Vec<FlowAction>) {
-        let len = u32::try_from((self.write_limit - self.snd_una).min(u64::from(self.cfg.mss)))
+        let len = u32::try_from((self.write_limit - self.snd_una).min(u64::from(self.mss)))
             .expect("invariant: min-clamped by mss");
         if len == 0 {
             return;
@@ -496,7 +446,7 @@ impl Flow {
     /// Record a congestion event for CUBIC: remember the window and start
     /// a fresh cubic epoch.
     fn on_congestion_event(&mut self) {
-        if self.cfg.cc == CongestionControl::Cubic {
+        if self.cc == CongestionControl::Cubic {
             self.cubic_w_max = self.cwnd;
             self.cubic_epoch = None; // restarted on the next CA ACK
         }
@@ -509,7 +459,7 @@ impl Flow {
     fn cubic_grow(&mut self, now: SimTime) {
         const C: f64 = 0.4; // MSS/s³
         const BETA: f64 = 0.7;
-        let mss = self.cfg.mss as f64;
+        let mss = self.mss as f64;
         let epoch = *self.cubic_epoch.get_or_insert(now);
         let t = now.saturating_since(epoch).as_secs_f64();
         let w_max = (self.cubic_w_max / mss).max(2.0); // in MSS
@@ -539,8 +489,8 @@ impl Flow {
         }
         let rto = self.srtt.expect("just set") + (4.0 * self.rttvar).max(0.001);
         self.rto = SimDuration::from_secs_f64(rto)
-            .max(self.cfg.min_rto)
-            .min(self.cfg.max_rto);
+            .max(self.min_rto)
+            .min(self.max_rto);
     }
 
     /// Keep the RTO timer armed exactly when data is outstanding.
@@ -562,6 +512,100 @@ impl Flow {
             out.push(FlowAction::Drained);
         }
     }
+}
+
+/// The receiving half of a flow: reassembly, cumulative ACKs, and the
+/// flow's framing. It holds no sender state. See module docs.
+#[derive(Debug)]
+pub struct Receiver {
+    /// Sending endpoint.
+    pub src: NodeId,
+    /// Receiving endpoint.
+    pub dst: NodeId,
+    /// Wire size of a pure ACK.
+    ack_bytes: u32,
+    /// Next in-order byte expected.
+    rcv_nxt: u64,
+    /// Out-of-order ranges received: start -> end (coalesced).
+    ooo: BTreeMap<u64, u64>,
+    /// Message boundaries not yet delivered, in write order: (end
+    /// offset, tag). [`Receiver::note_boundary`] is the only writer.
+    boundaries: VecDeque<(u64, u64)>,
+    aborted: bool,
+}
+
+impl Receiver {
+    /// A fresh receiver that has seen nothing yet and answers each data
+    /// segment with an ACK of `ack_bytes` on the wire.
+    pub fn new(src: NodeId, dst: NodeId, ack_bytes: u32) -> Self {
+        Receiver {
+            src,
+            dst,
+            ack_bytes,
+            rcv_nxt: 0,
+            ooo: BTreeMap::new(),
+            boundaries: VecDeque::new(),
+            aborted: false,
+        }
+    }
+
+    /// Record a message boundary: the stream byte range ending at `end`
+    /// completes the message tagged `tag`, and [`FlowAction::Deliver`]
+    /// fires once `end` is received in order.
+    ///
+    /// This is the one writer of the boundary queue. The engine calls it
+    /// with each boundary record `Ctx::send` emits (the records travel at
+    /// the path's propagation delay, so they always precede the data
+    /// bytes they frame); a harness driving both halves by hand calls it
+    /// after each [`Sender::write`].
+    pub fn note_boundary(&mut self, end: u64, tag: u64) {
+        self.boundaries.push_back((end, tag));
+    }
+
+    /// A data segment `[offset, offset+len)` arrived at the receiver.
+    pub fn on_data(&mut self, _now: SimTime, offset: u64, len: u32, out: &mut Vec<FlowAction>) {
+        if self.aborted {
+            return;
+        }
+        let end = offset + u64::from(len);
+        if end > self.rcv_nxt {
+            if offset <= self.rcv_nxt && self.ooo.is_empty() {
+                // In-order data with nothing buffered — the steady state
+                // on a loss-free path. Skip the out-of-order machinery.
+                self.rcv_nxt = end;
+                self.deliver_boundaries(out);
+            } else {
+                self.insert_ooo(offset.max(self.rcv_nxt), end);
+                self.advance_rcv(out);
+            }
+        }
+        out.push(FlowAction::SendAck { cum: self.rcv_nxt });
+    }
+
+    /// Abort the flow at the receiver: ignore whatever still arrives.
+    /// Irreversible.
+    pub fn abort(&mut self) {
+        self.aborted = true;
+    }
+
+    // -------------------------------------------------------------- queries
+
+    /// Whether the flow was aborted at this end.
+    pub fn is_aborted(&self) -> bool {
+        self.aborted
+    }
+
+    /// Bytes delivered in order to the receiving application.
+    pub fn delivered_bytes(&self) -> u64 {
+        self.rcv_nxt
+    }
+
+    /// Wire size of each ACK this receiver sends.
+    pub fn ack_bytes(&self) -> u32 {
+        self.ack_bytes
+    }
+
+    // ------------------------------------------------------------ internals
 
     fn insert_ooo(&mut self, start: u64, end: u64) {
         if start >= end {
@@ -606,26 +650,96 @@ impl Flow {
     }
 }
 
+/// Both halves of one flow wired back to back, for harnesses that drive
+/// the two ends by hand, such as micro-benchmarks. Not a second
+/// implementation: [`Flow::write`] frames the message on its own
+/// receiver, as the engine's boundary record does, [`Flow::on_data`]
+/// goes to the receiver, and everything else reads through to the
+/// sender. The engine never builds one.
+#[derive(Debug)]
+pub struct Flow {
+    /// Flow identifier.
+    pub id: FlowId,
+    /// The sending half.
+    pub tx: Sender,
+    /// The receiving half.
+    pub rx: Receiver,
+}
+
+impl Flow {
+    /// A fresh pair in the initial state.
+    pub fn new(id: FlowId, src: NodeId, dst: NodeId, cfg: FlowConfig) -> Self {
+        Flow {
+            id,
+            tx: Sender::new(src, dst, cfg),
+            rx: Receiver::new(src, dst, cfg.ack_bytes),
+        }
+    }
+
+    /// Write a message of `bytes` bytes tagged `tag`, and frame it on
+    /// the receiver.
+    pub fn write(&mut self, now: SimTime, bytes: u64, tag: u64, out: &mut Vec<FlowAction>) {
+        let before = self.tx.written_bytes();
+        self.tx.write(now, bytes, out);
+        let end = self.tx.written_bytes();
+        if end > before {
+            self.rx.note_boundary(end, tag);
+        }
+    }
+
+    /// A data segment arrived at the receiving half.
+    pub fn on_data(&mut self, now: SimTime, offset: u64, len: u32, out: &mut Vec<FlowAction>) {
+        self.rx.on_data(now, offset, len, out);
+    }
+}
+
+impl Deref for Flow {
+    type Target = Sender;
+    fn deref(&self) -> &Sender {
+        &self.tx
+    }
+}
+
+impl DerefMut for Flow {
+    fn deref_mut(&mut self) -> &mut Sender {
+        &mut self.tx
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     const MSS: u64 = 1460;
 
-    fn flow() -> Flow {
-        Flow::new(FlowId(0), NodeId(0), NodeId(1), FlowConfig::default())
+    fn sender() -> Sender {
+        Sender::new(NodeId(0), NodeId(1), FlowConfig::default())
+    }
+
+    fn halves() -> (Sender, Receiver) {
+        let cfg = FlowConfig::default();
+        (
+            Sender::new(NodeId(0), NodeId(1), cfg),
+            Receiver::new(NodeId(0), NodeId(1), cfg.ack_bytes),
+        )
     }
 
     fn t(ms: u64) -> SimTime {
         SimTime::from_nanos(ms * 1_000_000)
     }
 
-    /// Write a message and frame it on the receiving side, as the engine
-    /// does with its boundary record: these tests drive one flow as both
-    /// ends.
-    fn send(f: &mut Flow, now: SimTime, bytes: u64, tag: u64, out: &mut Vec<FlowAction>) {
-        f.write(now, bytes, tag, out);
-        f.note_boundary(f.written_bytes(), tag);
+    /// Write a message and frame it on the receiver, as the engine does
+    /// with its boundary record.
+    fn send(
+        tx: &mut Sender,
+        rx: &mut Receiver,
+        now: SimTime,
+        bytes: u64,
+        tag: u64,
+        out: &mut Vec<FlowAction>,
+    ) {
+        tx.write(now, bytes, out);
+        rx.note_boundary(tx.written_bytes(), tag);
     }
 
     /// Collect the data segments from an action list.
@@ -638,11 +752,21 @@ mod tests {
             .collect()
     }
 
+    /// Collect the delivered tags from an action list.
+    fn tags(out: &[FlowAction]) -> Vec<u64> {
+        out.iter()
+            .filter_map(|a| match a {
+                FlowAction::Deliver { tag } => Some(*tag),
+                _ => None,
+            })
+            .collect()
+    }
+
     #[test]
     fn initial_write_respects_init_cwnd() {
-        let mut f = flow();
+        let mut f = sender();
         let mut out = Vec::new();
-        f.write(t(0), 10 * MSS, 7, &mut out);
+        f.write(t(0), 10 * MSS, &mut out);
         let d = datas(&out);
         assert_eq!(d.len(), 2, "init cwnd is 2 segments");
         assert_eq!(d[0], (0, MSS as u32));
@@ -652,9 +776,9 @@ mod tests {
 
     #[test]
     fn slow_start_doubles_per_rtt() {
-        let mut f = flow();
+        let mut f = sender();
         let mut out = Vec::new();
-        f.write(t(0), 100 * MSS, 1, &mut out);
+        f.write(t(0), 100 * MSS, &mut out);
         assert_eq!(datas(&out).len(), 2);
         out.clear();
         // ACK both segments: cwnd 2 -> 4, so 4 more segments flow.
@@ -665,45 +789,45 @@ mod tests {
 
     #[test]
     fn receiver_delivers_in_order_message() {
-        let mut f = flow();
+        let (mut tx, mut rx) = halves();
         let mut out = Vec::new();
-        send(&mut f, t(0), 2 * MSS, 42, &mut out);
+        send(&mut tx, &mut rx, t(0), 2 * MSS, 42, &mut out);
         out.clear();
-        f.on_data(t(5), 0, MSS as u32, &mut out);
+        rx.on_data(t(5), 0, MSS as u32, &mut out);
         assert!(!out.iter().any(|a| matches!(a, FlowAction::Deliver { .. })));
         assert!(out.contains(&FlowAction::SendAck { cum: MSS }));
         out.clear();
-        f.on_data(t(6), MSS, MSS as u32, &mut out);
+        rx.on_data(t(6), MSS, MSS as u32, &mut out);
         assert!(out.contains(&FlowAction::Deliver { tag: 42 }));
         assert!(out.contains(&FlowAction::SendAck { cum: 2 * MSS }));
-        assert_eq!(f.delivered_bytes(), 2 * MSS);
+        assert_eq!(rx.delivered_bytes(), 2 * MSS);
     }
 
     #[test]
     fn out_of_order_data_is_reassembled() {
-        let mut f = flow();
+        let (mut tx, mut rx) = halves();
         let mut out = Vec::new();
-        send(&mut f, t(0), 3 * MSS, 9, &mut out);
+        send(&mut tx, &mut rx, t(0), 3 * MSS, 9, &mut out);
         out.clear();
         // Segment 2 arrives first: duplicate ACK for 0.
-        f.on_data(t(5), MSS, MSS as u32, &mut out);
+        rx.on_data(t(5), MSS, MSS as u32, &mut out);
         assert!(out.contains(&FlowAction::SendAck { cum: 0 }));
         out.clear();
-        f.on_data(t(6), 0, MSS as u32, &mut out);
+        rx.on_data(t(6), 0, MSS as u32, &mut out);
         // Both now in order.
         assert!(out.contains(&FlowAction::SendAck { cum: 2 * MSS }));
         out.clear();
-        f.on_data(t(7), 2 * MSS, MSS as u32, &mut out);
+        rx.on_data(t(7), 2 * MSS, MSS as u32, &mut out);
         assert!(out.contains(&FlowAction::Deliver { tag: 9 }));
     }
 
     #[test]
     fn duplicate_data_reacked_not_redelivered() {
-        let mut f = flow();
+        let (mut tx, mut rx) = halves();
         let mut out = Vec::new();
-        send(&mut f, t(0), MSS, 5, &mut out);
+        send(&mut tx, &mut rx, t(0), MSS, 5, &mut out);
         out.clear();
-        f.on_data(t(5), 0, MSS as u32, &mut out);
+        rx.on_data(t(5), 0, MSS as u32, &mut out);
         assert_eq!(
             out.iter()
                 .filter(|a| matches!(a, FlowAction::Deliver { .. }))
@@ -711,16 +835,16 @@ mod tests {
             1
         );
         out.clear();
-        f.on_data(t(6), 0, MSS as u32, &mut out);
+        rx.on_data(t(6), 0, MSS as u32, &mut out);
         assert!(out.contains(&FlowAction::SendAck { cum: MSS }));
         assert!(!out.iter().any(|a| matches!(a, FlowAction::Deliver { .. })));
     }
 
     #[test]
     fn three_dup_acks_trigger_fast_retransmit() {
-        let mut f = flow();
+        let mut f = sender();
         let mut out = Vec::new();
-        f.write(t(0), 20 * MSS, 1, &mut out);
+        f.write(t(0), 20 * MSS, &mut out);
         // Grow the window a bit first.
         f.on_ack(t(10), MSS, &mut out);
         f.on_ack(t(11), 2 * MSS, &mut out);
@@ -739,9 +863,9 @@ mod tests {
 
     #[test]
     fn recovery_exits_on_full_ack_and_deflates() {
-        let mut f = flow();
+        let mut f = sender();
         let mut out = Vec::new();
-        f.write(t(0), 40 * MSS, 1, &mut out);
+        f.write(t(0), 40 * MSS, &mut out);
         for i in 1..=8u64 {
             f.on_ack(t(i), i * MSS, &mut out);
         }
@@ -761,9 +885,9 @@ mod tests {
 
     #[test]
     fn rto_backs_off_and_goes_back_n() {
-        let mut f = flow();
+        let mut f = sender();
         let mut out = Vec::new();
-        f.write(t(0), 10 * MSS, 1, &mut out);
+        f.write(t(0), 10 * MSS, &mut out);
         let rto0 = f.current_rto();
         out.clear();
         f.on_rto(t(1000), &mut out);
@@ -784,9 +908,9 @@ mod tests {
 
     #[test]
     fn rtt_sample_sets_rto() {
-        let mut f = flow();
+        let mut f = sender();
         let mut out = Vec::new();
-        f.write(t(0), MSS, 1, &mut out);
+        f.write(t(0), MSS, &mut out);
         out.clear();
         f.on_ack(t(100), MSS, &mut out); // 100 ms RTT
         let srtt = f.srtt().expect("sampled");
@@ -797,9 +921,9 @@ mod tests {
 
     #[test]
     fn min_rto_respected() {
-        let mut f = flow();
+        let mut f = sender();
         let mut out = Vec::new();
-        f.write(t(0), MSS, 1, &mut out);
+        f.write(t(0), MSS, &mut out);
         out.clear();
         f.on_ack(t(1), MSS, &mut out); // 1 ms RTT
         assert_eq!(f.current_rto(), FlowConfig::default().min_rto);
@@ -807,9 +931,9 @@ mod tests {
 
     #[test]
     fn drained_fires_once() {
-        let mut f = flow();
+        let mut f = sender();
         let mut out = Vec::new();
-        f.write(t(0), MSS, 1, &mut out);
+        f.write(t(0), MSS, &mut out);
         out.clear();
         f.on_ack(t(10), MSS, &mut out);
         assert!(out.contains(&FlowAction::Drained));
@@ -819,7 +943,7 @@ mod tests {
         f.on_ack(t(11), MSS, &mut out);
         assert!(!out.contains(&FlowAction::Drained));
         // A new write re-arms the whole machinery.
-        f.write(t(20), MSS, 2, &mut out);
+        f.write(t(20), MSS, &mut out);
         out.clear();
         f.on_ack(t(30), 2 * MSS, &mut out);
         assert!(out.contains(&FlowAction::Drained));
@@ -827,21 +951,24 @@ mod tests {
 
     #[test]
     fn abort_silences_everything() {
-        let mut f = flow();
+        let (mut tx, mut rx) = halves();
         let mut out = Vec::new();
-        f.write(t(0), 10 * MSS, 1, &mut out);
+        send(&mut tx, &mut rx, t(0), 10 * MSS, 1, &mut out);
         out.clear();
-        f.abort(&mut out);
+        tx.abort(&mut out);
+        rx.abort();
         assert!(out.contains(&FlowAction::CancelRto));
-        assert!(f.is_aborted());
+        assert!(tx.is_aborted());
+        assert!(rx.is_aborted());
         out.clear();
-        f.on_ack(t(10), MSS, &mut out);
-        f.on_data(t(10), 0, MSS as u32, &mut out);
-        f.on_rto(t(20), &mut out);
-        f.write(t(30), MSS, 2, &mut out);
+        tx.on_ack(t(10), MSS, &mut out);
+        rx.on_data(t(10), 0, MSS as u32, &mut out);
+        tx.on_rto(t(20), &mut out);
+        tx.write(t(30), MSS, &mut out);
         assert!(out.is_empty());
         // Double-abort is a no-op.
-        f.abort(&mut out);
+        tx.abort(&mut out);
+        rx.abort();
         assert!(out.is_empty());
     }
 
@@ -851,9 +978,9 @@ mod tests {
             max_cwnd_bytes: 8 * MSS,
             ..Default::default()
         };
-        let mut f = Flow::new(FlowId(0), NodeId(0), NodeId(1), cfg);
+        let mut f = Sender::new(NodeId(0), NodeId(1), cfg);
         let mut out = Vec::new();
-        f.write(t(0), 1000 * MSS, 1, &mut out);
+        f.write(t(0), 1000 * MSS, &mut out);
         for i in 1..200u64 {
             f.on_ack(t(i), i * MSS, &mut out);
         }
@@ -862,62 +989,76 @@ mod tests {
 
     #[test]
     fn multiple_message_boundaries_deliver_in_order() {
-        let mut f = flow();
+        let (mut tx, mut rx) = halves();
         let mut out = Vec::new();
-        send(&mut f, t(0), 100, 1, &mut out);
-        send(&mut f, t(0), 200, 2, &mut out);
-        send(&mut f, t(0), 300, 3, &mut out);
+        send(&mut tx, &mut rx, t(0), 100, 1, &mut out);
+        send(&mut tx, &mut rx, t(0), 200, 2, &mut out);
+        send(&mut tx, &mut rx, t(0), 300, 3, &mut out);
         out.clear();
-        f.on_data(t(5), 0, 600, &mut out);
-        let tags: Vec<u64> = out
-            .iter()
-            .filter_map(|a| match a {
-                FlowAction::Deliver { tag } => Some(*tag),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(tags, vec![1, 2, 3]);
+        rx.on_data(t(5), 0, 600, &mut out);
+        assert_eq!(tags(&out), vec![1, 2, 3]);
     }
 
     #[test]
     fn partial_message_not_delivered() {
-        let mut f = flow();
+        let (mut tx, mut rx) = halves();
         let mut out = Vec::new();
-        send(&mut f, t(0), 1000, 1, &mut out);
+        send(&mut tx, &mut rx, t(0), 1000, 1, &mut out);
         out.clear();
-        f.on_data(t(5), 0, 999, &mut out);
+        rx.on_data(t(5), 0, 999, &mut out);
         assert!(!out.iter().any(|a| matches!(a, FlowAction::Deliver { .. })));
-        f.on_data(t(6), 999, 1, &mut out);
+        rx.on_data(t(6), 999, 1, &mut out);
         assert!(out.contains(&FlowAction::Deliver { tag: 1 }));
     }
 
     #[test]
     fn a_sender_half_keeps_no_framing() {
-        let mut f = flow();
+        // `Sender` has no framing field at all; what is left to check
+        // is that a long run of writes needs none of it.
+        let mut f = sender();
         let mut out = Vec::new();
-        for tag in 0..10_000 {
-            f.write(t(0), 400, tag, &mut out);
+        for _ in 0..10_000 {
+            f.write(t(0), 400, &mut out);
             out.clear();
         }
         assert_eq!(f.written_bytes(), 4_000_000);
         assert_eq!(f.acked_bytes(), 0, "nothing was acked");
-        assert!(f.boundaries.is_empty(), "{} boundaries", f.boundaries.len());
     }
 
     #[test]
     fn ooo_coalescing_handles_overlaps() {
-        let mut f = flow();
+        let (mut tx, mut rx) = halves();
         let mut out = Vec::new();
-        f.write(t(0), 10_000, 1, &mut out);
+        tx.write(t(0), 10_000, &mut out);
         out.clear();
         // Insert overlapping out-of-order ranges in nasty orders.
-        f.on_data(t(1), 5000, 1000, &mut out); // [5000,6000)
-        f.on_data(t(2), 4500, 600, &mut out); // [4500,5100) merges
-        f.on_data(t(3), 6000, 500, &mut out); // [6000,6500) adjacent merges
-        f.on_data(t(4), 100, 200, &mut out); // [100,300)
-                                             // Fill the head: everything up to 6500 should complete.
-        f.on_data(t(5), 0, 4500, &mut out);
-        assert_eq!(f.delivered_bytes(), 6500);
+        rx.on_data(t(1), 5000, 1000, &mut out); // [5000,6000)
+        rx.on_data(t(2), 4500, 600, &mut out); // [4500,5100) merges
+        rx.on_data(t(3), 6000, 500, &mut out); // [6000,6500) adjacent merges
+        rx.on_data(t(4), 100, 200, &mut out); // [100,300)
+                                              // Fill the head: everything up to 6500 should complete.
+        rx.on_data(t(5), 0, 4500, &mut out);
+        assert_eq!(rx.delivered_bytes(), 6500);
+    }
+
+    #[test]
+    fn the_loopback_pair_frames_its_writes_on_its_receiver() {
+        let mut f = Flow::new(FlowId(0), NodeId(0), NodeId(1), FlowConfig::default());
+        let mut out = Vec::new();
+        f.write(t(0), 100, 1, &mut out);
+        f.write(t(0), 200, 2, &mut out);
+        assert_eq!(f.rx.boundaries, [(100, 1), (300, 2)]);
+        // The rest reads through to the sender.
+        assert_eq!(f.written_bytes(), 300);
+        out.clear();
+        f.on_data(t(5), 0, 300, &mut out);
+        assert_eq!(tags(&out), vec![1, 2]);
+        f.on_ack(t(10), 300, &mut out);
+        assert!(f.is_drained());
+        // A write the aborted sender refuses frames nothing.
+        f.abort(&mut out);
+        f.write(t(20), 50, 3, &mut out);
+        assert!(f.rx.boundaries.is_empty());
     }
 }
 
@@ -927,23 +1068,23 @@ mod cubic_tests {
 
     const MSS: u64 = 1460;
 
-    fn cubic_flow() -> Flow {
+    fn cubic_flow() -> Sender {
         let cfg = FlowConfig {
             cc: CongestionControl::Cubic,
             ..FlowConfig::default()
         };
-        Flow::new(FlowId(0), NodeId(0), NodeId(1), cfg)
+        Sender::new(NodeId(0), NodeId(1), cfg)
     }
 
     fn t(ms: u64) -> SimTime {
         SimTime::from_nanos(ms * 1_000_000)
     }
 
-    /// Drive a flow through slow start into congestion avoidance by
+    /// Drive a sender through slow start into congestion avoidance by
     /// ACKing steadily, with one loss event to set ssthresh.
-    fn into_avoidance(f: &mut Flow) -> u64 {
+    fn into_avoidance(f: &mut Sender) -> u64 {
         let mut out = Vec::new();
-        f.write(t(0), 10_000 * MSS, 1, &mut out);
+        f.write(t(0), 10_000 * MSS, &mut out);
         let mut acked = 0;
         for i in 1..=8u64 {
             acked = i * MSS;
@@ -1010,9 +1151,9 @@ mod cubic_tests {
                 cc,
                 ..FlowConfig::default()
             };
-            let mut f = Flow::new(FlowId(0), NodeId(0), NodeId(1), cfg);
+            let mut f = Sender::new(NodeId(0), NodeId(1), cfg);
             let mut out = Vec::new();
-            f.write(t(0), 10_000 * MSS, 1, &mut out);
+            f.write(t(0), 10_000 * MSS, &mut out);
             let mut acked = 0;
             for i in 1..=20u64 {
                 acked = i * MSS;

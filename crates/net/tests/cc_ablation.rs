@@ -47,8 +47,8 @@ fn run_pair(cc_a: CongestionControl, cc_b: CongestionControl, secs: u64) -> (u64
     sim.add_app(z, Box::new(Sink));
     sim.run_until(SimTime::from_secs(secs));
     (
-        sim.world().flow(flow_id(a, 0)).acked_bytes(),
-        sim.world().flow(flow_id(b, 0)).acked_bytes(),
+        sim.world().sender(flow_id(a, 0)).acked_bytes(),
+        sim.world().sender(flow_id(b, 0)).acked_bytes(),
     )
 }
 
@@ -93,7 +93,7 @@ fn solo_cubic_saturates_the_link() {
     );
     sim.add_app(z, Box::new(Sink));
     sim.run_until(SimTime::from_secs(30));
-    let acked = sim.world().flow(flow_id(a, 0)).acked_bytes();
+    let acked = sim.world().sender(flow_id(a, 0)).acked_bytes();
     let mbps = acked as f64 * 8.0 / 30.0 / 1e6;
     // Without SACK, NewReno-style recovery pays one RTT per lost segment
     // after a drop-tail burst, so a solo flow on a long-fat path sits
@@ -101,7 +101,7 @@ fn solo_cubic_saturates_the_link() {
     // CUBIC probes deeper and loses more per episode). The bound checks
     // we stay in that envelope rather than collapsing.
     assert!(mbps > 4.5, "cubic solo goodput {mbps} Mbit/s");
-    let f = sim.world().flow(flow_id(a, 0));
+    let f = sim.world().sender(flow_id(a, 0));
     assert_eq!(f.stats.rto_events, 0, "no timeouts on a clean link");
     assert!(f.stats.fast_retransmits > 0, "loss cycles happened");
 }

@@ -6,69 +6,118 @@ use proptest::prelude::*;
 use speakup_net::event::EventQueue;
 use speakup_net::link::{Enqueue, Link, LinkConfig};
 use speakup_net::packet::{FlowId, NodeId, Packet, PacketKind};
-use speakup_net::tcp::{Flow, FlowAction, FlowConfig};
+use speakup_net::tcp::{FlowAction, FlowConfig, Receiver, Sender};
 use speakup_net::time::{SimDuration, SimTime};
 
-/// Drive a sender/receiver pair over a lossy, reordering "wire" encoded
-/// by `script`: for each emitted data segment, the next script byte
-/// decides drop (0), deliver now (1), or delay into a reorder buffer (2).
-fn deliver_with_script(total_bytes: u64, script: &[u8]) -> (u64, u64) {
+/// What one scripted transfer ended with.
+struct Transfer {
+    acked: u64,
+    delivered: u64,
+    /// Tags in the order the receiver delivered them.
+    tags: Vec<u64>,
+    /// `Drained` notices the sender raised.
+    drains: usize,
+}
+
+/// Drive a [`Sender`] and a [`Receiver`] the way the engine does, over a
+/// lossy, reordering "wire" encoded by `script`: for each emitted data
+/// segment, the next script byte decides drop (0), deliver now (1), or
+/// delay into a reorder buffer (2). Message `i` of `sizes`, tagged `i`,
+/// is written at step `i * stride` and framed on the receiver with
+/// `note_boundary` at once (the engine's boundary record always beats
+/// the data). After every step the byte counts nest — acked ≤
+/// delivered ≤ written — every tag arrives once, in write order, and
+/// only when its last byte is in; `Drained` fires exactly when acked
+/// reaches written, once per drain.
+fn deliver_with_script(sizes: &[u64], stride: u64, script: &[u8]) -> Transfer {
     let cfg = FlowConfig::default();
-    let mut f = Flow::new(FlowId(0), NodeId(0), NodeId(1), cfg);
+    let mut tx = Sender::new(NodeId(0), NodeId(1), cfg);
+    let mut rx = Receiver::new(NodeId(0), NodeId(1), cfg.ack_bytes);
+    let t = |ms: u64| SimTime::from_nanos(ms * 1_000_000);
     let mut out = Vec::new();
     let mut now_ms = 0u64;
-    let t = |ms: u64| SimTime::from_nanos(ms * 1_000_000);
-    f.write(t(0), total_bytes, 1, &mut out);
+    // End offset of each message written so far, indexed by tag.
+    let mut ends: Vec<u64> = Vec::new();
+    let mut tags = Vec::new();
+    let mut drains = 0;
+    // A write since the last `Drained` is owed one.
+    let mut owed_drain = false;
 
     let mut si = 0usize;
     let mut held: Vec<(u64, u32)> = Vec::new();
-    let mut steps = 0;
-    while !f.is_drained() && steps < 100_000 {
+    let mut steps = 0u64;
+    while (ends.len() < sizes.len() || !tx.is_drained()) && steps < 100_000 {
+        while ends.len() < sizes.len() && ends.len() as u64 * stride <= steps {
+            let tag = ends.len() as u64;
+            tx.write(t(now_ms), sizes[ends.len()], &mut out);
+            rx.note_boundary(tx.written_bytes(), tag);
+            ends.push(tx.written_bytes());
+            owed_drain = true;
+        }
         steps += 1;
         now_ms += 10;
-        let actions: Vec<FlowAction> = std::mem::take(&mut out);
-        let mut acks = Vec::new();
-        for a in actions {
+        let mut arrivals = Vec::new();
+        for a in std::mem::take(&mut out) {
             if let FlowAction::SendData { offset, len } = a {
                 let verdict = script.get(si).copied().unwrap_or(1) % 3;
                 si += 1;
                 match verdict {
                     0 => {} // dropped
-                    1 => {
-                        let mut rx = Vec::new();
-                        f.on_data(t(now_ms), offset, len, &mut rx);
-                        for r in rx {
-                            if let FlowAction::SendAck { cum } = r {
-                                acks.push(cum);
-                            }
-                        }
-                    }
+                    1 => arrivals.push((offset, len)),
                     _ => held.push((offset, len)),
                 }
             }
         }
         // Every few steps, flush the reorder buffer in reverse order.
-        if steps % 3 == 0 {
-            for (offset, len) in held.drain(..).rev() {
-                let mut rx = Vec::new();
-                f.on_data(t(now_ms), offset, len, &mut rx);
-                for r in rx {
-                    if let FlowAction::SendAck { cum } = r {
-                        acks.push(cum);
+        if steps.is_multiple_of(3) {
+            arrivals.extend(held.drain(..).rev());
+        }
+        let mut acks = Vec::new();
+        for (offset, len) in arrivals {
+            let mut rx_out = Vec::new();
+            rx.on_data(t(now_ms), offset, len, &mut rx_out);
+            for r in rx_out {
+                match r {
+                    FlowAction::SendAck { cum } => acks.push(cum),
+                    FlowAction::Deliver { tag } => {
+                        assert_eq!(tag, tags.len() as u64, "tags arrive once, in write order");
+                        assert!(rx.delivered_bytes() >= ends[tags.len()], "tag {tag} early");
+                        tags.push(tag);
                     }
+                    other => panic!("a receiver asked for {other:?}"),
                 }
             }
+            assert!(rx.delivered_bytes() <= tx.written_bytes());
         }
         for cum in acks {
-            f.on_ack(t(now_ms), cum, &mut out);
+            let mut tx_out = Vec::new();
+            tx.on_ack(t(now_ms), cum, &mut tx_out);
+            let drained = tx_out.contains(&FlowAction::Drained);
+            let all_acked = tx.acked_bytes() == tx.written_bytes();
+            assert_eq!(
+                drained,
+                owed_drain && all_acked,
+                "Drained iff a drain is owed"
+            );
+            if drained {
+                owed_drain = false;
+                drains += 1;
+            }
+            assert!(tx.acked_bytes() <= rx.delivered_bytes());
+            out.extend(tx_out);
         }
         // Fire the retransmission timer when progress stalls.
-        if out.is_empty() && !f.is_drained() {
+        if out.is_empty() && !tx.is_drained() {
             now_ms += 2000;
-            f.on_rto(t(now_ms), &mut out);
+            tx.on_rto(t(now_ms), &mut out);
         }
     }
-    (f.acked_bytes(), f.delivered_bytes())
+    Transfer {
+        acked: tx.acked_bytes(),
+        delivered: rx.delivered_bytes(),
+        tags,
+        drains,
+    }
 }
 
 proptest! {
@@ -76,13 +125,16 @@ proptest! {
 
     #[test]
     fn transport_delivers_everything_despite_loss_and_reordering(
-        kb in 1u64..64,
+        sizes in proptest::collection::vec(1u64..16_384, 1..6),
+        stride in 0u64..40,
         script in proptest::collection::vec(any::<u8>(), 0..2048),
     ) {
-        let total = kb * 1024;
-        let (acked, delivered) = deliver_with_script(total, &script);
-        prop_assert_eq!(acked, total, "sender fully acked");
-        prop_assert_eq!(delivered, total, "receiver fully delivered");
+        let total: u64 = sizes.iter().sum();
+        let run = deliver_with_script(&sizes, stride, &script);
+        prop_assert_eq!(run.acked, total, "sender fully acked");
+        prop_assert_eq!(run.delivered, total, "receiver fully delivered");
+        prop_assert_eq!(run.tags, (0..sizes.len() as u64).collect::<Vec<_>>());
+        prop_assert!((1..=sizes.len()).contains(&run.drains), "{} drains", run.drains);
     }
 
     #[test]
