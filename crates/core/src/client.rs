@@ -7,9 +7,13 @@
 //! denial*. The paper models bad clients purely by intensity: they request
 //! faster (`λ = 40` vs `2`) and in parallel (`w = 20` vs `1`).
 //!
-//! [`RequestTracker`] is the bookkeeping core — pure and independently
-//! testable; the drivers in `speakup-exp` wrap it with transport behaviour
-//! (payment channels, POST loops).
+//! [`RequestTracker`] states that bookkeeping for one client in the
+//! plainest form: an ordered map of outstanding requests and a backlog
+//! queue. No simulator driver runs it; the simulated clients use
+//! [`CohortTracker`](crate::cohort::CohortTracker), and the tracker is
+//! the per-member oracle the cohort is checked against (a one-member
+//! cohort must replay it move for move, and `tests/cohort_props.rs`
+//! checks every member of a larger one against a tracker of its own).
 
 use crate::types::RequestId;
 use speakup_net::rng::Pcg32;
@@ -102,9 +106,11 @@ impl ClientProfile {
         self
     }
 
-    /// Draw the next Poisson inter-arrival gap.
-    pub fn next_gap(&self, rng: &mut Pcg32) -> SimDuration {
-        SimDuration::from_secs_f64(rng.exp(1.0 / self.lambda))
+    /// Draw the next inter-arrival gap of `members` superposed Poisson
+    /// processes of this rate, which together are one process of rate
+    /// `members · λ`.
+    pub fn next_gap(&self, rng: &mut Pcg32, members: u32) -> SimDuration {
+        SimDuration::from_secs_f64(rng.exp(1.0 / (self.lambda * members as f64)))
     }
 }
 
@@ -144,7 +150,10 @@ pub struct Outstanding {
 }
 
 /// Request bookkeeping for one client: outstanding set, backlog queue,
-/// denial accounting.
+/// denial accounting. The reference model [`CohortTracker`] is tested
+/// against; see the module docs.
+///
+/// [`CohortTracker`]: crate::cohort::CohortTracker
 #[derive(Clone, Debug)]
 pub struct RequestTracker {
     profile: ClientProfile,
@@ -427,9 +436,14 @@ mod tests {
         let p = ClientProfile::good(); // λ = 2 => mean gap 0.5 s
         let mut rng = Pcg32::seeded(5);
         let n = 100_000;
-        let sum: f64 = (0..n).map(|_| p.next_gap(&mut rng).as_secs_f64()).sum();
-        let mean = sum / n as f64;
-        assert!((mean - 0.5).abs() < 0.01, "mean gap {mean}");
+        let mean = |members: u32, rng: &mut Pcg32| {
+            let sum: f64 = (0..n).map(|_| p.next_gap(rng, members).as_secs_f64()).sum();
+            sum / n as f64
+        };
+        let one = mean(1, &mut rng);
+        assert!((one - 0.5).abs() < 0.01, "mean gap {one}");
+        let four = mean(4, &mut rng);
+        assert!((four - 0.125).abs() < 0.0025, "superposed mean gap {four}");
     }
 
     #[test]

@@ -22,10 +22,11 @@
 //!   its request was created.
 //!
 //! The semantics per member are *exactly* [`RequestTracker`]'s — same
-//! window rule, same backlog expiry, same denial taxonomy — so a cohort
-//! of one member is observably identical to one fully simulated client
-//! (a property the test suite pins down, and `tests/cohort_props.rs`
-//! checks member by member against one `RequestTracker` each). For N > 1
+//! window rule, same backlog expiry, same denial taxonomy — which is why
+//! a fully simulated client is simply a cohort of one (a one-member
+//! cohort replays a `RequestTracker` move for move, and
+//! `tests/cohort_props.rs` checks member by member against one
+//! `RequestTracker` each). For N > 1
 //! the members share the arrival process (the superposition of N Poisson
 //! processes of rate λ is one Poisson process of rate Nλ, with the
 //! firing member uniform) which is statistically exact; what a *driver*

@@ -26,13 +26,9 @@ pub struct ClassReport {
 }
 
 impl ClassReport {
-    /// Fold one client's stats into the class.
-    pub fn absorb(&mut self, stats: &ClientStats) {
-        self.absorb_weighted(stats, 1);
-    }
-
-    /// Fold a cohort's aggregated stats into the class, counting it as
-    /// `clients` population members.
+    /// Fold a client's stats into the class, counting it as `clients`
+    /// population members (1 for a fully simulated client, N for a
+    /// cohort's aggregated stats).
     pub fn absorb_weighted(&mut self, stats: &ClientStats, clients: usize) {
         self.clients += clients;
         self.generated += stats.generated;
@@ -113,9 +109,9 @@ mod tests {
             ..Default::default()
         };
         s2.latency.push(1.5);
-        report.absorb(&s1);
-        report.absorb(&s2);
-        assert_eq!(report.clients, 2);
+        report.absorb_weighted(&s1, 1);
+        report.absorb_weighted(&s2, 3);
+        assert_eq!(report.clients, 4, "a cohort counts as its members");
         assert_eq!(report.generated, 20);
         assert_eq!(report.served, 10);
         assert_eq!(report.denied, 4);

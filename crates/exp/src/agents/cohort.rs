@@ -1,12 +1,18 @@
-//! A flyweight crowd of clients as one simulator application.
+//! The client as a simulator application: §7.1's custom Web client,
+//! played by one member or by a flyweight crowd of N from one node.
 //!
-//! [`CohortAgent`] plays N identical copies of [`ClientAgent`] from a
-//! single node: request arrivals are drawn from the *superposed* Poisson
-//! process (rate Nλ, firing member uniform — statistically exact), and
-//! per-member request bookkeeping lives in the struct-of-arrays
-//! [`CohortTracker`]. Each member runs the full §6 payment loop — its
-//! own payment channels, POSTs, retries, give-ups — distinguished on the
-//! wire by cohort-global request ids, so the thinner sees N independent
+//! Each member's requests arrive by a Poisson process (rate λ), at most
+//! `w` are outstanding, and overflow waits in a backlog with a 10-second
+//! denial timeout; good and bad clients differ only in λ and `w`. Every
+//! client the runner simulates is a [`CohortAgent`]: a fully simulated
+//! client is a cohort of one on its own node, access link and flows,
+//! and a crowd cohort plays N members behind one node. Arrivals are
+//! drawn from the *superposed* Poisson process (rate Nλ, firing member
+//! uniform, which is statistically exact), and per-member request
+//! bookkeeping lives in the struct-of-arrays [`CohortTracker`]. Each
+//! member runs the full §6 payment loop ([`Payer`]): its own payment
+//! channels, POSTs, retries and give-ups, distinguished on the wire by
+//! cohort-global request ids, so the thinner sees N independent
 //! well-behaved (or attacking) clients at one address.
 //!
 //! What *is* shared, and therefore approximate at N > 1:
@@ -26,14 +32,13 @@
 //! * **The request flow.** All members' 400-byte requests ride one
 //!   congestion-controlled flow to the thinner instead of N idle ones.
 //!
-//! With one member and no sharing in play, the agent is *observably
-//! identical* to a [`ClientAgent`]: same RNG stream, same wire tags,
-//! same event count (the equivalence tests pin this down).
+//! At N = 1 nothing is shared, and the RNG is consulted only for
+//! arrival gaps, so a fully simulated client draws exactly one
+//! exponential per arrival.
 //!
-//! [`ClientAgent`]: crate::agents::client::ClientAgent
+//! [`Payer`]: crate::agents::payer::Payer
 
-use crate::agents::client::{ClientMetrics, PaymentMode};
-use crate::agents::payer::Payer;
+use crate::agents::payer::{Payer, PaymentMode};
 use crate::tags::{pack, sizes, unpack, Kind};
 use speakup_core::client::{ClientProfile, ClientStats};
 use speakup_core::cohort::CohortTracker;
@@ -42,15 +47,24 @@ use speakup_net::ids::MemberId;
 use speakup_net::packet::{FlowId, NodeId};
 use speakup_net::rng::Pcg32;
 use speakup_net::sim::{App, Ctx};
-use speakup_net::time::SimDuration;
+use speakup_net::trace::Samples;
 
 /// Every other timer token is a give-up timer carrying its global
 /// request id directly (< 2^56).
 const TOKEN_FIRE: u64 = u64::MAX;
 
-/// N identical clients behind one node. See module docs.
+/// Client-side measurements beyond [`ClientStats`].
+#[derive(Debug, Default)]
+pub struct ClientMetrics {
+    /// Time spent actively uploading dummy bytes per served request (Fig 4).
+    pub payment_time: Samples,
+    /// Payment bytes *sent* (acked) per served request, client-side view.
+    pub payment_sent: Samples,
+}
+
+/// N identical clients behind one node (N = 1 for a fully simulated
+/// client). See module docs.
 pub struct CohortAgent {
-    id: ClientId,
     thinner: NodeId,
     tracker: CohortTracker,
     rng: Pcg32,
@@ -65,10 +79,7 @@ pub struct CohortAgent {
 impl CohortAgent {
     /// Create a cohort of `members` clients of the given profile talking
     /// to `thinner`. `id` is the cohort's thinner-visible identity and
-    /// seeds the RNG exactly as a lone [`ClientAgent`] with that id
-    /// would be seeded — the N = 1 identity hinges on it.
-    ///
-    /// [`ClientAgent`]: crate::agents::client::ClientAgent
+    /// keys its RNG stream.
     pub fn new(
         id: ClientId,
         thinner: NodeId,
@@ -78,7 +89,6 @@ impl CohortAgent {
         seed: u64,
     ) -> Self {
         CohortAgent {
-            id,
             thinner,
             tracker: CohortTracker::new(profile, members),
             rng: Pcg32::new(seed, 0xc11e47 ^ id.0 as u64),
@@ -88,33 +98,20 @@ impl CohortAgent {
         }
     }
 
-    /// This cohort's thinner-visible id.
-    pub fn id(&self) -> ClientId {
-        self.id
-    }
-
-    /// Number of aggregated members.
-    pub fn members(&self) -> u32 {
-        self.tracker.members()
-    }
-
     /// Aggregated request bookkeeping results.
     pub fn stats(&self) -> &ClientStats {
         &self.tracker.stats
     }
 
-    /// Draw the next superposed inter-arrival gap: N Poisson processes
-    /// of rate λ superpose to one of rate Nλ. At N = 1 this consumes
-    /// the RNG exactly like `ClientProfile::next_gap`.
+    /// Draw the next superposed inter-arrival gap.
     fn schedule_fire(&mut self, ctx: &mut Ctx) {
-        let lambda_total = self.tracker.profile().lambda * self.tracker.members() as f64;
-        let gap = SimDuration::from_secs_f64(self.rng.exp(1.0 / lambda_total));
+        let members = self.tracker.members();
+        let gap = self.tracker.profile().next_gap(&mut self.rng, members);
         ctx.set_timer(gap, TOKEN_FIRE);
     }
 
     /// The member the current arrival belongs to — uniform by symmetry.
-    /// Draws from the RNG only when there is a choice to make, keeping
-    /// the N = 1 stream byte-identical to a lone client's.
+    /// Draws from the RNG only when there is a choice to make.
     fn fire_member(&mut self) -> MemberId {
         let n = self.tracker.members();
         if n == 1 {

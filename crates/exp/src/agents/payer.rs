@@ -1,12 +1,15 @@
 //! The paying half of a client: §6's POST loop and §3.2's retry stream.
 //!
-//! [`ClientAgent`] and [`CohortAgent`] differ in who issues requests
-//! and when; how an encouraged request *pays* is the same, and lives
-//! here. Under `Posts` the payer opens a payment flow, sends a header
-//! plus one dummy chunk, and when the chunk is fully acknowledged *and*
-//! the thinner says `Continue` starts the next POST on a fresh flow.
-//! Under `Retries` it keeps a batch of small retry messages in flight
-//! for as long as the request lives.
+//! [`CohortAgent`] decides which requests are issued and when; how an
+//! encouraged request *pays* lives here. Under `Posts` the payer opens a
+//! payment flow, sends a header plus one dummy chunk, and when the chunk
+//! is fully acknowledged *and* the thinner says `Continue` starts the
+//! next POST on a fresh flow (fresh slow start and a quiescent gap, both
+//! of which the paper analyzes in §3.4/§7.5). Bad clients run the same
+//! loop, just for many requests concurrently, which is how the paper
+//! models §3.4's concurrent-connection cheat. Under `Retries` it keeps a
+//! batch of small retry messages in flight for as long as the request
+//! lives.
 //!
 //! There is one record per paying request, holding its open channel and
 //! the payment it has accumulated. Messages name the request, so they
@@ -14,10 +17,8 @@
 //! through the flow's entry in a second table. Neither path walks an
 //! ordered map.
 //!
-//! [`ClientAgent`]: crate::agents::client::ClientAgent
 //! [`CohortAgent`]: crate::agents::cohort::CohortAgent
 
-use crate::agents::client::PaymentMode;
 use crate::tags::{pack, sizes, Kind};
 use speakup_core::client::ClientProfile;
 use speakup_core::types::RequestId;
@@ -27,6 +28,17 @@ use speakup_net::time::SimTime;
 use std::collections::HashMap;
 
 const RETRY_BATCH: u64 = 8;
+
+/// How a client pays when encouraged.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum PaymentMode {
+    /// No payment: baseline clients just wait (and give up).
+    None,
+    /// §3.3 / §5: POST dummy-byte chunks.
+    Posts,
+    /// §3.2: stream small retries.
+    Retries,
+}
 
 /// An open payment flow.
 #[derive(Clone, Copy, Debug)]
@@ -48,8 +60,8 @@ struct Paying {
     bytes: u64,
 }
 
-/// See the module docs. Request ids are the wire ids: a client's
-/// `RequestId`, a cohort's global id.
+/// See the module docs. Request ids are the wire ids: a cohort's
+/// global request ids.
 pub(crate) struct Payer {
     thinner: NodeId,
     mode: PaymentMode,

@@ -820,8 +820,8 @@ impl App for ThinnerAgent {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::agents::client::{ClientAgent, PaymentMode};
-    use crate::agents::AppSlot;
+    use crate::agents::cohort::CohortAgent;
+    use crate::agents::{AppSlot, PaymentMode};
     use speakup_core::client::ClientProfile;
     use speakup_core::thinner::{QuantumConfig, QuantumFrontEnd};
     use speakup_net::link::LinkConfig;
@@ -874,8 +874,8 @@ mod tests {
         sim.add_slot(thinner, AppSlot::Thinner(agent));
         for ((node, info), p) in infos.iter().zip(&profiles) {
             let seed = 100 + u64::from(info.id.0);
-            let client = ClientAgent::new(info.id, thinner, *p, PaymentMode::Posts, seed);
-            sim.add_slot(*node, AppSlot::Client(client));
+            let client = CohortAgent::new(info.id, thinner, *p, 1, PaymentMode::Posts, seed);
+            sim.add_slot(*node, AppSlot::Cohort(client));
         }
         sim.run_until(SimTime::from_secs(10));
         let t = sim.app::<ThinnerAgent>(thinner).expect("thinner agent");

@@ -39,12 +39,12 @@
 //! `--shards` beyond `R` clamps (with a one-time warning) so no shard
 //! spins empty at every barrier window.
 
-use crate::agents::client::{ClientAgent, ClientMetrics, PaymentMode};
 use crate::agents::cohort::CohortAgent;
 use crate::agents::thinner::{ClientInfo, ReplicaConfig, ThinnerAgent};
 use crate::agents::web::{WebServerAgent, WgetAgent};
-use crate::agents::AppSlot;
+use crate::agents::{AppSlot, PaymentMode};
 use crate::scenario::{FaultSpec, Mode, Scenario};
+use speakup_core::client::ClientProfile;
 use speakup_core::metrics::{Allocation, ClassReport};
 use speakup_core::server::EmulatedServer;
 use speakup_core::thinner::{
@@ -248,6 +248,18 @@ struct HubGroup {
     delay: SimDuration,
     /// Scenario indices of the member clients.
     members: Vec<usize>,
+}
+
+/// One thinner-visible client identity: a fully simulated client (one
+/// member) or a crowd cohort, each played by one [`CohortAgent`]. Its
+/// index in the run's identity list is its [`ClientId`].
+struct Identity {
+    node: NodeId,
+    profile: ClientProfile,
+    members: u32,
+    behind_bottleneck: bool,
+    /// Index of the thinner replica it talks to.
+    replica: usize,
 }
 
 /// Group the direct (non-bottlenecked) clients into aggregation groups:
@@ -489,36 +501,32 @@ pub fn run_sharded(scenario: &Scenario, shards: u32) -> RunReport {
     let mut sim = Simulator::<AppSlot>::new_sharded_slots(topo, scenario.seed, assignment);
 
     // ---- agents ----
-    // Thinner-visible identities: one per fully simulated client, then
-    // one per cohort (a cohort is one identity whose requests carry
-    // member-distinguishing ids).
-    let infos: Vec<(NodeId, ClientInfo)> =
+    // Thinner-visible identities: the fully simulated clients in
+    // scenario order, then the cohorts (a cohort is one identity whose
+    // requests carry member-distinguishing ids). A client's thinner is
+    // its aggregation group's replica (bottlenecked clients attach
+    // through the legacy hub and stay with replica 0); a cohort's is its
+    // round-robin replica. With one replica every identity maps to
+    // index 0 — the classic thinner.
+    let identities: Vec<Identity> =
         client_nodes
             .iter()
             .zip(&scenario.clients)
-            .enumerate()
-            .map(|(i, (&node, spec))| {
-                (
-                    node,
-                    ClientInfo {
-                        id: ClientId(i as u32),
-                        is_bad: spec.profile.is_bad,
-                        difficulty: spec.profile.difficulty,
-                        spoofs: spec.profile.spoofs,
-                    },
-                )
+            .zip(&group_of_client)
+            .map(|((&node, spec), group)| Identity {
+                node,
+                profile: spec.profile,
+                members: 1,
+                behind_bottleneck: spec.behind_bottleneck,
+                replica: group.map_or(0, |g| g % r_count),
             })
             .chain(cohort_nodes.iter().zip(&scenario.cohorts).enumerate().map(
-                |(c, (&node, spec))| {
-                    (
-                        node,
-                        ClientInfo {
-                            id: ClientId((scenario.clients.len() + c) as u32),
-                            is_bad: spec.spec.profile.is_bad,
-                            difficulty: spec.spec.profile.difficulty,
-                            spoofs: spec.spec.profile.spoofs,
-                        },
-                    )
+                |(c, (&node, spec))| Identity {
+                    node,
+                    profile: spec.spec.profile,
+                    members: spec.members,
+                    behind_bottleneck: false,
+                    replica: c % r_count,
                 },
             ))
             .collect();
@@ -532,26 +540,20 @@ pub fn run_sharded(scenario: &Scenario, shards: u32) -> RunReport {
         _ => None,
     });
 
-    // A client's thinner is its aggregation group's replica (bottlenecked
-    // and Fig 9 clients attach through the legacy hub and stay with
-    // replica 0); a cohort's is its round-robin replica. With one
-    // replica every identity maps to index 0 — the classic thinner.
-    let replica_of_client: Vec<usize> = group_of_client
-        .iter()
-        .map(|g| g.map_or(0, |g| g % r_count))
-        .collect();
     for r in 0..r_count {
-        let infos_r: Vec<(NodeId, ClientInfo)> = infos
+        let infos_r: Vec<(NodeId, ClientInfo)> = identities
             .iter()
             .enumerate()
-            .filter(|&(i, _)| {
-                if i < scenario.clients.len() {
-                    replica_of_client[i] == r
-                } else {
-                    (i - scenario.clients.len()) % r_count == r
-                }
+            .filter(|(_, c)| c.replica == r)
+            .map(|(i, c)| {
+                let info = ClientInfo {
+                    id: ClientId(i as u32),
+                    is_bad: c.profile.is_bad,
+                    difficulty: c.profile.difficulty,
+                    spoofs: c.profile.spoofs,
+                };
+                (c.node, info)
             })
-            .map(|(_, info)| *info)
             .collect();
         let (fe, quantum) = build_front_end(scenario);
         // Replica 0 keeps the classic server seed (single-thinner runs
@@ -588,27 +590,16 @@ pub fn run_sharded(scenario: &Scenario, shards: u32) -> RunReport {
         Mode::Auction | Mode::Quantum { .. } => PaymentMode::Posts,
         Mode::Retry => PaymentMode::Retries,
     };
-    for (i, (&node, spec)) in client_nodes.iter().zip(&scenario.clients).enumerate() {
-        let agent = ClientAgent::new(
-            ClientId(i as u32),
-            replica_nodes[replica_of_client[i]],
-            spec.profile,
-            payment_mode,
-            scenario.seed ^ (0x10_000 + i as u64),
-        );
-        sim.add_slot(node, AppSlot::Client(agent));
-    }
-    for (c, (&node, spec)) in cohort_nodes.iter().zip(&scenario.cohorts).enumerate() {
-        let i = scenario.clients.len() + c;
+    for (i, c) in identities.iter().enumerate() {
         let agent = CohortAgent::new(
             ClientId(i as u32),
-            replica_nodes[c % r_count],
-            spec.spec.profile,
-            spec.members,
+            replica_nodes[c.replica],
+            c.profile,
+            c.members,
             payment_mode,
             scenario.seed ^ (0x10_000 + i as u64),
         );
-        sim.add_slot(node, AppSlot::Cohort(agent));
+        sim.add_slot(c.node, AppSlot::Cohort(agent));
     }
 
     if let Some((srv, h, w)) = web_nodes {
@@ -660,82 +651,50 @@ pub fn run_sharded(scenario: &Scenario, shards: u32) -> RunReport {
     let wall_secs = wall_start.elapsed().as_secs_f64();
 
     // ---- extract ----
+    // Each identity absorbs as its member count (class totals keep
+    // population semantics) and contributes one per-client row, in
+    // identity order.
     let mut good = ClassReport::default();
     let mut bad = ClassReport::default();
-    let mut payment_time_good = Samples::new();
-    let mut payment_time_bad = Samples::new();
-    let mut per_client = Vec::with_capacity(client_nodes.len() + cohort_nodes.len());
-    for (&node, spec) in client_nodes.iter().zip(&scenario.clients) {
-        let agent = sim.app::<ClientAgent>(node).expect("client agent");
+    let mut per_client = Vec::with_capacity(identities.len());
+    for c in &identities {
+        let agent = sim.app::<CohortAgent>(c.node).expect("client agent");
+        let stats = agent.stats();
         per_client.push(PerClient {
-            generated: agent.stats().generated,
-            served: agent.stats().served,
-            denied: agent.stats().denied(),
-            is_bad: spec.profile.is_bad,
-            behind_bottleneck: spec.behind_bottleneck,
+            generated: stats.generated,
+            served: stats.served,
+            denied: stats.denied(),
+            is_bad: c.profile.is_bad,
+            behind_bottleneck: c.behind_bottleneck,
         });
-        let (report, times) = if spec.profile.is_bad {
-            (&mut bad, &mut payment_time_bad)
+        let report = if c.profile.is_bad {
+            &mut bad
         } else {
-            (&mut good, &mut payment_time_good)
+            &mut good
         };
-        report.absorb(agent.stats());
-        let m: &ClientMetrics = &agent.metrics;
-        for &v in m.payment_time.values() {
+        report.absorb_weighted(stats, c.members as usize);
+        for &v in agent.metrics.payment_time.values() {
             report.payment_time.push(v);
-            times.push(v);
         }
-        for &v in m.payment_sent.values() {
-            report.payment_bytes.push(v);
-        }
-    }
-    // Cohorts absorb as their full member count (class totals keep
-    // population semantics) and contribute one aggregated per-client row
-    // each, in cohort order after the fully simulated clients.
-    for (&node, spec) in cohort_nodes.iter().zip(&scenario.cohorts) {
-        let agent = sim.app::<CohortAgent>(node).expect("cohort agent");
-        per_client.push(PerClient {
-            generated: agent.stats().generated,
-            served: agent.stats().served,
-            denied: agent.stats().denied(),
-            is_bad: spec.spec.profile.is_bad,
-            behind_bottleneck: false,
-        });
-        let (report, times) = if spec.spec.profile.is_bad {
-            (&mut bad, &mut payment_time_bad)
-        } else {
-            (&mut good, &mut payment_time_good)
-        };
-        report.absorb_weighted(agent.stats(), spec.members as usize);
-        let m: &ClientMetrics = &agent.metrics;
-        for &v in m.payment_time.values() {
-            report.payment_time.push(v);
-            times.push(v);
-        }
-        for &v in m.payment_sent.values() {
+        for &v in agent.metrics.payment_sent.values() {
             report.payment_bytes.push(v);
         }
     }
 
-    let thinner = sim
-        .app::<ThinnerAgent>(thinner_node)
-        .expect("thinner agent");
+    // Every replica folds into empty aggregates by replica index, so
+    // sample order is deterministic and one thinner is no special case.
     let elapsed = scenario.duration;
-    // Replica 0's metrics seed the aggregates (for a single thinner this
-    // is a plain clone — the classic extraction); later replicas fold in
-    // by replica index, so sample order is deterministic.
-    let mut allocation = thinner.metrics.allocation.clone();
-    let mut quanta = thinner.metrics.quanta.clone();
-    let mut price_good = thinner.metrics.price_good.clone();
-    let mut price_bad = thinner.metrics.price_bad.clone();
-    let mut payment_bytes_total = thinner.metrics.payment_bytes_total;
-    let mut thinner_drops = thinner.metrics.drops;
-    let mut util_sum = thinner.server().utilization(elapsed);
-    let mode = thinner.front_end().name().to_string();
-    let mut failover_at = thinner.failover_at();
-    let mut rejoin_at = thinner.rejoin_at();
-    let mut outage_allocation = thinner.window_allocation();
-    for &rn in replica_nodes.iter().skip(1) {
+    let mut allocation = Allocation::default();
+    let mut quanta = Allocation::default();
+    let mut price_good = Samples::new();
+    let mut price_bad = Samples::new();
+    let mut payment_bytes_total = 0;
+    let mut thinner_drops = 0;
+    let mut util_sum = 0.0;
+    let mut failover_at = None;
+    let mut rejoin_at = None;
+    let mut outage_allocation = Allocation::default();
+    for &rn in &replica_nodes {
         let t = sim.app::<ThinnerAgent>(rn).expect("thinner replica");
         allocation.good += t.metrics.allocation.good;
         allocation.bad += t.metrics.allocation.bad;
@@ -751,18 +710,18 @@ pub fn run_sharded(scenario: &Scenario, shards: u32) -> RunReport {
         thinner_drops += t.metrics.drops;
         util_sum += t.server().utilization(elapsed);
         // Earliest detection / re-acceptance across the cluster.
-        failover_at = match (failover_at, t.failover_at()) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        rejoin_at = match (rejoin_at, t.rejoin_at()) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
+        failover_at = failover_at.into_iter().chain(t.failover_at()).min();
+        rejoin_at = rejoin_at.into_iter().chain(t.rejoin_at()).min();
         let w = t.window_allocation();
         outage_allocation.good += w.good;
         outage_allocation.bad += w.bad;
     }
+    let mode = sim
+        .app::<ThinnerAgent>(thinner_node)
+        .expect("thinner agent")
+        .front_end()
+        .name()
+        .to_string();
     let failover = outage_window.map(|(crash_at, restart_at)| FailoverReport {
         crash_at_s: crash_at.as_secs_f64(),
         restart_at_s: restart_at.as_secs_f64(),

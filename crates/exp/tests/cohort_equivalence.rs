@@ -1,10 +1,10 @@
-//! Cohort correctness pins (ISSUE 7 tentpole):
+//! Cohort correctness pins:
 //!
-//! 1. A cohort of N = 1 is *observably identical* to one fully simulated
-//!    client: same report metrics, same event counts, across random
-//!    seeds, profiles, and thinner modes. The cohort agent reuses the
-//!    lone client's RNG stream, node/link layout, and request-id bit
-//!    pattern precisely so this holds bit for bit.
+//! 1. A scenario's one fully simulated client and a cohort of N = 1 are
+//!    *observably identical*: same report metrics, same event and
+//!    per-variant dispatch counts, across random seeds, profiles, and
+//!    thinner modes. Both are one `CohortAgent` on the same node/link
+//!    layout with the same identity, so this holds bit for bit.
 //! 2. At small N, a cohort-aggregated population matches the fully
 //!    simulated population within the existing `speakup compare`
 //!    tolerances (the statistical claim: superposing N Poisson arrival
@@ -36,14 +36,12 @@ fn solo_scenario(profile: ClientProfile, mode: Mode, seed: u64, cohort: bool) ->
     s
 }
 
-/// Events processed and application callbacks dispatched, summed across
-/// shards/variants. The *variant* labels legitimately differ (one run
-/// dispatches to `client`, the other to `cohort`): what must agree is
-/// how much work the simulation did.
-fn totals(r: &RunReport) -> (u64, u64) {
+/// Events processed, summed across shards, and application callbacks
+/// dispatched per variant. Both runs install the same agent, so the
+/// labelled counts must agree exactly, not just their sum.
+fn totals(r: &RunReport) -> (u64, Vec<(&'static str, u64)>) {
     let events: u64 = r.shard_events.iter().sum();
-    let dispatch: u64 = r.dispatch_counts.iter().map(|&(_, n)| n).sum();
-    (events, dispatch)
+    (events, r.dispatch_counts.clone())
 }
 
 fn assert_identical(profile: ClientProfile, mode: Mode, seed: u64) {

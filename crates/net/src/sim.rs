@@ -132,13 +132,14 @@ pub trait App: Any + Send {
 /// every per-event callback is a jump on the enum discriminant into a
 /// monomorphic — and inlinable — method, instead of a vtable hop.
 /// `Box<dyn App>` also implements `AppSet` and is the default type
-/// parameter, so `Simulator::new` keeps its dynamic-dispatch behavior
-/// for tests and downstream users that never name a set.
+/// parameter: it is the open set that engine tests, the transport
+/// ablations and the substrate bench install their small ad-hoc apps
+/// through ([`Simulator::new`] + [`Simulator::add_app`]), at one vtable
+/// hop per callback. Production harnesses name a closed enum instead.
 ///
-/// The five callback methods mirror [`App`] exactly; implementations
-/// forward to the wrapped application. The remaining methods support
-/// downcasting ([`Simulator::app`]), the boxed compatibility path
-/// ([`Simulator::add_app`]), and dispatch-share diagnostics.
+/// The callback methods mirror [`App`] exactly; implementations forward
+/// to the wrapped application. The remaining methods support
+/// downcasting ([`Simulator::app`]) and dispatch-share diagnostics.
 pub trait AppSet: Send + 'static {
     /// Forward of [`App::start`].
     fn start(&mut self, ctx: &mut Ctx);
@@ -158,10 +159,6 @@ pub trait AppSet: Send + 'static {
     fn as_any(&self) -> &dyn Any;
     /// Mutable variant of [`AppSet::as_any`].
     fn as_any_mut(&mut self) -> &mut dyn Any;
-    /// Wrap a boxed application (the [`Simulator::add_app`] path). Enum
-    /// sets recover the concrete type so even boxed installs dispatch
-    /// devirtualized.
-    fn from_boxed(app: Box<dyn App>) -> Self;
     /// Which variant this value is, indexing [`AppSet::variant_names`]
     /// (dispatch-share diagnostics).
     fn variant_index(&self) -> usize {
@@ -200,9 +197,6 @@ impl AppSet for Box<dyn App> {
     }
     fn as_any_mut(&mut self) -> &mut dyn Any {
         &mut **self as &mut dyn Any
-    }
-    fn from_boxed(app: Box<dyn App>) -> Self {
-        app
     }
 }
 
@@ -1838,6 +1832,11 @@ impl Simulator {
     pub fn new_sharded(topology: Topology, seed: u64, assignment: Vec<u32>) -> Self {
         Self::new_sharded_slots(topology, seed, assignment)
     }
+
+    /// Install a boxed application on `node`. Replaces any previous one.
+    pub fn add_app(&mut self, node: NodeId, app: Box<dyn App>) {
+        self.add_slot(node, app);
+    }
 }
 
 impl<S: AppSet> Simulator<S> {
@@ -1998,17 +1997,8 @@ impl<S: AppSet> Simulator<S> {
         self.shards.iter().map(|s| s.world.total_drops).sum()
     }
 
-    /// Install an application on `node`. Replaces any previous one.
-    ///
-    /// Compatibility path: the box is handed to [`AppSet::from_boxed`],
-    /// which for enum sets recovers the concrete type (so dispatch stays
-    /// devirtualized) and for the default `Box<dyn App>` set is free.
-    pub fn add_app(&mut self, node: NodeId, app: Box<dyn App>) {
-        self.add_slot(node, S::from_boxed(app));
-    }
-
-    /// Install an application on `node` as an [`AppSet`] value directly
-    /// (no box, no recovery). Replaces any previous one.
+    /// Install an application on `node` as an [`AppSet`] value.
+    /// Replaces any previous one.
     pub fn add_slot(&mut self, node: NodeId, app: S) {
         let shard = shard_idx(self.assignment[node.index()]);
         self.shards[shard].apps[node.index()] = Some(app);

@@ -159,9 +159,8 @@ fn dispatch_counts_are_shard_invariant_and_fully_devirtualized() {
     // Two checks ride on those counters: sharding must not change what
     // gets dispatched where (the counts are part of the deterministic
     // outcome, not a scheduling artifact), and a scenario built from
-    // registry agents must route every callback through a concrete enum
-    // variant — the `boxed` escape hatch exists for out-of-tree apps
-    // and must stay cold in every shipped scenario.
+    // registry agents dispatches through the closed enum alone, whose
+    // variants are exactly the four production agents.
     let mut sc = scenarios::fig2(0.5, Mode::Auction).thinners(2);
     sc.duration = SimDuration::from_secs(2);
     let single = run_sharded(&sc, 1);
@@ -170,19 +169,8 @@ fn dispatch_counts_are_shard_invariant_and_fully_devirtualized() {
         single.dispatch_counts, sharded.dispatch_counts,
         "per-variant dispatch counts differ between --shards 1 and --shards 2"
     );
-    let concrete: u64 = single
-        .dispatch_counts
-        .iter()
-        .filter(|(name, _)| *name != "boxed")
-        .map(|(_, n)| n)
-        .sum();
+    let names: Vec<&str> = single.dispatch_counts.iter().map(|&(n, _)| n).collect();
+    assert_eq!(names, ["thinner", "web", "wget", "cohort"]);
+    let concrete: u64 = single.dispatch_counts.iter().map(|(_, n)| n).sum();
     assert!(concrete > 0, "no concrete-variant dispatches recorded");
-    for (name, count) in &single.dispatch_counts {
-        if *name == "boxed" {
-            assert_eq!(
-                *count, 0,
-                "fig2 dispatched {count} events through the boxed fallback"
-            );
-        }
-    }
 }
