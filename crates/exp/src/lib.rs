@@ -16,8 +16,8 @@
 //!
 //! One binary, `speakup`, drives everything: `speakup list` names the
 //! experiments; `speakup run fig3 --secs 600 --seeds 8 --json`
-//! regenerates a figure. Criterion benches in `speakup-bench` run
-//! reduced versions of the same scenarios.
+//! regenerates a figure. `benchmark/run.sh` times the same scenarios
+//! end to end and layer by layer.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

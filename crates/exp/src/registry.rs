@@ -150,8 +150,8 @@ static REGISTRY: [Entry; 16] = [
         // flow-id space (see `scenarios::fig2_xl`), and the population
         // moves ~2 x 10^8 events per simulated second, so even one
         // second is minutes of wall clock on one core. One second is
-        // plenty to measure allocation; the engine bench measures
-        // throughput/RSS over a milliseconds window for the same reason.
+        // plenty to measure allocation, throughput and peak RSS
+        // (`benchmark/`'s `fig2_xl_crowd` workload runs this default).
         default_secs: 1,
         grid: "single run (100 foreground clients + 100 cohorts × 999 members)",
         kind: Kind::Sim {

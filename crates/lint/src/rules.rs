@@ -12,8 +12,8 @@
 //! ```
 //!
 //! The reason is mandatory; an allow without one is itself a diagnostic
-//! (`annotation`). Path allowlists (driver/bench/proxy code that may read
-//! the wall clock, the PCG reference implementation) are centralized here
+//! (`annotation`). Path allowlists (driver/proxy code that may read the
+//! wall clock, the PCG reference implementation) are centralized here
 //! so a reviewer can see every hole in the fence in one screen.
 //!
 //! | rule          | invariant it guards                                   |
@@ -23,7 +23,8 @@
 //! | `entropy-rng` | no entropy-seeded RNG anywhere (location-keyed PCG)   |
 //! | `cast`        | no bare `as` integer casts on `crates/net` lib code   |
 //! | `forbid-unsafe` | every lib carries `#![forbid(unsafe_code)]`; no     |
-//! |               | `unsafe` outside the bench tracking allocator         |
+//! |               | `unsafe` outside the steady-state allocation test's   |
+//! |               | counting allocator                                    |
 //! | `unwrap`      | no bare `unwrap()` in net/core (use `expect`)         |
 //! | `annotation`  | every `lint: allow` names a real rule and a reason    |
 
@@ -109,7 +110,7 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "forbid-unsafe",
         summary: "every workspace lib carries #![forbid(unsafe_code)]; no unsafe outside \
-                  the bench tracking allocator",
+                  the steady-state allocation test's counting allocator",
         severity: Severity::Error,
     },
     RuleInfo {
@@ -134,8 +135,8 @@ pub fn is_known_rule(id: &str) -> bool {
 // ---------------------------------------------------------------------
 
 /// Crates whose lib code must be bit-reproducible: the simulator and the
-/// domain logic it drives. `exp` (driver), `bench`, and `proxy` (a real
-/// network proxy, wall clock is its job) are deliberately outside.
+/// domain logic it drives. `exp` (driver) and `proxy` (a real network
+/// proxy, wall clock is its job) are deliberately outside.
 fn is_deterministic_lib(rel: &str) -> bool {
     rel.starts_with("crates/net/src/") || rel.starts_with("crates/core/src/")
 }
@@ -152,11 +153,12 @@ fn cast_allowlisted(rel: &str) -> bool {
     rel == "crates/net/src/rng.rs"
 }
 
-/// Path allowlist for the `unsafe` half of `forbid-unsafe`: the bench
-/// tracking allocator must implement `GlobalAlloc`, which is an `unsafe`
-/// trait. It is the single sanctioned exception.
+/// Path allowlist for the `unsafe` half of `forbid-unsafe`: the
+/// steady-state allocation test's counting allocator must implement
+/// `GlobalAlloc`, which is an `unsafe` trait. It is the single sanctioned
+/// exception.
 fn unsafe_allowlisted(rel: &str) -> bool {
-    rel == "crates/bench/benches/engine_throughput.rs"
+    rel == "tests/steady_state_allocs.rs"
 }
 
 /// Whether `rel` is a workspace lib root that must carry
@@ -568,8 +570,8 @@ fn check_cast(f: &File<'_>, out: &mut Vec<Diagnostic>) {
 }
 
 /// D5 — `forbid-unsafe`: every workspace lib root must carry
-/// `#![forbid(unsafe_code)]`, and no file outside the bench tracking
-/// allocator may contain `unsafe` at all.
+/// `#![forbid(unsafe_code)]`, and no file outside the steady-state
+/// allocation test's counting allocator may contain `unsafe` at all.
 fn check_forbid_unsafe(f: &File<'_>, out: &mut Vec<Diagnostic>) {
     if is_lib_root(f.rel) {
         let mut found = false;
@@ -604,7 +606,9 @@ fn check_forbid_unsafe(f: &File<'_>, out: &mut Vec<Diagnostic>) {
                 "forbid-unsafe",
                 f,
                 i,
-                "`unsafe` outside the allowlisted bench tracking allocator".to_string(),
+                "`unsafe` outside the allowlisted steady-state allocation test's counting \
+                 allocator"
+                    .to_string(),
             ));
         }
     }
@@ -699,4 +703,20 @@ pub fn lint_source(rel: &str, src: &str) -> Vec<Diagnostic> {
     }
     out.sort_by(|a, b| (a.line, a.rule).cmp(&(b.line, b.rule)));
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::lint_source;
+
+    #[test]
+    fn unsafe_is_allowed_only_in_the_counting_allocator_test() {
+        let src = "unsafe impl GlobalAlloc for CountingAlloc {}\n";
+        assert!(lint_source("tests/steady_state_allocs.rs", src).is_empty());
+        let flagged = lint_source("crates/bench/benches/engine_throughput.rs", src);
+        assert_eq!(
+            flagged.iter().map(|d| (d.rule, d.line)).collect::<Vec<_>>(),
+            [("forbid-unsafe", 1)]
+        );
+    }
 }

@@ -10,9 +10,9 @@
 //! sequence number breaks remaining ties in insertion order, which makes
 //! runs deterministic: two events scheduled for the same instant and lane
 //! always fire in the order they were scheduled, regardless of queue
-//! internals. The wheel preserves this order *exactly*; the pre-wheel
-//! binary-heap implementation is kept in [`reference`] as a differential
-//! oracle.
+//! internals. The wheel preserves this order *exactly*;
+//! `tests/event_queue_props.rs` checks it against the pre-wheel
+//! binary-heap queue, kept there as a differential oracle.
 //!
 //! ## Structure
 //!
@@ -472,130 +472,6 @@ impl<E> EventQueue<E> {
     }
 }
 
-pub mod reference {
-    //! The pre-wheel event queue: a binary heap with tombstone
-    //! cancellation, kept verbatim as a differential-testing oracle (see
-    //! `tests/event_queue_props.rs`) and as the baseline the
-    //! `engine_throughput` bench measures the wheel against. Known wart,
-    //! deliberately preserved: cancelling a handle whose event already
-    //! fired leaves a tombstone in the `HashSet` forever.
-
-    use super::Ordering;
-    use crate::time::SimTime;
-    use std::collections::BinaryHeap;
-
-    /// Handle to an event scheduled on a [`HeapQueue`].
-    #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-    pub struct HeapHandle(u64);
-
-    struct Scheduled<E> {
-        time: SimTime,
-        lane: u64,
-        seq: u64,
-        event: E,
-    }
-
-    impl<E> PartialEq for Scheduled<E> {
-        fn eq(&self, other: &Self) -> bool {
-            self.seq == other.seq
-        }
-    }
-    impl<E> Eq for Scheduled<E> {}
-
-    impl<E> Ord for Scheduled<E> {
-        fn cmp(&self, other: &Self) -> Ordering {
-            other
-                .time
-                .cmp(&self.time)
-                .then_with(|| other.lane.cmp(&self.lane))
-                .then_with(|| other.seq.cmp(&self.seq))
-        }
-    }
-    impl<E> PartialOrd for Scheduled<E> {
-        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-
-    /// The pre-wheel `(time, lane, seq)` binary-heap queue.
-    pub struct HeapQueue<E> {
-        heap: BinaryHeap<Scheduled<E>>,
-        next_seq: u64,
-        cancelled: std::collections::HashSet<u64>,
-    }
-
-    impl<E> Default for HeapQueue<E> {
-        fn default() -> Self {
-            Self::new()
-        }
-    }
-
-    impl<E> HeapQueue<E> {
-        /// An empty queue.
-        pub fn new() -> Self {
-            HeapQueue {
-                heap: BinaryHeap::new(),
-                next_seq: 0,
-                cancelled: std::collections::HashSet::new(),
-            }
-        }
-
-        /// Schedule `event` at `time` on a canonical `lane`.
-        pub fn push_lane(&mut self, time: SimTime, lane: u64, event: E) -> HeapHandle {
-            let seq = self.next_seq;
-            self.next_seq += 1;
-            self.heap.push(Scheduled {
-                time,
-                lane,
-                seq,
-                event,
-            });
-            HeapHandle(seq)
-        }
-
-        /// Cancel a scheduled event (tombstone; leaks if already fired).
-        pub fn cancel(&mut self, handle: HeapHandle) {
-            self.cancelled.insert(handle.0);
-        }
-
-        /// Pop the earliest non-cancelled event.
-        pub fn pop(&mut self) -> Option<(SimTime, E)> {
-            while let Some(s) = self.heap.pop() {
-                if self.cancelled.remove(&s.seq) {
-                    continue;
-                }
-                return Some((s.time, s.event));
-            }
-            None
-        }
-
-        /// The time of the earliest pending event.
-        pub fn peek_time(&mut self) -> Option<SimTime> {
-            while let Some(s) = self.heap.peek() {
-                if self.cancelled.contains(&s.seq) {
-                    let s = self.heap.pop().expect("peeked");
-                    self.cancelled.remove(&s.seq);
-                    continue;
-                }
-                return Some(s.time);
-            }
-            None
-        }
-
-        /// Number of pending (non-cancelled) events. Saturating: a
-        /// cancel-after-fire tombstone can outnumber heap entries (the
-        /// preserved wart), which must not underflow here.
-        pub fn len(&self) -> usize {
-            self.heap.len().saturating_sub(self.cancelled.len())
-        }
-
-        /// Whether nothing would fire.
-        pub fn is_empty(&self) -> bool {
-            self.heap.len() <= self.cancelled.len()
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -939,65 +815,5 @@ mod tests {
             "arena holds {} nodes, but at most {peak} were filed at once",
             q.peak_filed()
         );
-    }
-
-    #[test]
-    fn interleaved_pushes_pops_and_cancels_match_reference() {
-        // A deterministic mixed workload against the reference heap
-        // (the proptest in tests/event_queue_props.rs randomizes this).
-        use super::reference::HeapQueue;
-        let mut wheel = EventQueue::new();
-        let mut heap = HeapQueue::new();
-        let mut wheel_handles = Vec::new();
-        let mut heap_handles = Vec::new();
-        let mut next_rand = xorshift(0x9e3779b97f4a7c15);
-        for i in 0..50_000u64 {
-            let r = next_rand();
-            let t = SimTime::from_nanos((r >> 16) % (1 << ((r % 36) + 8)));
-            let lane = r % 5;
-            match r % 10 {
-                0..=5 => {
-                    wheel_handles.push(wheel.push_lane_handle(t, lane, i));
-                    heap_handles.push(heap.push_lane(t, lane, i));
-                }
-                6 | 7 => {
-                    assert_eq!(wheel.pop(), heap.pop(), "pop #{i} diverged");
-                }
-                8 => {
-                    assert_eq!(wheel.peek_time(), heap.peek_time());
-                }
-                _ => {
-                    if !wheel_handles.is_empty() {
-                        let k = (r as usize / 7) % wheel_handles.len();
-                        wheel.cancel(wheel_handles[k]);
-                        heap.cancel(heap_handles[k]);
-                    }
-                }
-            }
-        }
-        loop {
-            let (a, b) = (wheel.pop(), heap.pop());
-            assert_eq!(a, b, "drain diverged");
-            if a.is_none() {
-                break;
-            }
-        }
-    }
-
-    #[test]
-    fn reference_heap_len_survives_cancel_after_fire() {
-        // The oracle's preserved wart is a leaked tombstone, not a
-        // panic: once cancel-after-fire makes `cancelled` outnumber the
-        // heap, `len`/`is_empty` must saturate instead of underflowing.
-        use super::reference::HeapQueue;
-        let mut q = HeapQueue::new();
-        let h = q.push_lane(SimTime::from_secs(1), 0, "a");
-        assert_eq!(q.pop().expect("invariant: event still pending").1, "a");
-        q.cancel(h); // fired already: tombstone leaks
-        assert_eq!(q.len(), 0);
-        assert!(q.is_empty());
-        q.push_lane(SimTime::from_secs(2), 0, "b");
-        assert_eq!(q.len(), 0, "leaked tombstone undercounts (known wart)");
-        assert_eq!(q.pop().expect("invariant: event still pending").1, "b");
     }
 }

@@ -133,7 +133,7 @@ pub trait App: Any + Send {
 /// monomorphic — and inlinable — method, instead of a vtable hop.
 /// `Box<dyn App>` also implements `AppSet` and is the default type
 /// parameter: it is the open set that engine tests, the transport
-/// ablations and the substrate bench install their small ad-hoc apps
+/// ablations and the shard-panic tests install their small ad-hoc apps
 /// through ([`Simulator::new`] + [`Simulator::add_app`]), at one vtable
 /// hop per callback. Production harnesses name a closed enum instead.
 ///

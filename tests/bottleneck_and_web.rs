@@ -4,6 +4,7 @@
 
 use speakup_core::client::ClientProfile;
 use speakup_exp::scenario::{BottleneckSpec, ClientSpec, Mode, Scenario, WebSpec};
+use speakup_exp::scenarios::fig8;
 use speakup_net::time::SimDuration;
 
 #[test]
@@ -42,6 +43,25 @@ fn bad_clients_hog_a_shared_bottleneck() {
     // The server itself is still protected: bottlenecked clients cannot
     // take more than the bottleneck lets them pay for.
     assert!(r.server_utilization > 0.9);
+}
+
+#[test]
+fn a_good_majority_behind_the_bottleneck_still_gets_served() {
+    // fig8 with 25 of the 30 clients behind the link good: the bad five
+    // hog it, so the good get less than their headcount share, but not
+    // nothing.
+    let r = speakup_exp::run(&fig8(25).duration(SimDuration::from_secs(20)));
+    let behind = |bad: bool| -> u64 {
+        r.per_client
+            .iter()
+            .filter(|pc| pc.behind_bottleneck && pc.is_bad == bad)
+            .map(|pc| pc.served)
+            .sum()
+    };
+    let (good, bad) = (behind(false), behind(true));
+    let share = good as f64 / (good + bad).max(1) as f64;
+    assert!(share < 25.0 / 30.0, "good share {share}");
+    assert!(share > 0.2, "good share {share}");
 }
 
 #[test]

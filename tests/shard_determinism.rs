@@ -154,6 +154,29 @@ fn replica_islands_run_a_window_per_sync_period_and_exchange_only_digests() {
 }
 
 #[test]
+fn replica_islands_balance_events_across_shards() {
+    // fig2 at R = 4, sync 10 ms: each shard holds whole replica islands,
+    // so none runs more than its even share of the events + 5 points
+    // (0.267 at K = 4; K = 8 clamps to 4 shards).
+    const R: u32 = 4;
+    let sc = scenarios::fig2(0.5, Mode::Auction)
+        .duration(SimDuration::from_secs(5))
+        .thinners(R)
+        .sync_period(SimDuration::from_millis(10));
+    for shards in [4u32, 8] {
+        let report = run_sharded(&sc, shards);
+        let total: u64 = report.shard_events.iter().sum();
+        let largest = report.shard_events.iter().copied().max().unwrap_or(0);
+        let share = largest as f64 / total as f64;
+        assert!(
+            share <= 1.0 / f64::from(shards.min(R)) + 0.05,
+            "--shards {shards}: one shard ran {share:.3} of the events {:?}",
+            report.shard_events
+        );
+    }
+}
+
+#[test]
 fn dispatch_counts_are_shard_invariant_and_fully_devirtualized() {
     // The devirtualized `AppSet` layer tallies events per app variant.
     // Two checks ride on those counters: sharding must not change what
