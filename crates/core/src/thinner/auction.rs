@@ -37,8 +37,14 @@
 //! A contender that wins, cancels or expires is withdrawn from the
 //! index and both heaps at once, so neither heap ever holds an entry
 //! for a request that has left the auction.
+//!
+//! ## Replication
+//!
+//! Each replica of a `--thinners R` deployment runs its own front end
+//! over its own contenders and admits to its own slice of the server.
+//! Replicas never gate one another's admissions: they coordinate only
+//! through the capacity shares their digests set (see `digest`).
 
-use super::digest::RemoteView;
 use super::slot_heap::SlotHeap;
 use super::FrontEnd;
 use crate::types::{Directive, RequestKey};
@@ -119,15 +125,6 @@ pub struct AuctionFrontEnd {
     expiries: SlotHeap<SimTime>,
     next_seq: u64,
     going_rate: u64,
-    /// This front end's replica id in a replicated deployment (the
-    /// final leg of the remote-bid tie-break). 0 when standalone.
-    replica: u32,
-    /// Aggregated peer state in a replicated deployment. `None` (the
-    /// default, and the only value single-thinner runs ever see) leaves
-    /// every admission path byte-identical to the standalone front end;
-    /// when set, free admissions and auction wins are additionally
-    /// gated on beating the view (see `set_remote`).
-    remote: Option<RemoteView>,
     /// Counters and price samples.
     pub stats: AuctionStats,
 }
@@ -145,29 +142,8 @@ impl AuctionFrontEnd {
             expiries: SlotHeap::new(),
             next_seq: 0,
             going_rate: 0,
-            replica: 0,
-            remote: None,
             stats: AuctionStats::default(),
         }
-    }
-
-    /// Set this front end's replica id (the final tie-break leg against
-    /// remote bids). Standalone front ends keep the default 0.
-    pub fn set_replica(&mut self, replica: u32) {
-        self.replica = replica;
-    }
-
-    /// Install (or clear) the aggregated peer view. With a view set,
-    /// free admission additionally requires every peer idle and
-    /// contender-free, and an auction defers while any peer is busy and
-    /// otherwise admits the local top bid only if it beats the best
-    /// peer bid under (paid desc, seq asc, replica asc) — the rules
-    /// that make R gated replicas with fresh views reproduce the
-    /// single-thinner admission sequence exactly (see
-    /// `crates/core/tests/bid_digest_props.rs`). With `None` (the
-    /// default) every code path is unchanged.
-    pub fn set_remote(&mut self, remote: Option<RemoteView>) {
-        self.remote = remote;
     }
 
     /// Whether a request currently occupies the server.
@@ -183,18 +159,9 @@ impl AuctionFrontEnd {
             .map(|((Reverse(paid), seq), _)| (paid, seq))
     }
 
-    /// The next pending channel expiry, if any (digest building).
+    /// The next pending channel expiry, if any.
     pub fn next_expiry_hint(&mut self) -> Option<SimTime> {
         self.next_channel_expiry()
-    }
-
-    /// Hold an auction now if the server is idle (replicated thinners
-    /// call this after refreshing the remote view, since a peer's digest
-    /// can unblock a previously gated admission).
-    pub fn try_auction(&mut self, now: SimTime, out: &mut Vec<Directive>) {
-        if self.busy.is_none() {
-            self.hold_auction(now, out);
-        }
     }
 
     /// Number of clients currently streaming payment.
@@ -255,18 +222,9 @@ impl AuctionFrontEnd {
     /// earliest registrant), terminate its channel.
     fn hold_auction(&mut self, now: SimTime, out: &mut Vec<Directive>) {
         debug_assert!(self.busy.is_none());
-        let Some(((Reverse(paid), seq), slot)) = self.bids.peek() else {
+        let Some((_, slot)) = self.bids.peek() else {
             return;
         };
-        if let Some(remote) = &self.remote {
-            // The gated deployment models one cluster-wide server: defer
-            // while any peer is serving, or while a peer holds a better
-            // bid — until a fresher view (or more local payment) says
-            // otherwise.
-            if remote.busy || !remote.local_wins(paid, seq, self.replica) {
-                return;
-            }
-        }
         let c = self.withdraw(slot);
         self.going_rate = c.paid;
         self.stats.auctions += 1;
@@ -298,11 +256,7 @@ impl FrontEnd for AuctionFrontEnd {
         if self.index.contains_key(&req) || self.busy == Some(req) {
             return; // duplicate
         }
-        let peers_clear = self
-            .remote
-            .as_ref()
-            .is_none_or(|r| !r.busy && r.contenders == 0);
-        if self.busy.is_none() && self.index.is_empty() && peers_clear {
+        if self.busy.is_none() && self.index.is_empty() {
             // Unloaded server: serve immediately, price zero.
             self.busy = Some(req);
             self.going_rate = 0;
@@ -381,7 +335,6 @@ impl FrontEnd for AuctionFrontEnd {
         self.expiries.clear();
         self.next_seq = 0;
         self.going_rate = 0;
-        self.remote = None;
     }
 
     fn name(&self) -> &'static str {

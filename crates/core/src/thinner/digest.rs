@@ -1,12 +1,15 @@
-//! Aggregated bid deltas for replicated thinners.
+//! Aggregated payment state for replicated thinners.
 //!
 //! The paper notes thinners can be replicated (behind DNS round-robin,
 //! §3.1) but never measures how the allocation behaves when each replica
 //! sees only its own contenders. To measure that, replicas periodically
-//! exchange a [`BidDigest`]: a fixed-size summary of one replica's
-//! auction state — cumulative paid bytes (total and per log2 bracket),
-//! admission/timeout counts, and a snapshot of the live auction (top
-//! bid, contender count, next expiry horizon).
+//! exchange a [`BidDigest`]: a four-word summary of one replica's
+//! auction state — its id, its sync epoch, the cumulative payment bytes
+//! it has accepted, and its live contender count. Replicas coordinate
+//! one way only: each re-rates its slice of the server to its share of
+//! the merged paid totals (`paid_total`), and a peer whose `epoch` stops
+//! advancing is declared stale and drops out of those shares. Admission
+//! stays local to each replica; no digest field gates it.
 //!
 //! Digests are *state-based*: each carries the replica's full cumulative
 //! counters stamped with a monotone epoch, and [`DigestBoard::merge`]
@@ -17,29 +20,16 @@
 //! digests as ordinary delayed control packets without any delivery
 //! guarantees beyond eventual arrival.
 
-use speakup_net::time::SimTime;
 use std::collections::{BTreeMap, BTreeSet};
-
-/// Number of log2 payment brackets a digest carries. Bracket `i` counts
-/// payment bytes from events of size `[2^i, 2^{i+1})` (sizes `>= 2^15`
-/// fold into the last bracket) — enough resolution to reconstruct a
-/// price histogram across replicas without shipping per-contender state.
-pub const PAID_BRACKETS: usize = 16;
 
 /// The number of `u64` words [`BidDigest::encode`] produces. Fixed so
 /// the control-lane payload can be sized without allocation surprises.
-pub const DIGEST_WORDS: usize = 12 + PAID_BRACKETS;
-
-/// The log2 bracket a payment of `bytes` falls into.
-pub fn paid_bracket(bytes: u64) -> usize {
-    let bits = bytes.checked_ilog2().unwrap_or(0);
-    usize::try_from(bits.min(15)).expect("invariant: bracket index < 16")
-}
+pub const DIGEST_WORDS: usize = 4;
 
 /// One replica's aggregated auction state at an epoch boundary.
 ///
-/// All counter fields are cumulative since the start of the run, so a
-/// lost or reordered digest costs staleness, never double counting.
+/// `paid_total` is cumulative since the start of the run, so a lost or
+/// reordered digest costs staleness, never double counting.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BidDigest {
     /// Which replica published this digest.
@@ -48,27 +38,8 @@ pub struct BidDigest {
     pub epoch: u64,
     /// Cumulative payment bytes accepted from contenders.
     pub paid_total: u64,
-    /// Cumulative requests admitted to this replica's server slice.
-    pub admissions: u64,
-    /// Cumulative payment channels expired by the idle timeout.
-    pub timeouts: u64,
-    /// Cumulative payment bytes per log2 payment-event bracket.
-    pub paid_by_bracket: [u64; PAID_BRACKETS],
     /// Live contenders at publish time.
     pub contenders: u64,
-    /// Whether the replica's server slice was busy at publish time.
-    pub busy: bool,
-    /// Highest live bid at publish time (`has_top` gates validity).
-    pub top_paid: u64,
-    /// Registration sequence of that bid (tie-break, local to replica).
-    pub top_seq: u64,
-    /// Whether `top_paid`/`top_seq` describe a live contender.
-    pub has_top: bool,
-    /// The replica's going rate at publish time, bytes.
-    pub going_rate: u64,
-    /// Earliest pending channel expiry, nanoseconds since the epoch
-    /// start; `u64::MAX` when no channel can expire.
-    pub expiry_horizon: u64,
 }
 
 impl BidDigest {
@@ -78,68 +49,36 @@ impl BidDigest {
             replica,
             epoch: 0,
             paid_total: 0,
-            admissions: 0,
-            timeouts: 0,
-            paid_by_bracket: [0; PAID_BRACKETS],
             contenders: 0,
-            busy: false,
-            top_paid: 0,
-            top_seq: 0,
-            has_top: false,
-            going_rate: 0,
-            expiry_horizon: u64::MAX,
         }
     }
 
     /// Record one payment event of `bytes` (delta, not cumulative).
     pub fn note_payment(&mut self, bytes: u64) {
         self.paid_total += bytes;
-        self.paid_by_bracket[paid_bracket(bytes)] += bytes;
     }
 
     /// Serialize to the fixed [`DIGEST_WORDS`]-word wire form carried by
     /// the simulator's control lane.
     pub fn encode(&self) -> Vec<u64> {
-        let mut w = Vec::with_capacity(DIGEST_WORDS);
-        w.push(u64::from(self.replica));
-        w.push(self.epoch);
-        w.push(self.paid_total);
-        w.push(self.admissions);
-        w.push(self.timeouts);
-        w.extend_from_slice(&self.paid_by_bracket);
-        w.push(self.contenders);
-        w.push(u64::from(self.busy));
-        w.push(self.top_paid);
-        w.push(self.top_seq);
-        w.push(u64::from(self.has_top));
-        w.push(self.going_rate);
-        w.push(self.expiry_horizon);
-        debug_assert_eq!(w.len(), DIGEST_WORDS);
-        w
+        vec![
+            u64::from(self.replica),
+            self.epoch,
+            self.paid_total,
+            self.contenders,
+        ]
     }
 
     /// Inverse of [`BidDigest::encode`]. `None` on a malformed payload.
     pub fn decode(words: &[u64]) -> Option<Self> {
-        if words.len() != DIGEST_WORDS {
+        let &[replica, epoch, paid_total, contenders] = words else {
             return None;
-        }
-        let mut paid_by_bracket = [0u64; PAID_BRACKETS];
-        paid_by_bracket.copy_from_slice(&words[5..5 + PAID_BRACKETS]);
-        let tail = &words[5 + PAID_BRACKETS..];
+        };
         Some(BidDigest {
-            replica: u32::try_from(words[0]).ok()?,
-            epoch: words[1],
-            paid_total: words[2],
-            admissions: words[3],
-            timeouts: words[4],
-            paid_by_bracket,
-            contenders: tail[0],
-            busy: tail[1] != 0,
-            top_paid: tail[2],
-            top_seq: tail[3],
-            has_top: tail[4] != 0,
-            going_rate: tail[5],
-            expiry_horizon: tail[6],
+            replica: u32::try_from(replica).ok()?,
+            epoch,
+            paid_total,
+            contenders,
         })
     }
 }
@@ -194,9 +133,9 @@ impl DigestBoard {
     /// boundary: every peer whose latest digest lags `own_epoch` by more
     /// than `k` epochs has missed `k` consecutive sync periods (replicas
     /// publish in the same cadence) and is marked stale. Marked peers
-    /// drop out of [`DigestBoard::remote_view`] and the live-share
-    /// accessors until a digest from them arrives again ([`Self::merge`]
-    /// clears the mark), so the survivors absorb their contender load.
+    /// drop out of the live-share accessors until a digest from them
+    /// arrives again ([`Self::merge`] clears the mark), so the survivors
+    /// absorb their contender load.
     /// Returns the replicas *newly* marked by this call, in id order.
     pub fn mark_stale(&mut self, own: u32, own_epoch: u64, k: u64) -> Vec<u32> {
         let mut newly = Vec::new();
@@ -216,19 +155,9 @@ impl DigestBoard {
         self.stale.contains(&replica)
     }
 
-    /// Replicas currently marked stale, in id order.
-    pub fn stale_ids(&self) -> impl Iterator<Item = u32> + '_ {
-        self.stale.iter().copied()
-    }
-
     /// Number of replicas currently marked stale.
     pub fn stale_count(&self) -> usize {
         self.stale.len()
-    }
-
-    /// The latest digest seen from `replica`, if any.
-    pub fn get(&self, replica: u32) -> Option<&BidDigest> {
-        self.entries.get(&replica)
     }
 
     /// All entries, in replica order.
@@ -256,64 +185,6 @@ impl DigestBoard {
             .map(|d| d.paid_total)
             .sum()
     }
-
-    /// Aggregate the board into the view replica `self_replica` feeds
-    /// its auction gate: peer busyness, peer contender count, and the
-    /// best peer bid ranked (paid desc, seq asc, replica asc). Stale
-    /// peers are excluded — a dead replica's last-known top bid must not
-    /// keep outbidding live contenders for the rest of the run.
-    pub fn remote_view(&self, self_replica: u32) -> RemoteView {
-        let mut v = RemoteView::default();
-        for d in self.entries.values() {
-            if d.replica == self_replica || self.stale.contains(&d.replica) {
-                continue;
-            }
-            v.busy |= d.busy;
-            v.contenders += d.contenders;
-            if d.has_top {
-                let cand = (d.top_paid, d.top_seq, d.replica);
-                let better = match v.top {
-                    None => true,
-                    Some((p, s, r)) => cand.0 > p || (cand.0 == p && (cand.1, cand.2) < (s, r)),
-                };
-                if better {
-                    v.top = Some(cand);
-                }
-            }
-        }
-        v
-    }
-}
-
-/// Aggregated peer state consumed by the auction front end's replica
-/// gate: see `AuctionFrontEnd::set_remote`.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RemoteView {
-    /// Any peer's server slice busy at its last publish.
-    pub busy: bool,
-    /// Live contenders across all peers at their last publish.
-    pub contenders: u64,
-    /// Best peer bid `(paid, seq, replica)` under (paid desc, seq asc,
-    /// replica asc); `None` when no peer reported a live bid.
-    pub top: Option<(u64, u64, u32)>,
-}
-
-impl RemoteView {
-    /// Whether a local bid `(paid, seq)` on `replica` beats every peer
-    /// bid in this view.
-    pub fn local_wins(&self, paid: u64, seq: u64, replica: u32) -> bool {
-        match self.top {
-            None => true,
-            Some((p, s, r)) => paid > p || (paid == p && (seq, replica) < (s, r)),
-        }
-    }
-}
-
-/// Earliest expiry horizon across a set of replica digests, as a
-/// [`SimTime`]; `None` when no replica reported a pending expiry.
-pub fn merged_expiry_horizon<'a>(digests: impl Iterator<Item = &'a BidDigest>) -> Option<SimTime> {
-    let ns = digests.map(|d| d.expiry_horizon).min()?;
-    (ns != u64::MAX).then(|| SimTime::from_nanos(ns))
 }
 
 #[cfg(test)]
@@ -330,37 +201,23 @@ mod tests {
     #[test]
     fn encode_decode_round_trips() {
         let mut d = digest(3, 7, 5_000);
-        d.admissions = 11;
-        d.timeouts = 2;
+        d.note_payment(1_000_000);
         d.contenders = 4;
-        d.busy = true;
-        d.top_paid = 9_000;
-        d.top_seq = 42;
-        d.has_top = true;
-        d.going_rate = 8_000;
-        d.expiry_horizon = 123_456_789;
+        assert_eq!(d.paid_total, 1_005_000);
         let w = d.encode();
+        assert_eq!(w, vec![3, 7, 1_005_000, 4]);
         assert_eq!(w.len(), DIGEST_WORDS);
         assert_eq!(BidDigest::decode(&w), Some(d));
-        assert_eq!(BidDigest::decode(&w[1..]), None);
     }
 
     #[test]
-    fn brackets_fold_by_log2() {
-        assert_eq!(paid_bracket(0), 0);
-        assert_eq!(paid_bracket(1), 0);
-        assert_eq!(paid_bracket(2), 1);
-        assert_eq!(paid_bracket(3), 1);
-        assert_eq!(paid_bracket(1 << 14), 14);
-        assert_eq!(paid_bracket((1 << 15) - 1), 14);
-        assert_eq!(paid_bracket(1 << 15), 15);
-        assert_eq!(paid_bracket(u64::MAX), 15);
-        let mut d = BidDigest::new(0);
-        d.note_payment(1_000);
-        d.note_payment(1_000_000);
-        assert_eq!(d.paid_total, 1_001_000);
-        assert_eq!(d.paid_by_bracket[paid_bracket(1_000)], 1_000);
-        assert_eq!(d.paid_by_bracket[15], 1_000_000);
+    fn malformed_payloads_do_not_decode() {
+        let w = digest(3, 7, 5_000).encode();
+        assert_eq!(BidDigest::decode(&w[1..]), None);
+        assert_eq!(BidDigest::decode(&[w.as_slice(), &[0]].concat()), None);
+        assert_eq!(BidDigest::decode(&[]), None);
+        // A replica id beyond u32 is not a digest any replica sent.
+        assert_eq!(BidDigest::decode(&[1 << 32, 7, 5_000, 0]), None);
     }
 
     #[test]
@@ -387,48 +244,18 @@ mod tests {
     }
 
     #[test]
-    fn remote_view_excludes_self_and_ranks_bids() {
-        let mut b = DigestBoard::new();
-        let mut d0 = digest(0, 1, 10);
-        d0.busy = true;
-        d0.contenders = 3;
-        d0.top_paid = 500;
-        d0.top_seq = 9;
-        d0.has_top = true;
-        b.merge(d0);
-        let mut d1 = digest(1, 1, 10);
-        d1.contenders = 2;
-        d1.top_paid = 500;
-        d1.top_seq = 4;
-        d1.has_top = true;
-        b.merge(d1);
-        let v = b.remote_view(2);
-        assert!(v.busy);
-        assert_eq!(v.contenders, 5);
-        // Equal paid: the smaller (seq, replica) wins.
-        assert_eq!(v.top, Some((500, 4, 1)));
-        // Excluding replica 1 leaves replica 0's bid.
-        assert_eq!(b.remote_view(1).top, Some((500, 9, 0)));
-        // A local bid beats the view only by (paid desc, seq asc).
-        assert!(v.local_wins(501, 100, 3));
-        assert!(v.local_wins(500, 3, 3));
-        assert!(!v.local_wins(500, 4, 3)); // seq tie: replica 1 < 3
-        assert!(!v.local_wins(499, 0, 3));
-    }
-
-    #[test]
     fn stale_marking_detects_silence_and_rejoin_clears_it() {
         let mut b = DigestBoard::new();
         b.merge(digest(0, 10, 100)); // self
         b.merge(digest(1, 9, 50)); // one epoch behind: live
         b.merge(digest(2, 5, 70)); // silent for 5 epochs
-                                   // k = 3: replica 2 crossed the threshold, replica 1 did not,
-                                   // and self (replica 0) is never marked.
+
+        // k = 3: replica 2 crossed the threshold, replica 1 did not,
+        // and self (replica 0) is never marked.
         assert_eq!(b.mark_stale(0, 10, 3), vec![2]);
         assert!(b.is_stale(2) && !b.is_stale(1) && !b.is_stale(0));
         assert_eq!(b.mark_stale(0, 10, 3), Vec::<u32>::new(), "no re-report");
         assert_eq!(b.stale_count(), 1);
-        assert_eq!(b.stale_ids().collect::<Vec<_>>(), vec![2]);
         // The stale peer drops out of the live aggregates but its last
         // digest stays on the board (cumulative history is still real).
         assert_eq!(b.total_paid(), 220);
@@ -444,38 +271,5 @@ mod tests {
         // Ordinary epoch discipline resumes after the re-join.
         assert!(!b.merge(digest(2, 0, 99)));
         assert_eq!(b.paid_of(2), 5);
-    }
-
-    #[test]
-    fn stale_peers_drop_out_of_the_remote_view() {
-        let mut b = DigestBoard::new();
-        let mut d1 = digest(1, 1, 10);
-        d1.busy = true;
-        d1.contenders = 7;
-        d1.top_paid = 9_999;
-        d1.top_seq = 1;
-        d1.has_top = true;
-        b.merge(d1);
-        assert_eq!(b.remote_view(0).top, Some((9_999, 1, 1)));
-        b.mark_stale(0, 10, 3);
-        let v = b.remote_view(0);
-        assert_eq!(v.top, None, "a dead peer's ghost bid must not outbid");
-        assert!(!v.busy);
-        assert_eq!(v.contenders, 0);
-    }
-
-    #[test]
-    fn merged_horizon_takes_the_earliest() {
-        let mut a = BidDigest::new(0);
-        a.expiry_horizon = 5_000;
-        let mut b = BidDigest::new(1);
-        b.expiry_horizon = 2_000;
-        let none = BidDigest::new(2);
-        assert_eq!(
-            merged_expiry_horizon([&a, &b, &none].into_iter()),
-            Some(SimTime::from_nanos(2_000))
-        );
-        assert_eq!(merged_expiry_horizon([&none].into_iter()), None);
-        assert_eq!(merged_expiry_horizon([].into_iter()), None);
     }
 }

@@ -32,10 +32,7 @@ mod retry;
 mod slot_heap;
 
 pub use auction::{AuctionConfig, AuctionFrontEnd, AuctionStats};
-pub use digest::{
-    merged_expiry_horizon, paid_bracket, BidDigest, DigestBoard, RemoteView, DIGEST_WORDS,
-    PAID_BRACKETS,
-};
+pub use digest::{BidDigest, DigestBoard, DIGEST_WORDS};
 pub use none::{NoDefense, NoDefenseStats};
 pub use profile::{ProfileConfig, ProfileFrontEnd, ProfileStats};
 pub use quantum::{QuantumConfig, QuantumFrontEnd, QuantumStats};

@@ -15,7 +15,7 @@
 //! shrinking — a failure reports the case number for replay.
 
 use proptest::prelude::*;
-use speakup_core::thinner::{AuctionConfig, AuctionFrontEnd, FrontEnd, RemoteView};
+use speakup_core::thinner::{AuctionConfig, AuctionFrontEnd, FrontEnd};
 use speakup_core::types::{ClientId, Directive, RequestId, RequestKey};
 use speakup_net::time::{SimDuration, SimTime};
 use std::collections::BTreeMap;
@@ -30,15 +30,14 @@ struct Contender {
     last_payment: SimTime,
 }
 
-/// §3.3 by full scan. Mirrors the front end's public behaviour,
-/// replica gate included, with none of its data structures.
+/// §3.3 by full scan. Mirrors the front end's public behaviour with
+/// none of its data structures.
 #[derive(Default)]
 struct Oracle {
     busy: Option<RequestKey>,
     contenders: BTreeMap<RequestKey, Contender>,
     next_seq: u64,
     going_rate: u64,
-    remote: Option<RemoteView>,
     auctions: u64,
     free_admissions: u64,
     channel_timeouts: u64,
@@ -65,11 +64,6 @@ impl Oracle {
         let Some((winner, c)) = self.top() else {
             return;
         };
-        if let Some(remote) = &self.remote {
-            if remote.busy || !remote.local_wins(c.paid, c.seq, 0) {
-                return;
-            }
-        }
         self.contenders.remove(&winner);
         self.going_rate = c.paid;
         self.auctions += 1;
@@ -81,18 +75,11 @@ impl Oracle {
         out.push(Directive::Admit(winner));
     }
 
-    fn try_auction(&mut self, now: SimTime, out: &mut Vec<Directive>) {
-        if self.busy.is_none() {
-            self.hold_auction(now, out);
-        }
-    }
-
     fn on_request(&mut self, now: SimTime, req: RequestKey, out: &mut Vec<Directive>) {
         if self.contenders.contains_key(&req) || self.busy == Some(req) {
             return;
         }
-        let peers_clear = self.remote.is_none_or(|r| !r.busy && r.contenders == 0);
-        if self.busy.is_none() && self.contenders.is_empty() && peers_clear {
+        if self.busy.is_none() && self.contenders.is_empty() {
             self.busy = Some(req);
             self.going_rate = 0;
             self.free_admissions += 1;
@@ -110,7 +97,9 @@ impl Oracle {
         self.next_seq += 1;
         self.contenders.insert(req, c);
         out.push(Directive::Encourage(req));
-        self.try_auction(now, out);
+        if self.busy.is_none() {
+            self.hold_auction(now, out);
+        }
     }
 
     fn on_payment(&mut self, now: SimTime, req: RequestKey, bytes: u64) {
@@ -146,7 +135,6 @@ impl Oracle {
         self.contenders.clear();
         self.next_seq = 0;
         self.going_rate = 0;
-        self.remote = None;
     }
 }
 
@@ -215,13 +203,6 @@ impl Pair {
         self.oracle.reset();
     }
 
-    fn set_remote(&mut self, view: Option<RemoteView>) {
-        self.fe.set_remote(view);
-        self.oracle.remote = view;
-        self.fe.try_auction(self.now, &mut self.fe_out);
-        self.oracle.try_auction(self.now, &mut self.oracle_out);
-    }
-
     /// Everything observable must agree. `hint` also asks for the next
     /// expiry, which makes the front end re-file lazy deadline entries:
     /// callers vary it so sequences with and without that side effect
@@ -264,7 +245,7 @@ proptest! {
     #[test]
     fn front_end_matches_the_full_scan_oracle(
         ops in proptest::collection::vec(
-            (0u8..14, 0u32..POOL, 1u64..40_000, any::<bool>()),
+            (0u8..12, 0u32..POOL, 1u64..40_000, any::<bool>()),
             8..160,
         ),
     ) {
@@ -299,16 +280,6 @@ proptest! {
                 }
                 10 => p.tick(p.now),
                 11 if amount % 8 == 0 => p.reset(),
-                // A peer view that may or may not outbid the local top,
-                // or no view at all.
-                11 | 12 => {
-                    let view = (amount % 4 != 0).then_some(RemoteView {
-                        busy: amount % 5 == 0,
-                        contenders: amount % 3,
-                        top: (amount % 2 == 0).then_some((amount, u64::from(c), 1)),
-                    });
-                    p.set_remote(view);
-                }
                 // Let time pass: up to 4 s, so idle contenders come due
                 // within a few ops while paying ones do not.
                 _ => p.advance(SimDuration::from_nanos(amount * 100_000)),

@@ -1,28 +1,17 @@
 //! Property battery for the replicated-thinner digest machinery.
 //!
-//! Two obligations back the epoch bid-delta design:
-//!
-//! 1. [`DigestBoard::merge`] must be a join: commutative, associative,
-//!    and idempotent over *any* delivery order of any set of digests.
-//!    That is what lets the simulation ship digests as ordinary delayed
-//!    control packets with no ordering or exactly-once guarantees —
-//!    every replica's board converges to the same per-replica
-//!    max-epoch state no matter how the network interleaved delivery.
-//! 2. The gated [`AuctionFrontEnd`] must *converge to the single
-//!    thinner* as the sync period goes to zero: R replicas, each seeing
-//!    only its own clients but refreshed with perfectly fresh peer
-//!    views before every decision, must admit exactly the sequence one
-//!    thinner seeing every client admits.
+//! [`DigestBoard::merge`] must be a join: commutative, associative, and
+//! idempotent over *any* delivery order of any set of digests. That is
+//! what lets the simulation ship digests as ordinary delayed control
+//! packets with no ordering or exactly-once guarantees — every
+//! replica's board converges to the same per-replica max-epoch state no
+//! matter how the network interleaved delivery.
 //!
 //! Uses the vendored proptest stub: deterministic generation, no
 //! shrinking — a failure reports the case number for replay.
 
 use proptest::prelude::*;
-use speakup_core::thinner::{
-    AuctionConfig, AuctionFrontEnd, BidDigest, DigestBoard, FrontEnd, RemoteView,
-};
-use speakup_core::types::{ClientId, Directive, RequestId, RequestKey};
-use speakup_net::time::SimTime;
+use speakup_core::thinner::{BidDigest, DigestBoard};
 
 /// The canonical digest a replica publishes at an epoch: a pure
 /// function of `(replica, epoch)`, exactly as in the real system, where
@@ -35,18 +24,7 @@ fn canonical(replica: u32, epoch: u64) -> BidDigest {
     for k in 0..=epoch {
         d.note_payment(1 + 1_000 * u64::from(replica) + 137 * k);
     }
-    d.admissions = epoch * 3 + u64::from(replica);
     d.contenders = epoch % 5;
-    d.busy = (epoch + u64::from(replica)).is_multiple_of(2);
-    d.top_paid = 10_000 + 17 * epoch;
-    d.top_seq = epoch;
-    d.has_top = !epoch.is_multiple_of(3);
-    d.going_rate = 500 * epoch;
-    d.expiry_horizon = if epoch.is_multiple_of(4) {
-        u64::MAX
-    } else {
-        1_000_000 * epoch
-    };
     d
 }
 
@@ -129,155 +107,5 @@ proptest! {
             prop_assert_eq!(d.epoch, max_epoch);
             prop_assert_eq!(*d, canonical(d.replica, max_epoch));
         }
-    }
-
-    #[test]
-    fn fresh_views_reproduce_the_single_thinner_admissions(
-        ops in proptest::collection::vec((any::<u8>(), 0u32..12), 4..80),
-        replicas in 2u32..5,
-    ) {
-        // One oracle front end sees every client; R gated replicas each
-        // see only their own (client % R). Before every decision the
-        // replicas get perfectly fresh peer views — the sync-period → 0
-        // limit — and the union of their admissions must be the
-        // oracle's admission sequence, element for element.
-        //
-        // Every contender pays a globally unique amount immediately on
-        // registration: per-replica `seq` counters are not comparable
-        // across replicas, so equality ties (which the single thinner
-        // breaks by global arrival order) are excluded by construction —
-        // at most one zero-paid contender can exist at any instant.
-        let r_count = replicas as usize;
-        let mut oracle = AuctionFrontEnd::new(AuctionConfig::default());
-        let mut fleet: Vec<AuctionFrontEnd> = (0..r_count)
-            .map(|r| {
-                let mut fe = AuctionFrontEnd::new(AuctionConfig::default());
-                fe.set_replica(u32::try_from(r).expect("small fleet"));
-                fe
-            })
-            .collect();
-
-        let refresh = |fleet: &mut Vec<AuctionFrontEnd>| {
-            let digests: Vec<BidDigest> = fleet
-                .iter_mut()
-                .enumerate()
-                .map(|(r, fe)| {
-                    let mut d =
-                        BidDigest::new(u32::try_from(r).expect("small fleet"));
-                    d.busy = fe.is_busy();
-                    d.contenders =
-                        u64::try_from(fe.contender_count()).expect("small crowd");
-                    if let Some((paid, seq)) = fe.top_bid() {
-                        d.top_paid = paid;
-                        d.top_seq = seq;
-                        d.has_top = true;
-                    }
-                    d
-                })
-                .collect();
-            let mut board = DigestBoard::new();
-            for d in &digests {
-                board.merge(*d);
-            }
-            for (r, fe) in fleet.iter_mut().enumerate() {
-                let view: RemoteView =
-                    board.remote_view(u32::try_from(r).expect("small fleet"));
-                fe.set_remote(Some(view));
-            }
-        };
-
-        let mut oracle_log: Vec<RequestKey> = Vec::new();
-        let mut fleet_log: Vec<RequestKey> = Vec::new();
-        let log_admissions = |out: &[Directive], log: &mut Vec<RequestKey>| {
-            for d in out {
-                if let Directive::Admit(k) = d {
-                    log.push(*k);
-                }
-            }
-        };
-        // Settle: with fresh views exactly one replica (the global top
-        // holder) can win each idle slot; iterate to let a deferred
-        // admission land after the views refresh.
-        let settle = |fleet: &mut Vec<AuctionFrontEnd>,
-                      now: SimTime,
-                      log: &mut Vec<RequestKey>| {
-            loop {
-                refresh(fleet);
-                let mut out = Vec::new();
-                for fe in fleet.iter_mut() {
-                    fe.try_auction(now, &mut out);
-                }
-                if out.is_empty() {
-                    break;
-                }
-                log_admissions(&out, log);
-            }
-        };
-
-        let mut next_req: Vec<u64> = vec![0; 12];
-        let mut live: Vec<Option<RequestKey>> = vec![None; 12];
-        let mut serving: Option<RequestKey> = None;
-        let mut unique_amount = 0u64;
-        for (step, &(kind, client)) in ops.iter().enumerate() {
-            let now = SimTime::from_nanos(1_000_000 * (step as u64 + 1));
-            let c = client as usize;
-            let home = c % r_count;
-            match kind % 3 {
-                // A client without a pending request issues one and
-                // immediately pays a globally unique amount.
-                0 | 1 => {
-                    if live[c].is_some() {
-                        continue;
-                    }
-                    let key = RequestKey::new(
-                        ClientId(client),
-                        RequestId(next_req[c]),
-                    );
-                    next_req[c] += 1;
-                    live[c] = Some(key);
-                    let mut out = Vec::new();
-                    oracle.on_request(now, key, &mut out);
-                    log_admissions(&out, &mut oracle_log);
-                    refresh(&mut fleet);
-                    let mut out = Vec::new();
-                    fleet[home].on_request(now, key, &mut out);
-                    log_admissions(&out, &mut fleet_log);
-                    settle(&mut fleet, now, &mut fleet_log);
-
-                    unique_amount += 1;
-                    let bytes = 1_000 + 997 * unique_amount;
-                    let mut out = Vec::new();
-                    oracle.on_payment(now, key, bytes, &mut out);
-                    fleet[home].on_payment(now, key, bytes, &mut out);
-                    prop_assert!(out.is_empty(), "payment never admits");
-                }
-                // The server finishes its current request.
-                _ => {
-                    let Some(done) = oracle_log.last().copied() else {
-                        continue;
-                    };
-                    if serving == Some(done) {
-                        continue; // already completed this admission
-                    }
-                    serving = Some(done);
-                    live[done.client.0 as usize] = None;
-                    let mut out = Vec::new();
-                    oracle.on_server_done(now, done, &mut out);
-                    log_admissions(&out, &mut oracle_log);
-                    let home_r = done.client.0 as usize % r_count;
-                    refresh(&mut fleet);
-                    let mut out = Vec::new();
-                    fleet[home_r].on_server_done(now, done, &mut out);
-                    log_admissions(&out, &mut fleet_log);
-                    settle(&mut fleet, now, &mut fleet_log);
-                }
-            }
-            prop_assert_eq!(&oracle_log, &fleet_log, "diverged at step {}", step);
-        }
-        prop_assert_eq!(oracle.is_busy(), fleet.iter().any(|fe| fe.is_busy()));
-        let oracle_contenders = oracle.contender_count();
-        let fleet_contenders: usize =
-            fleet.iter().map(|fe| fe.contender_count()).sum();
-        prop_assert_eq!(oracle_contenders, fleet_contenders);
     }
 }

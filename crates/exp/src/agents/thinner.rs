@@ -156,9 +156,6 @@ pub struct ThinnerAgent {
     digest: BidDigest,
     /// Latest digest per replica (self included after each publish).
     board: DigestBoard,
-    /// Next channel-expiry deadline last reported by the front end
-    /// (digest `expiry_horizon`; refreshed on every tick).
-    expiry_hint: Option<SimTime>,
     /// When this replica first declared a peer stale (time-to-failover
     /// measurements; survives restarts like the other metrics).
     failover_at: Option<SimTime>,
@@ -206,7 +203,6 @@ impl ThinnerAgent {
             replica: None,
             digest: BidDigest::new(0),
             board: DigestBoard::new(),
-            expiry_hint: None,
             failover_at: None,
             rejoin_at: None,
             observe: None,
@@ -223,16 +219,6 @@ impl ThinnerAgent {
         self.digest = BidDigest::new(replica.id);
         self.replica = Some(replica);
         self
-    }
-
-    /// The latest digests this replica has merged (tests, diagnostics).
-    pub fn board(&self) -> &DigestBoard {
-        &self.board
-    }
-
-    /// This replica's sync epoch so far (0 when unreplicated).
-    pub fn sync_epoch(&self) -> u64 {
-        self.digest.epoch
     }
 
     /// When this replica first declared a peer stale, if it ever did
@@ -465,7 +451,6 @@ impl ThinnerAgent {
                 }
                 Directive::Drop(k) => {
                     self.metrics.drops += 1;
-                    self.digest.timeouts += 1;
                     self.cleanup_channel(ctx, k);
                     self.forget_request(k);
                     self.drop_alias(k);
@@ -503,7 +488,6 @@ impl ThinnerAgent {
         let info = self.info(k.client);
         let now = ctx.now();
         let finish = self.server.start_request(now, k, info.difficulty);
-        self.digest.admissions += 1;
         self.arm_server_timer(ctx, finish);
         let r = self.note_on_server(k);
         // Record the price this admission paid: closed channels plus,
@@ -537,7 +521,6 @@ impl ThinnerAgent {
         let now = ctx.now();
         let mut out = std::mem::take(&mut self.scratch);
         let next = self.fe.on_tick(now, &mut out);
-        self.expiry_hint = next;
         self.execute_drain(ctx, &mut out);
         self.scratch = out;
         if let Some(h) = self.tick_timer.take() {
@@ -555,10 +538,10 @@ impl ThinnerAgent {
         self.clients_by_node.get(&src).copied()
     }
 
-    /// Stamp the digest's live-auction snapshot, bump the epoch, and
-    /// ship it to every peer replica as a control payload (delivered at
-    /// path propagation delay, so determinism and the lookahead matrix
-    /// hold). The replica's own board merges it immediately.
+    /// Stamp the digest's contender count, bump the epoch, and ship it
+    /// to every peer replica as a control payload (delivered at path
+    /// propagation delay, so determinism and the lookahead matrix hold).
+    /// The replica's own board merges it immediately.
     fn publish_digest(&mut self, ctx: &mut Ctx) {
         self.digest.epoch += 1;
         debug_assert_eq!(
@@ -570,13 +553,6 @@ impl ThinnerAgent {
                 .count() as u64
         );
         self.digest.contenders = self.contending;
-        self.digest.busy = self.server.is_busy();
-        self.digest.going_rate = self.fe.going_rate().unwrap_or(0);
-        self.digest.expiry_horizon = self.expiry_hint.map_or(u64::MAX, SimTime::as_nanos);
-        // The oracle-facing top-bid fields stay unset in the simulation:
-        // replicas coordinate through capacity shares, not a global
-        // admission gate (which would serialize them to ~c/R total).
-        self.digest.has_top = false;
         let words = self.digest.encode().into_boxed_slice();
         let peers = match &self.replica {
             Some(cfg) => cfg.peers.clone(),
@@ -804,7 +780,6 @@ impl App for ThinnerAgent {
         self.tick_timer = None;
         self.alias_of.clear();
         self.real_of.clear();
-        self.expiry_hint = None;
         // The digest epoch restarts from zero — that reset is exactly
         // the re-join signal peers accept past their max-epoch rule —
         // and the board refills from the next round of peer digests.

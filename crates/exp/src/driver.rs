@@ -651,6 +651,7 @@ pub fn perf_json(run: &EntryRun) -> Json {
                 .field("flows_opened", per_shard(&r.flows_opened))
                 .field("flows_peak", per_shard(&r.flows_peak))
                 .field("cross_shard_events", r.cross_shard_events)
+                .field("barrier_parks", per_shard(&r.barrier_parks))
                 .field("windows", windows)
                 .field(
                     "window_ends",

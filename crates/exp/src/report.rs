@@ -145,19 +145,6 @@ pub fn kbytes(v: f64) -> String {
     format!("{:.1}KB", v / 1000.0)
 }
 
-/// One-line summary of a run, used by `quickstart` and tests.
-pub fn summarize(r: &RunReport) -> String {
-    format!(
-        "{name}: mode={mode} good_alloc={ga:.3} good_served={gs:.3} util={u:.2} drops={d}",
-        name = r.name,
-        mode = r.mode,
-        ga = r.good_fraction(),
-        gs = r.good_served_fraction(),
-        u = r.server_utilization,
-        d = r.thinner_drops,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -143,6 +143,8 @@ pub struct RunReport {
     pub window_ends: WindowEnds,
     /// Events handed from one shard loop to another.
     pub cross_shard_events: u64,
+    /// Barrier waits that gave up spinning and parked, per shard loop.
+    pub barrier_parks: Vec<u64>,
     /// Wall-clock seconds the simulation loop took (host- and
     /// load-dependent, so only surfaced by the CLI `perf` footer, never
     /// in the deterministic report payload).
@@ -763,6 +765,7 @@ pub fn run_sharded(scenario: &Scenario, shards: u32) -> RunReport {
         dispatch_counts: sim.dispatch_counts(),
         window_ends: sim.window_ends(),
         cross_shard_events: sim.cross_shard_events(),
+        barrier_parks: sim.barrier_parks(),
         wall_secs,
     };
     report

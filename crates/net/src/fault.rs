@@ -1,11 +1,11 @@
 //! Deterministic fault schedules: link flaps and node crash/restart.
 //!
 //! A [`FaultSchedule`] is a list of `(at, down_for, what)` entries built
-//! either explicitly (scenario- or CLI-driven) or derived from a seed via
-//! the same location-keyed PCG streams the rest of the engine uses: each
-//! link or node draws its flap times from its own stream, so a schedule
-//! is a pure function of `(seed, entity)` — independent of shard count,
-//! iteration order, and every other entity's schedule.
+//! explicitly (scenario- or CLI-driven), or, for link flaps, derived
+//! from a seed via the same location-keyed PCG streams the rest of the
+//! engine uses: each link draws its flap times from its own stream, so a
+//! schedule is a pure function of `(seed, link)` — independent of shard
+//! count, iteration order, and every other link's schedule.
 //!
 //! The schedule itself is inert data. [`crate::sim::Simulator::inject_faults`]
 //! turns it into shard-local events on dedicated fault lanes so the
@@ -19,10 +19,6 @@ use crate::time::{SimDuration, SimTime};
 /// PCG stream namespace for fault scheduling, disjoint from the node
 /// (`1 << 40`) and link (`2 << 40`) namespaces used by the simulator.
 pub const STREAM_FAULT: u64 = 3 << 40;
-
-/// Distinguishes node-crash streams from link-flap streams within
-/// [`STREAM_FAULT`] (entity indices are far below this bit).
-const FAULT_NODE_BIT: u64 = 1 << 39;
 
 /// What a fault entry takes down.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -140,66 +136,24 @@ impl FaultSchedule {
         mean_down: SimDuration,
     ) -> &mut Self {
         for &link in links {
+            assert!(
+                mean_every > SimDuration::ZERO && mean_down > SimDuration::ZERO,
+                "seeded faults need positive mean spacing and outage"
+            );
             let mut rng = Pcg32::new(seed, STREAM_FAULT | u64::from(link.0));
-            self.seeded_entity_faults(&mut rng, horizon, mean_every, mean_down, |at, down| {
-                FaultEntry {
-                    at,
-                    down_for: down,
-                    kind: FaultKind::LinkDown(link),
+            let mut t = SimTime::ZERO;
+            loop {
+                t += SimDuration::from_secs_f64(rng.exp(mean_every.as_secs_f64()));
+                if t >= horizon {
+                    break;
                 }
-            });
-        }
-        self
-    }
-
-    /// Derive node crashes for each of `nodes` from `seed`, with the same
-    /// distributional shape as [`Self::seeded_link_flaps`] but on the
-    /// node half (`STREAM_FAULT | FAULT_NODE_BIT | node`) of the fault
-    /// stream namespace.
-    pub fn seeded_node_crashes(
-        &mut self,
-        seed: u64,
-        nodes: &[NodeId],
-        horizon: SimTime,
-        mean_every: SimDuration,
-        mean_down: SimDuration,
-    ) -> &mut Self {
-        for &node in nodes {
-            let mut rng = Pcg32::new(seed, STREAM_FAULT | FAULT_NODE_BIT | u64::from(node.0));
-            self.seeded_entity_faults(&mut rng, horizon, mean_every, mean_down, |at, down| {
-                FaultEntry {
-                    at,
-                    down_for: down,
-                    kind: FaultKind::NodeCrash(node),
-                }
-            });
-        }
-        self
-    }
-
-    fn seeded_entity_faults(
-        &mut self,
-        rng: &mut Pcg32,
-        horizon: SimTime,
-        mean_every: SimDuration,
-        mean_down: SimDuration,
-        mk: impl Fn(SimTime, SimDuration) -> FaultEntry,
-    ) {
-        assert!(
-            mean_every > SimDuration::ZERO && mean_down > SimDuration::ZERO,
-            "seeded faults need positive mean spacing and outage"
-        );
-        let mut t = SimTime::ZERO;
-        loop {
-            t += SimDuration::from_secs_f64(rng.exp(mean_every.as_secs_f64()));
-            if t >= horizon {
-                return;
+                let down = SimDuration::from_secs_f64(rng.exp(mean_down.as_secs_f64()))
+                    .max(SimDuration::from_millis(1));
+                self.link_down(t, link, down);
+                t += down;
             }
-            let down = SimDuration::from_secs_f64(rng.exp(mean_down.as_secs_f64()))
-                .max(SimDuration::from_millis(1));
-            self.entries.push(mk(t, down));
-            t += down;
         }
+        self
     }
 }
 
@@ -268,21 +222,5 @@ mod tests {
             assert!(e.at >= last_up, "per-link flaps must not overlap");
             last_up = e.up_at();
         }
-    }
-
-    #[test]
-    fn node_and_link_streams_are_disjoint() {
-        // Node 5 and link 5 share an index but not a stream: their
-        // schedules must differ.
-        let horizon = SimTime::from_secs(600);
-        let every = SimDuration::from_secs(60);
-        let down = SimDuration::from_secs(5);
-        let mut links = FaultSchedule::new();
-        links.seeded_link_flaps(42, &[LinkId(5)], horizon, every, down);
-        let mut nodes = FaultSchedule::new();
-        nodes.seeded_node_crashes(42, &[NodeId(5)], horizon, every, down);
-        let link_times: Vec<_> = links.entries().iter().map(|e| e.at).collect();
-        let node_times: Vec<_> = nodes.entries().iter().map(|e| e.at).collect();
-        assert_ne!(link_times, node_times);
     }
 }

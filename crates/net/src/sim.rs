@@ -1372,6 +1372,9 @@ struct Shard<S: AppSet> {
     dispatch_counts: Vec<u64>,
     /// What ended each window this shard ran.
     window_ends: WindowEnds,
+    /// Barrier waits in which this shard's thread gave up spinning and
+    /// parked.
+    barrier_parks: u64,
 }
 
 /// What ended the windows a simulation ran, one count per shard per
@@ -1494,13 +1497,15 @@ impl<S: AppSet> Shard<S> {
     }
 }
 
-/// A sense-reversing barrier with a bounded spin before parking on a
-/// condvar. Window barriers fire every lookahead interval (often
+/// A sense-reversing barrier with a time-bounded spin before parking on
+/// a condvar. Window barriers fire every lookahead interval (often
 /// sub-millisecond of simulated time): when each shard thread has a core
-/// to itself, arrivals cluster within microseconds and the spin fast
-/// path avoids any syscall; when threads outnumber cores, spinning only
-/// steals time from the threads the barrier is waiting on, so the spin
-/// budget drops to zero and waiters park immediately.
+/// to itself, arrivals usually cluster within a few hundred
+/// microseconds, and the spin fast path avoids any syscall. The spin lasts up to
+/// [`SPIN_FOR`], longer than a park/wake round trip, so a waiter parks
+/// only behind a peer that is really behind. When threads outnumber
+/// cores, spinning only steals time from the threads the barrier is
+/// waiting on, so waiters park immediately.
 ///
 /// A release costs no syscall either unless somebody is parked: the
 /// condvar's `notify_all` is a futex call even with no waiter, so the
@@ -1514,7 +1519,9 @@ impl<S: AppSet> Shard<S> {
 /// between the two.
 struct SpinBarrier {
     n: usize,
-    spin_budget: u32,
+    /// How long a waiter spins before parking: [`SPIN_FOR`], or zero
+    /// when the host is oversubscribed.
+    spin_for: std::time::Duration,
     count: AtomicUsize,
     generation: AtomicUsize,
     /// Waiters that gave up spinning and are (about to be) asleep on `cv`.
@@ -1528,6 +1535,14 @@ struct SpinBarrier {
     /// stopped advancing) never reaches another simulated instant.
     watchdog: std::time::Duration,
 }
+
+/// The longest a barrier waiter spins before parking.
+const SPIN_FOR: std::time::Duration = std::time::Duration::from_millis(1);
+
+/// Spin iterations between two reads of the clock in
+/// [`SpinBarrier::spin`] (a clock read costs about as much as a few
+/// spin iterations).
+const SPINS_PER_CLOCK_READ: u32 = 64;
 
 /// Outcome of one [`SpinBarrier::wait`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -1557,7 +1572,11 @@ impl SpinBarrier {
             .unwrap_or(1);
         SpinBarrier {
             n,
-            spin_budget: if live_threads <= cores { 1 << 12 } else { 0 },
+            spin_for: if live_threads <= cores {
+                SPIN_FOR
+            } else {
+                std::time::Duration::ZERO
+            },
             count: AtomicUsize::new(0),
             generation: AtomicUsize::new(0),
             parked: AtomicUsize::new(0),
@@ -1573,10 +1592,11 @@ impl SpinBarrier {
     /// (the shards' published event counts) did not move reports
     /// [`BarrierWait::TimedOut`] instead of sleeping forever behind a
     /// wedged peer; one working through a long window re-arms it.
+    /// Adds one to `parks` if this wait gave up spinning and parked.
     // The clock here observes the *host*, never the simulation: timer
     // expiry only happens on the already-lost hang path.
     #[allow(clippy::disallowed_methods)] // see clippy.toml: watchdog deadline needs Instant
-    fn wait(&self, progress: impl Fn() -> u64) -> BarrierWait {
+    fn wait(&self, progress: impl Fn() -> u64, parks: &mut u64) -> BarrierWait {
         // Generation first, poison flag second: `poison` sets the flag
         // and then bumps, so a poisoning missed here is seen as a bump.
         let gen = self.generation.load(Ordering::SeqCst);
@@ -1587,6 +1607,7 @@ impl SpinBarrier {
             self.count.store(0, Ordering::Relaxed);
             self.release();
         } else if !self.spin(gen) {
+            *parks += 1;
             let mut seen = progress();
             // lint: allow(wall-clock) — watchdog deadline over host time; fires only on the hang path
             let mut deadline = std::time::Instant::now() + self.watchdog;
@@ -1628,16 +1649,27 @@ impl SpinBarrier {
         }
     }
 
-    /// Spin for the release of generation `gen`; `false` when the budget
-    /// ran out first.
+    /// Spin for the release of generation `gen`; `false` when
+    /// `spin_for` ran out first.
+    // Host time bounds the spin; it never reaches the simulation.
+    #[allow(clippy::disallowed_methods)] // see clippy.toml: the spin bound needs Instant
     fn spin(&self, gen: usize) -> bool {
-        for _ in 0..self.spin_budget {
-            if self.generation.load(Ordering::Acquire) != gen {
-                return true;
-            }
-            std::hint::spin_loop();
+        if self.spin_for.is_zero() {
+            return false;
         }
-        false
+        // lint: allow(wall-clock) — bounds the spin in host time; the simulation never sees it
+        let start = std::time::Instant::now();
+        loop {
+            for _ in 0..SPINS_PER_CLOCK_READ {
+                if self.generation.load(Ordering::Acquire) != gen {
+                    return true;
+                }
+                std::hint::spin_loop();
+            }
+            if start.elapsed() >= self.spin_for {
+                return false;
+            }
+        }
     }
 
     /// Open the next generation and wake whoever is parked — touching
@@ -1869,6 +1901,7 @@ impl<S: AppSet> Simulator<S> {
                     started: false,
                     dispatch_counts: vec![0; S::variant_names().len()],
                     window_ends: WindowEnds::default(),
+                    barrier_parks: 0,
                 }
             })
             .collect();
@@ -1950,6 +1983,12 @@ impl<S: AppSet> Simulator<S> {
             sum.by_floor += s.window_ends.by_floor;
         }
         sum
+    }
+
+    /// Barrier waits that parked, per shard loop (a parked wait costs a
+    /// wake-up round trip; a single-loop run never waits).
+    pub fn barrier_parks(&self) -> Vec<u64> {
+        self.shards.iter().map(|s| s.barrier_parks).collect()
     }
 
     /// Events processed so far, per shard loop (who is doing the work).
@@ -2112,11 +2151,12 @@ impl<S: AppSet> Simulator<S> {
     fn barrier_sync(
         i: usize,
         barrier: &SpinBarrier,
+        parks: &mut u64,
         lookahead: &Lookahead,
         ports: &[ShardPort],
     ) -> bool {
         let progress = || ports.iter().map(|p| p.events.load(Ordering::Relaxed)).sum();
-        match barrier.wait(progress) {
+        match barrier.wait(progress, parks) {
             BarrierWait::Released => true,
             BarrierWait::Poisoned => false,
             BarrierWait::TimedOut => {
@@ -2190,7 +2230,7 @@ impl<S: AppSet> Simulator<S> {
             mine.floor
                 .store(shard.world.control_floor_min(), Ordering::SeqCst);
             ports[i].latest.store(parity, Ordering::SeqCst);
-            if !Self::barrier_sync(i, barrier, lookahead, ports) {
+            if !Self::barrier_sync(i, barrier, &mut shard.barrier_parks, lookahead, ports) {
                 return;
             }
 
@@ -2932,51 +2972,67 @@ mod tests {
         let barrier = SpinBarrier::new(2, usize::MAX, deadline); // no spinning: park at once
         let events = AtomicU64::new(0);
         let waited = std::thread::scope(|scope| {
-            let waiter = scope.spawn(|| barrier.wait(|| events.load(Ordering::Relaxed)));
+            let waiter = scope.spawn(|| {
+                let mut parks = 0;
+                let waited = barrier.wait(|| events.load(Ordering::Relaxed), &mut parks);
+                (waited, parks)
+            });
             for _ in 0..100 {
                 std::thread::sleep(std::time::Duration::from_millis(1));
                 events.fetch_add(1, Ordering::Relaxed);
             }
-            assert_eq!(barrier.wait(|| 0), BarrierWait::Released);
-            waiter.join().expect("waiter thread exits")
+            let mut parks = 0;
+            assert_eq!(barrier.wait(|| 0, &mut parks), BarrierWait::Released);
+            let (waited, waiter_parks) = waiter.join().expect("waiter thread exits");
+            (waited, parks + waiter_parks)
         });
-        assert_eq!(waited, BarrierWait::Released);
+        // Without spinning, whichever of the two arrived first parked.
+        assert_eq!(waited, (BarrierWait::Released, 1));
     }
 
     /// 10^5 releases between two threads: no wake-up may be lost (a
     /// parked waiter nobody notifies would sit out the 10 s watchdog and
     /// report `TimedOut`) and nobody may leave a round its peer has not
     /// entered.
-    fn hammer_barrier(live_threads: usize) {
+    /// Returns how many waits parked, over both threads.
+    fn hammer_barrier(live_threads: usize) -> u64 {
         const ROUNDS: usize = 100_000;
         let barrier = SpinBarrier::new(2, live_threads, std::time::Duration::from_secs(10));
         let arrivals = AtomicUsize::new(0);
         let rounds = || {
+            let mut parks = 0;
             for round in 1..=ROUNDS {
                 arrivals.fetch_add(1, Ordering::SeqCst);
-                assert_eq!(barrier.wait(|| 0), BarrierWait::Released, "round {round}");
+                assert_eq!(
+                    barrier.wait(|| 0, &mut parks),
+                    BarrierWait::Released,
+                    "round {round}"
+                );
                 assert!(
                     arrivals.load(Ordering::SeqCst) >= 2 * round,
                     "round {round}"
                 );
             }
+            parks
         };
-        std::thread::scope(|scope| {
+        let parks = std::thread::scope(|scope| {
             let peer = scope.spawn(rounds);
-            rounds();
-            peer.join().expect("peer thread exits");
+            rounds() + peer.join().expect("peer thread exits")
         });
         assert_eq!(barrier.parked.load(Ordering::SeqCst), 0);
+        parks
     }
 
     #[test]
     fn barrier_loses_no_wakeup_when_every_wait_parks() {
-        hammer_barrier(usize::MAX); // oversubscribed: zero spin budget
+        // Oversubscribed: no spin, so every round's first arrival parks.
+        let parks = hammer_barrier(usize::MAX);
+        assert_eq!(parks, 100_000);
     }
 
     #[test]
     fn barrier_loses_no_wakeup_when_waits_spin() {
-        hammer_barrier(0); // the full spin budget, whatever the host
+        hammer_barrier(0); // spins up to `SPIN_FOR`, whatever the host
     }
 
     // ------------------------------------------- app control payloads
