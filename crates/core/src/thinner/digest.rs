@@ -38,7 +38,9 @@ pub struct BidDigest {
     pub epoch: u64,
     /// Cumulative payment bytes accepted from contenders.
     pub paid_total: u64,
-    /// Live contenders at publish time.
+    /// Live contenders at publish time. No replica reads it and the
+    /// simulator's thinner leaves it at zero; it stays in the codec
+    /// because the benchmark's digest micro-workload fills it.
     pub contenders: u64,
 }
 

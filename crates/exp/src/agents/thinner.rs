@@ -74,7 +74,7 @@ struct Request {
 /// execute the exact pre-replication code path, byte for byte.
 #[derive(Clone, Debug)]
 pub struct ReplicaConfig {
-    /// This replica's id, `0..count`.
+    /// This replica's id, `0..=peers.len()`.
     pub id: u32,
     /// The other replicas' nodes (digest sync targets).
     pub peers: Vec<NodeId>,
@@ -83,14 +83,6 @@ pub struct ReplicaConfig {
     /// The deployment's aggregate server capacity, req/s. Each epoch
     /// the replica re-rates its own slice to its share of this.
     pub total_capacity: f64,
-    /// Total replica count.
-    pub count: u32,
-    /// Failover threshold: declare a peer stale (crashed or partitioned)
-    /// once its latest digest lags this replica's epoch by more than
-    /// this many sync periods. Stale peers drop out of the capacity
-    /// shares — the survivors absorb the dead replica's slice — and
-    /// re-join on their next digest (see [`DigestBoard::mark_stale`]).
-    pub stale_after: u64,
 }
 
 /// Smoothing mass (bytes) added to every replica's paid total when
@@ -98,6 +90,15 @@ pub struct ReplicaConfig {
 /// flows, shares start at `1/R` and drift toward paid-proportional as
 /// real bytes dominate the constant.
 const SHARE_SMOOTHING_BYTES: f64 = 65_536.0;
+
+/// Failover threshold: a replica declares a peer stale (crashed or
+/// partitioned) once the peer's latest digest lags its own epoch by more
+/// than this many sync periods. Stale peers drop out of the capacity
+/// shares — the survivors absorb the dead replica's slice — and re-join
+/// on their next digest (see [`DigestBoard::mark_stale`]). At least one:
+/// replicas publish *at* the sync cadence, so zero would declare every
+/// peer stale between any two digests.
+const STALE_AFTER_EPOCHS: u64 = 3;
 
 /// Measurements the thinner takes (the paper's Figs 2–5 feed from here).
 #[derive(Debug, Default)]
@@ -129,13 +130,9 @@ pub struct ThinnerAgent {
     /// channel can outlive its request (a POST that raced the response)
     /// until the client aborts the flow. Probed by key only.
     channels: HashMap<FlowId, Channel>,
-    /// Live requests. Probed by key only (but for a debug-build
-    /// count); an entry leaves when its request is answered (response
-    /// or drop), never later.
+    /// Live requests. Probed by key only; an entry leaves when its
+    /// request is answered (response or drop), never later.
     requests: HashMap<RequestKey, Request>,
-    /// How many of `requests` are [`ReqState::Contending`] (the digest
-    /// publishes it every sync epoch).
-    contending: u64,
     server_timer: Option<TimerHandle>,
     tick_timer: Option<TimerHandle>,
     /// Spoofing support: real key -> alias presented to the front end,
@@ -191,7 +188,6 @@ impl ThinnerAgent {
             down_flows: BTreeMap::new(),
             channels: HashMap::new(),
             requests: HashMap::new(),
-            contending: 0,
             server_timer: None,
             tick_timer: None,
             alias_of: BTreeMap::new(),
@@ -320,13 +316,10 @@ impl ThinnerAgent {
 
     /// Start tracking `key` as contending unless it is already known.
     fn note_request(&mut self, key: RequestKey) {
-        self.requests.entry(key).or_insert_with(|| {
-            self.contending += 1;
-            Request {
-                state: ReqState::Contending,
-                paid: 0,
-                channel: None,
-            }
+        self.requests.entry(key).or_insert(Request {
+            state: ReqState::Contending,
+            paid: 0,
+            channel: None,
         });
     }
 
@@ -338,20 +331,13 @@ impl ThinnerAgent {
             paid: 0,
             channel: None,
         });
-        if r.state == ReqState::Contending {
-            self.contending -= 1;
-            r.state = ReqState::OnServer;
-        }
+        r.state = ReqState::OnServer;
         *r
     }
 
     /// `key` has been answered: forget it.
     fn forget_request(&mut self, key: RequestKey) {
-        if let Some(r) = self.requests.remove(&key) {
-            if r.state == ReqState::Contending {
-                self.contending -= 1;
-            }
-        }
+        self.requests.remove(&key);
     }
 
     /// Credit any newly delivered bytes on the channel `flow` to the
@@ -538,21 +524,12 @@ impl ThinnerAgent {
         self.clients_by_node.get(&src).copied()
     }
 
-    /// Stamp the digest's contender count, bump the epoch, and ship it
-    /// to every peer replica as a control payload (delivered at path
-    /// propagation delay, so determinism and the lookahead matrix hold).
-    /// The replica's own board merges it immediately.
+    /// Bump the digest's epoch and ship it to every peer replica as a
+    /// control payload (delivered at path propagation delay, so
+    /// determinism and the lookahead matrix hold). The replica's own
+    /// board merges it immediately.
     fn publish_digest(&mut self, ctx: &mut Ctx) {
         self.digest.epoch += 1;
-        debug_assert_eq!(
-            self.contending,
-            // lint: allow(hash-iter) — an order-independent count, debug builds only
-            self.requests
-                .values()
-                .filter(|r| r.state == ReqState::Contending)
-                .count() as u64
-        );
-        self.digest.contenders = self.contending;
         let words = self.digest.encode().into_boxed_slice();
         let peers = match &self.replica {
             Some(cfg) => cfg.peers.clone(),
@@ -573,7 +550,7 @@ impl ThinnerAgent {
     /// replicas as sync staleness allows.
     ///
     /// Shares are computed over *live* replicas only: a peer declared
-    /// stale (see [`ReplicaConfig::stale_after`]) drops out of both the
+    /// stale (see [`STALE_AFTER_EPOCHS`]) drops out of both the
     /// paid total and the smoothing mass, so the survivors' shares sum
     /// to 1 and the dead replica's capacity slice is absorbed rather
     /// than stranded. With no stale peers — every fault-free run — this
@@ -584,7 +561,7 @@ impl ThinnerAgent {
         };
         let total = self.board.live_total_paid() as f64;
         let mine = self.board.paid_of(cfg.id) as f64;
-        let live_n = f64::from(cfg.count) - self.board.stale_count() as f64;
+        let live_n = (cfg.peers.len() + 1 - self.board.stale_count()) as f64;
         let share = (mine + SHARE_SMOOTHING_BYTES) / (total + SHARE_SMOOTHING_BYTES * live_n);
         self.server.set_capacity(cfg.total_capacity * share);
     }
@@ -727,9 +704,9 @@ impl App for ThinnerAgent {
                 if let Some(cfg) = &self.replica {
                     // Quiet again until the next epoch boundary.
                     ctx.control_quiet_until(ctx.now() + cfg.sync_period);
-                    let newly = self
-                        .board
-                        .mark_stale(cfg.id, self.digest.epoch, cfg.stale_after);
+                    let newly =
+                        self.board
+                            .mark_stale(cfg.id, self.digest.epoch, STALE_AFTER_EPOCHS);
                     if !newly.is_empty() && self.failover_at.is_none() {
                         self.failover_at = Some(ctx.now());
                     }
@@ -775,7 +752,6 @@ impl App for ThinnerAgent {
         self.down_flows.clear();
         self.channels.clear();
         self.requests.clear();
-        self.contending = 0;
         self.server_timer = None;
         self.tick_timer = None;
         self.alias_of.clear();

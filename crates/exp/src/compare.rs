@@ -1,28 +1,29 @@
-//! `speakup compare`: diff a fresh run against a committed golden report.
+//! `speakup compare`: re-run a committed golden report and require it
+//! back exactly.
 //!
 //! A golden file is simply a saved `speakup run <name> --json` document
 //! (see `golden/` at the repo root). `compare` re-runs the experiment
 //! with the options recorded in the document (duration, base seed,
-//! replicate count), then walks both JSON trees leaf by leaf:
+//! replicate count, replica and fault overrides), drops the
+//! host-dependent `perf` section from both documents, and fails on any
+//! leaf that differs. The engine is byte-identical by construction, so a
+//! golden either reproduces exactly or a change moved it; an empty
+//! `runs` array or a missing field is a difference like any other.
 //!
-//! * strings, booleans, and structure must match exactly;
-//! * numbers must agree within a per-metric tolerance chosen by the leaf
-//!   path (counts tighter than sample statistics, tail percentiles and
-//!   spreads loosest, wall-clock measurements ignored).
-//!
-//! The engine is deterministic, so on the commit that produced a golden
-//! the diff is empty; the tolerances define how much *intentional* drift
-//! a later change may introduce before CI demands the goldens be
-//! regenerated and the change justified.
+//! [`diff`] at a positive scale is the statistical yardstick for two
+//! *independent* sample paths (e.g. cohorts against the clients they
+//! aggregate): numbers agree within a per-metric tolerance chosen by the
+//! leaf path, counts tighter than sample statistics, tail percentiles
+//! and spreads loosest.
 
-use crate::driver::{entry_json, execute};
+use crate::driver::{entry_json, execute, EntryRun};
 use crate::json::Json;
 use crate::registry::{self, RunOptions};
 use crate::scenario::FaultSpec;
 use speakup_net::time::{SimDuration, SimTime};
 use std::io::Write;
 
-/// One numeric disagreement between golden and fresh reports.
+/// One disagreement between golden and fresh reports.
 #[derive(Debug)]
 pub struct Breach {
     /// JSON path of the leaf (e.g. `runs[3].good.served`).
@@ -36,64 +37,69 @@ pub struct Breach {
 }
 
 /// Relative/absolute tolerance for a metric, selected by path substring.
-/// First match wins; `None` means the leaf is not checked at all.
-fn tolerance_for(path: &str) -> Option<(f64, f64)> {
+/// First match wins.
+fn tolerance_for(path: &str) -> (f64, f64) {
     // Sample counts (`latency_s.n`, `price_good_bytes.n`, ...) are
     // counters even though their parent key matches a statistics rule.
     if path.ends_with(".n") {
-        return Some((0.02, 0.5));
+        return (0.02, 0.5);
     }
-    const RULES: &[(&str, Option<(f64, f64)>)] = &[
-        // Host wall-clock measurements (§7.1 payment sink) are not
-        // reproducible across machines.
-        ("measured_mbps", None),
-        // Replica fairness divergence: an absolute band around zero (the
-        // generic catch-all's ±0.5 would vacuously pass a share delta).
-        ("delta_vs_r1", Some((0.0, 0.02))),
-        // Failover timing is quantized by the digest sync cadence: a
-        // legitimate change can shift detection or re-join by a whole
-        // sync period, so these get a much wider band than fairness.
-        ("time_to_", Some((0.20, 0.25))),
-        // The outage-window allocation share is estimated from the few
-        // seconds a replica is down — twice the steady-state share band.
-        // (Must precede the generic "fraction" rule.)
-        ("outage_good_fraction", Some((0.0, 0.04))),
+    const RULES: &[(&str, (f64, f64))] = &[
         // Spreads and tail statistics drift hardest under small changes.
-        ("stddev", Some((0.25, 1e-6))),
-        ("p90", Some((0.10, 1e-6))),
-        ("max", Some((0.10, 1e-6))),
-        ("min", Some((0.10, 1e-6))),
+        ("stddev", (0.25, 1e-6)),
+        ("p90", (0.10, 1e-6)),
+        ("max", (0.10, 1e-6)),
+        ("min", (0.10, 1e-6)),
         // Sample means, fractions, prices, times.
-        ("mean", Some((0.05, 1e-3))),
-        ("fraction", Some((0.0, 0.02))),
-        ("utilization", Some((0.0, 0.02))),
-        ("latency", Some((0.05, 1e-3))),
-        ("price", Some((0.05, 1e-3))),
-        ("payment", Some((0.05, 1e-3))),
+        ("mean", (0.05, 1e-3)),
+        ("fraction", (0.0, 0.02)),
+        ("utilization", (0.0, 0.02)),
+        ("latency", (0.05, 1e-3)),
+        ("price", (0.05, 1e-3)),
+        ("payment", (0.05, 1e-3)),
         // Everything else (counters, config echoes) must agree closely.
-        ("", Some((0.02, 0.5))),
+        ("", (0.02, 0.5)),
     ];
     for (pat, tol) in RULES {
-        if pat.is_empty() || path.contains(pat) {
+        if path.contains(pat) {
             return *tol;
         }
     }
     unreachable!("the catch-all rule matches everything")
 }
 
+/// A value as a breach shows it: scalars as they render in a report,
+/// containers by kind.
+fn shown(v: &Json) -> String {
+    match v {
+        Json::Arr(_) => "array".to_string(),
+        Json::Obj(_) => "object".to_string(),
+        _ => v.pretty().trim_end().to_string(),
+    }
+}
+
 fn walk(path: &str, golden: &Json, fresh: &Json, tol_scale: f64, out: &mut Vec<Breach>) {
     // Numbers (Num and UInt compare by value).
     if let (Some(g), Some(f)) = (golden.as_f64(), fresh.as_f64()) {
-        let Some((rel, abs)) = tolerance_for(path) else {
-            return;
-        };
+        let (rel, abs) = tolerance_for(path);
         let allowed = (abs + rel * g.abs().max(f.abs())) * tol_scale;
-        if (g - f).abs() > allowed {
+        // At scale 0 the leaves must be equal, not merely close in f64
+        // (which would let integers above 2^53 differ).
+        let breach = if tol_scale == 0.0 {
+            golden != fresh
+        } else {
+            (g - f).abs() > allowed
+        };
+        if breach {
             out.push(Breach {
                 path: path.to_string(),
-                golden: format!("{g}"),
-                fresh: format!("{f}"),
-                allowed: format!("±{allowed:.6}"),
+                golden: shown(golden),
+                fresh: shown(fresh),
+                allowed: if tol_scale == 0.0 {
+                    "equal".to_string()
+                } else {
+                    format!("±{allowed:.6}")
+                },
             });
         }
         return;
@@ -151,26 +157,17 @@ fn walk(path: &str, golden: &Json, fresh: &Json, tol_scale: f64, out: &mut Vec<B
         }
         _ => out.push(Breach {
             path: path.to_string(),
-            golden: type_name(golden).to_string(),
-            fresh: type_name(fresh).to_string(),
+            golden: shown(golden),
+            fresh: shown(fresh),
             allowed: "same type and value".to_string(),
         }),
     }
 }
 
-fn type_name(v: &Json) -> &'static str {
-    match v {
-        Json::Null => "null",
-        Json::Bool(_) => "bool",
-        Json::Num(_) | Json::UInt(_) => "number",
-        Json::Str(_) => "string",
-        Json::Arr(_) => "array",
-        Json::Obj(_) => "object",
-    }
-}
-
-/// Compare a golden document against a freshly generated one. Returns
-/// the list of breaches (empty means the reports agree).
+/// Compare a golden document against a freshly generated one, numbers
+/// within their tolerance times `tol_scale`; at scale 0 every leaf must
+/// be equal. Returns the list of breaches (empty means the reports
+/// agree).
 pub fn diff(golden: &Json, fresh: &Json, tol_scale: f64) -> Vec<Breach> {
     let mut out = Vec::new();
     walk("", golden, fresh, tol_scale, &mut out);
@@ -285,86 +282,31 @@ fn fault_of(item: &Json) -> Result<FaultSpec, String> {
     }
 }
 
-/// The number of numeric leaves in `doc` that [`tolerance_for`] would
-/// actually check. A golden whose metrics are all missing (e.g. an
-/// empty `runs` array, or a document reduced to its header) would diff
-/// vacuously clean against *any* fresh run; [`compare_file`] rejects
-/// such files outright.
-pub fn checked_metric_count(doc: &Json) -> usize {
-    fn count(path: &str, v: &Json, out: &mut usize) {
-        if v.as_f64().is_some() {
-            if tolerance_for(path).is_some() {
-                *out += 1;
-            }
-            return;
-        }
-        match v {
-            Json::Arr(items) => {
-                for (i, item) in items.iter().enumerate() {
-                    count(&format!("{path}[{i}]"), item, out);
-                }
-            }
-            Json::Obj(fields) => {
-                for (k, fv) in fields {
-                    let sub = if path.is_empty() {
-                        k.clone()
-                    } else {
-                        format!("{path}.{k}")
-                    };
-                    count(&sub, fv, out);
-                }
-            }
-            _ => {}
-        }
+/// `text` parsed, without the host-dependent `perf` section that
+/// `speakup run --json` appends after the payload.
+fn payload(text: &str) -> Result<Json, String> {
+    let mut doc = Json::parse(text).map_err(|e| format!("not valid JSON: {e}"))?;
+    if let Json::Obj(fields) = &mut doc {
+        fields.retain(|(k, _)| k != "perf");
     }
-    // Only measurement payloads count — header echoes (duration_s,
-    // base_seed, seeds) are inputs, not results.
-    let mut n = 0;
-    for payload in ["runs", "analysis", "fairness", "failover"] {
-        if let Some(v) = doc.get(payload) {
-            count(payload, v, &mut n);
-        }
-    }
-    n
+    Ok(doc)
 }
 
-/// Load `path`, re-run its experiment, and report the diff on `out`.
-/// Returns `Ok(true)` when the reports agree within tolerance.
+/// Load `path`, re-run its experiment with `jobs` workers and `shards`
+/// loops per run, and list on `out` up to 50 leaves of the payload that
+/// differ from the golden. Returns the fresh run and whether no leaf
+/// differed.
 pub fn compare_file(
     path: &str,
-    tol_scale: f64,
     jobs: Option<usize>,
     shards: u32,
     out: &mut dyn Write,
     progress: &mut dyn Write,
-) -> std::io::Result<bool> {
-    let text = std::fs::read_to_string(path)?;
-    let mut golden = Json::parse(&text).map_err(|e| {
-        std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("{path}: not valid JSON: {e}"),
-        )
-    })?;
-    // `speakup run --json` appends a host-dependent `perf` section
-    // (wall-clock rates) after the deterministic payload; the re-run
-    // below rebuilds only the payload, so a golden saved straight from
-    // the CLI would otherwise always breach on the extra field.
-    if let Json::Obj(fields) = &mut golden {
-        fields.retain(|(k, _)| k != "perf");
-    }
-    let (entry, mut opts) =
-        options_of(&golden).map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-    if checked_metric_count(&golden) == 0 {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!(
-                "{path}: golden has no checked metrics (empty or header-only \
-                 \"runs\"); it would compare clean against anything — \
-                 regenerate it with `speakup run {} --json`",
-                entry.name
-            ),
-        ));
-    }
+) -> std::io::Result<(EntryRun, bool)> {
+    let invalid =
+        |e: String| std::io::Error::new(std::io::ErrorKind::InvalidData, format!("{path}: {e}"));
+    let golden = payload(&std::fs::read_to_string(path)?).map_err(invalid)?;
+    let (entry, mut opts) = options_of(&golden).map_err(invalid)?;
     opts.jobs = jobs;
     opts.shards = shards;
     writeln!(
@@ -376,29 +318,31 @@ pub fn compare_file(
         opts.seed,
     )?;
     let run = execute(entry, &opts);
-    let fresh = entry_json(&run, &opts);
-    let breaches = diff(&golden, &fresh, tol_scale);
+    // Through the rendered text, as the golden went: both sides then
+    // hold the same number types and non-finite values read as null.
+    let fresh = payload(&entry_json(&run, &opts).pretty()).map_err(invalid)?;
+    let breaches = diff(&golden, &fresh, 0.0);
     if breaches.is_empty() {
-        writeln!(out, "{path}: OK ({} within tolerance)", entry.name)?;
-        return Ok(true);
+        writeln!(out, "{path}: OK ({} reproduces exactly)", entry.name)?;
+        return Ok((run, true));
     }
     writeln!(
         out,
-        "{path}: {} metric(s) outside tolerance for {}:",
+        "{path}: {} leaf/leaves differ for {}:",
         breaches.len(),
         entry.name
     )?;
     for b in breaches.iter().take(50) {
         writeln!(
             out,
-            "  {}: golden {} vs fresh {} (allowed {})",
-            b.path, b.golden, b.fresh, b.allowed
+            "  {}: golden {} vs fresh {}",
+            b.path, b.golden, b.fresh
         )?;
     }
     if breaches.len() > 50 {
         writeln!(out, "  ... and {} more", breaches.len() - 50)?;
     }
-    Ok(false)
+    Ok((run, false))
 }
 
 #[cfg(test)]
@@ -449,9 +393,18 @@ mod tests {
 
     #[test]
     fn wall_clock_measurements_are_ignored() {
-        let golden = Json::obj().field("measured_mbps", 1000.0);
-        let fresh = Json::obj().field("measured_mbps", 250.0);
-        assert!(diff(&golden, &fresh, 1.0).is_empty());
+        // Host timings live in `perf` (the payment sink's rates too),
+        // which both sides drop before the exact diff.
+        let doc = |mbps: f64| {
+            Json::obj()
+                .field("experiment", "capacity")
+                .field("perf", Json::obj().field("measured_mbps", mbps))
+                .pretty()
+        };
+        let golden = payload(&doc(1000.0)).expect("valid JSON");
+        assert_eq!(golden, Json::obj().field("experiment", "capacity"));
+        let fresh = payload(&doc(250.0)).expect("valid JSON");
+        assert!(diff(&golden, &fresh, 0.0).is_empty());
     }
 
     #[test]
@@ -464,6 +417,11 @@ mod tests {
         let short = Json::obj().field("r", vec![Json::UInt(1)]);
         let long = Json::obj().field("r", vec![Json::UInt(1), Json::UInt(2)]);
         assert_eq!(diff(&short, &long, 1.0).len(), 1);
+        // A timing event that vanished (null vs number) is structure
+        // drift, not numeric drift: reported at any scale.
+        let golden = Json::obj().field("time_to_failover_s", 0.5);
+        let gone = Json::obj().field("time_to_failover_s", Json::Null);
+        assert_eq!(diff(&golden, &gone, 1.0).len(), 1);
     }
 
     #[test]
@@ -542,79 +500,6 @@ mod tests {
     }
 
     #[test]
-    fn checked_metrics_count_only_payload_leaves() {
-        // Header echoes alone count for nothing...
-        let header_only = Json::obj()
-            .field("experiment", "fig2")
-            .field("duration_s", 10.0)
-            .field("base_seed", 1u64)
-            .field("seeds", 1u32);
-        assert_eq!(checked_metric_count(&header_only), 0);
-        // ...as does a structurally present but empty runs array...
-        let empty_runs = header_only.clone().field("runs", Vec::<Json>::new());
-        assert_eq!(checked_metric_count(&empty_runs), 0);
-        // ...or runs whose members carry only unchecked (wall-clock)
-        // numbers.
-        let perf_only = header_only.clone().field(
-            "runs",
-            vec![Json::obj().field("payment_sink", Json::obj().field("measured_mbps", 612.5))],
-        );
-        assert_eq!(checked_metric_count(&perf_only), 0);
-        // A real metric in any payload section counts.
-        let with_metric = header_only.clone().field(
-            "runs",
-            vec![Json::obj().field("allocation", Json::obj().field("good", 140u64))],
-        );
-        assert_eq!(checked_metric_count(&with_metric), 1);
-        let with_fairness = header_only
-            .clone()
-            .field("fairness", Json::obj().field("band", 0.05));
-        assert_eq!(checked_metric_count(&with_fairness), 1);
-        // The failover section is a payload too: a fault golden whose
-        // runs were stripped must still be caught as checkable-or-reject.
-        let with_failover = header_only.field(
-            "failover",
-            Json::obj().field(
-                "runs",
-                vec![Json::obj().field("outage_good_fraction", 0.48)],
-            ),
-        );
-        assert_eq!(checked_metric_count(&with_failover), 1);
-    }
-
-    #[test]
-    fn failover_timing_uses_a_wider_band_than_fairness() {
-        // Failover detection is quantized by the sync cadence, so the
-        // timing rule admits drift that would fail every fairness band.
-        let golden = Json::obj().field("time_to_failover_s", 1.0);
-        let close = Json::obj().field("time_to_failover_s", 1.4);
-        let far = Json::obj().field("time_to_failover_s", 2.0);
-        assert!(diff(&golden, &close, 1.0).is_empty());
-        assert_eq!(diff(&golden, &far, 1.0).len(), 1);
-        // Recovery timing shares the rule via the "time_to_" prefix.
-        let golden = Json::obj().field("time_to_recovery_s", 0.1);
-        let close = Json::obj().field("time_to_recovery_s", 0.3);
-        assert!(diff(&golden, &close, 1.0).is_empty());
-    }
-
-    #[test]
-    fn outage_share_band_is_wider_than_fairness_but_still_absolute() {
-        let golden = Json::obj().field("outage_good_fraction", 0.50);
-        // 0.03 off: inside the ±0.04 outage band, but outside the ±0.02
-        // the generic "fraction" rule would impose — proving the more
-        // specific rule matches first.
-        let close = Json::obj().field("outage_good_fraction", 0.53);
-        let far = Json::obj().field("outage_good_fraction", 0.56);
-        assert!(diff(&golden, &close, 1.0).is_empty());
-        assert_eq!(diff(&golden, &far, 1.0).len(), 1);
-        // A timing event that vanished (null vs number) is structure
-        // drift, not numeric drift — always reported.
-        let golden = Json::obj().field("time_to_failover_s", 0.5);
-        let gone = Json::obj().field("time_to_failover_s", Json::Null);
-        assert_eq!(diff(&golden, &gone, 1.0).len(), 1);
-    }
-
-    #[test]
     fn fault_overrides_round_trip_from_golden_header() {
         let faults = vec![
             FaultSpec::ReplicaCrash {
@@ -673,34 +558,43 @@ mod tests {
     }
 
     #[test]
-    fn compare_rejects_a_golden_with_no_checked_metrics() {
-        // A golden reduced to its header (e.g. a bad merge or a
-        // truncated regeneration) must be a hard error: it would diff
-        // clean against any fresh run and rot silently. The check runs
-        // before the re-run, so this test never executes a simulation.
-        let doc = Json::obj()
+    fn an_empty_golden_differs_from_any_run() {
+        // A golden reduced to its header or to empty runs (a bad merge, a
+        // truncated regeneration) must fail against a real run, not pass
+        // because nothing was left to check.
+        let header = Json::obj()
             .field("experiment", "fig2")
-            .field("duration_s", 10.0)
-            .field("base_seed", 0x5ea4u64)
-            .field("seeds", 1u32)
-            .field("runs", Vec::<Json>::new());
-        let path = std::env::temp_dir().join("speakup_empty_golden_test.json");
-        std::fs::write(&path, doc.pretty()).expect("write temp golden");
-        let mut out = Vec::new();
-        let mut progress = Vec::new();
-        let err = compare_file(
-            path.to_str().expect("utf-8 temp path"),
-            1.0,
-            None,
-            1,
-            &mut out,
-            &mut progress,
-        )
-        .expect_err("header-only golden accepted");
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        let msg = err.to_string();
-        assert!(msg.contains("no checked metrics"), "got: {msg}");
-        assert!(msg.contains("regenerate"), "got: {msg}");
-        std::fs::remove_file(&path).ok();
+            .field("duration_s", 10.0);
+        let fresh = header
+            .clone()
+            .field("runs", vec![Json::obj().field("served", 7u64)]);
+        let empty_runs = header.clone().field("runs", Vec::<Json>::new());
+        assert_eq!(diff(&empty_runs, &fresh, 0.0).len(), 1);
+        let breaches = diff(&header, &fresh, 0.0);
+        assert_eq!(breaches.len(), 1);
+        assert_eq!(
+            (breaches[0].path.as_str(), breaches[0].golden.as_str()),
+            ("runs", "missing")
+        );
+    }
+
+    #[test]
+    fn exact_diff_flags_a_float_move_the_tolerances_admit() {
+        // A drift like this one sat inside golden/fig2.json's tolerance
+        // band while no count moved.
+        let golden = Json::obj().field("max", 0.355999636);
+        let fresh = Json::obj().field("max", 0.356003866);
+        assert!(diff(&golden, &fresh, 1.0).is_empty());
+        let breaches = diff(&golden, &fresh, 0.0);
+        assert_eq!(breaches.len(), 1);
+        assert_eq!(
+            (breaches[0].golden.as_str(), breaches[0].fresh.as_str()),
+            ("0.355999636", "0.356003866")
+        );
+        // Integers compare exactly, not as f64.
+        let big = Json::obj().field("n", 1u64 << 53);
+        let next = Json::obj().field("n", (1u64 << 53) + 1);
+        assert_eq!(diff(&big, &next, 0.0).len(), 1);
+        assert!(diff(&big, &big.clone(), 0.0).is_empty());
     }
 }

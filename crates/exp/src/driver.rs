@@ -7,7 +7,7 @@
 //! speakup list [--json]
 //! speakup run <name>... | all [--secs N] [--seed N] [--seeds K]
 //!             [--jobs N] [--shards K] [--json]
-//! speakup compare <golden.json>... [--tol X]
+//! speakup compare <golden.json>... [--jobs N] [--shards K]
 //! ```
 //!
 //! `run` instantiates the entry's scenario grid and drives every grid
@@ -17,9 +17,9 @@
 //! table (mean ± 95% CI across replicates when `--seeds > 1`), a
 //! per-replicate summary, and a machine-readable JSON report; `--json`
 //! suppresses the tables. `compare` re-runs a committed golden report
-//! and diffs it with per-metric tolerances ([`crate::compare`]). The
-//! argument parsing is dependency-free, absorbing what `cli.rs` used to
-//! provide for each binary.
+//! and fails on any leaf of the payload that differs
+//! ([`crate::compare`]). The argument parsing is dependency-free,
+//! absorbing what `cli.rs` used to provide for each binary.
 
 use crate::json::Json;
 use crate::registry::{registry, Entry, Kind, RunOptions};
@@ -46,13 +46,11 @@ pub enum Command {
         /// Emit only JSON (no human tables).
         json_only: bool,
     },
-    /// `speakup compare <golden.json>...`: re-run and diff against
-    /// committed golden reports.
+    /// `speakup compare <golden.json>...`: re-run committed golden
+    /// reports and require them back exactly.
     Compare {
         /// Golden report paths.
         paths: Vec<String>,
-        /// Tolerance scale factor.
-        tol_scale: f64,
         /// Worker pool size override.
         jobs: Option<usize>,
         /// Shard count for the re-runs.
@@ -79,7 +77,7 @@ USAGE:
     speakup run <name>... | all [--secs N] [--seed N] [--seeds K]
                 [--jobs N] [--shards K] [--thinners R] [--sync-period MS]
                 [--faults SPEC] [--fault-seed N] [--json]
-    speakup compare <golden.json>... [--tol X] [--jobs N] [--shards K]
+    speakup compare <golden.json>... [--jobs N] [--shards K]
     speakup lint [--root <dir>] [--json]
     speakup help
 
@@ -118,7 +116,9 @@ OPTIONS (run):
     --json      print only the machine-readable JSON report
 
 OPTIONS (compare):
-    --tol X     scale every per-metric tolerance by X (default 1)
+    re-runs each golden with the options its header records and fails
+    on any leaf that differs (the host-dependent `perf` section is
+    dropped first); --jobs and --shards are as for run
 
 OPTIONS (lint):
     --root DIR  workspace root to scan (default: ascend from cwd to the
@@ -339,21 +339,12 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
         }
         "compare" => {
             let mut paths = Vec::new();
-            let mut tol_scale = 1.0f64;
             let mut jobs = None;
             let mut shards = 1u32;
             let rest: Vec<&String> = it.collect();
             let mut i = 0;
             while i < rest.len() {
                 match rest[i].as_str() {
-                    "--tol" => {
-                        tol_scale = rest
-                            .get(i + 1)
-                            .and_then(|s| s.parse::<f64>().ok())
-                            .filter(|v| *v > 0.0)
-                            .ok_or("--tol needs a positive number")?;
-                        i += 2;
-                    }
                     "--jobs" => {
                         jobs = Some(parse_jobs(rest.get(i + 1))?);
                         i += 2;
@@ -376,7 +367,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             }
             Ok(Command::Compare {
                 paths,
-                tol_scale,
                 jobs,
                 shards,
             })
@@ -423,6 +413,8 @@ pub struct EntryRun {
     pub table: String,
     /// Analytic entries' extra JSON payload.
     analytic_json: Option<Json>,
+    /// Analytic entries' host wall-clock figures, for `perf`.
+    analytic_perf: Option<Json>,
 }
 
 /// Execute one entry: instantiate its grid with the options, run every
@@ -483,10 +475,11 @@ pub fn execute(entry: &'static Entry, opts: &RunOptions) -> EntryRun {
                 seeds: opts.seeds,
                 table: text,
                 analytic_json: None,
+                analytic_perf: None,
             }
         }
         Kind::Analytic { run } => {
-            let (text, json) = run(opts);
+            let (text, json, perf) = run(opts);
             EntryRun {
                 entry,
                 scenarios: Vec::new(),
@@ -496,6 +489,7 @@ pub fn execute(entry: &'static Entry, opts: &RunOptions) -> EntryRun {
                 seeds: 1,
                 table: text,
                 analytic_json: Some(json),
+                analytic_perf: perf,
             }
         }
     }
@@ -618,8 +612,9 @@ pub fn report_json(r: &RunReport) -> Json {
         .field("per_client", per_client)
 }
 
-/// Wall-clock throughput of one executed entry's runs, as the CLI-only
-/// `perf` section. Host- and load-dependent, so it is attached by
+/// Wall-clock throughput of one executed entry's runs (and an analytic
+/// entry's host-timed rows, under `analysis`), as the CLI-only `perf`
+/// section. Host- and load-dependent, so it is attached by
 /// [`dispatch`] after [`entry_json`] builds the deterministic payload —
 /// the goldens and the shard-invariance tests compare the latter and
 /// must stay byte-identical across machines and `--shards`.
@@ -663,7 +658,11 @@ pub fn perf_json(run: &EntryRun) -> Json {
                 )
         })
         .collect();
-    Json::obj().field("runs", runs)
+    let doc = Json::obj().field("runs", runs);
+    match &run.analytic_perf {
+        Some(p) => doc.field("analysis", p.clone()),
+        None => doc,
+    }
 }
 
 fn per_sec(events: u64, wall_secs: f64) -> f64 {
@@ -932,15 +931,13 @@ pub fn dispatch(
         }
         Command::Compare {
             paths,
-            tol_scale,
             jobs,
             shards,
         } => {
             let mut failures = 0usize;
             for path in paths {
-                let ok =
-                    crate::compare::compare_file(path, *tol_scale, *jobs, *shards, out, progress)?;
-                if !ok {
+                let (_, same) = crate::compare::compare_file(path, *jobs, *shards, out, progress)?;
+                if !same {
                     failures += 1;
                 }
             }
@@ -1017,28 +1014,18 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-        match parse(&s(&[
-            "compare",
-            "golden/fig2.json",
-            "--tol",
-            "2.5",
-            "--shards",
-            "2",
-        ]))
-        .unwrap()
-        {
-            Command::Compare {
-                paths,
-                tol_scale,
-                shards,
-                ..
-            } => {
+        match parse(&s(&["compare", "golden/fig2.json", "--shards", "2"])).unwrap() {
+            Command::Compare { paths, shards, .. } => {
                 assert_eq!(paths, vec!["golden/fig2.json"]);
-                assert!((tol_scale - 2.5).abs() < 1e-12);
                 assert_eq!(shards, 2);
             }
             other => panic!("unexpected {other:?}"),
         }
+        // Goldens are exact: there is no tolerance to scale.
+        assert_eq!(
+            parse(&s(&["compare", "golden/fig2.json", "--tol", "2.5"])),
+            Err("unknown argument for compare: --tol".to_string())
+        );
         assert!(parse(&s(&["run", "fig3", "--shards", "0"])).is_err());
         assert!(parse(&s(&["run", "fig3", "--jobs", "0"])).is_err());
         assert!(parse(&s(&["compare"])).is_err());
@@ -1063,7 +1050,6 @@ mod tests {
         );
         assert!(parse(&s(&["lint", "--root"])).is_err());
         assert!(parse(&s(&["lint", "--frobnicate"])).is_err());
-        assert!(parse(&s(&["compare", "x.json", "--tol", "-1"])).is_err());
     }
 
     #[test]

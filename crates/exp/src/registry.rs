@@ -82,9 +82,11 @@ pub(crate) enum Kind {
         build: fn() -> Vec<Scenario>,
         render: fn(&[Scenario], &[Reps]) -> String,
     },
-    /// A direct measurement: returns the human table and JSON rows.
+    /// A direct measurement: returns the human table, the JSON rows,
+    /// and any host wall-clock figures (which go to the `perf` section,
+    /// so the rows stay deterministic).
     Analytic {
-        run: fn(&RunOptions) -> (String, Json),
+        run: fn(&RunOptions) -> (String, Json, Option<Json>),
     },
 }
 
@@ -1070,7 +1072,7 @@ fn render_flash_crowd(_scens: &[Scenario], reps: &[Reps]) -> String {
 // §3.4 auction game (analytic)
 // ---------------------------------------------------------------------------
 
-fn run_adversary(opts: &RunOptions) -> (String, Json) {
+fn run_adversary(opts: &RunOptions) -> (String, Json, Option<Json>) {
     use speakup_core::analysis::{play_auction_game, theorem_bound, AdversaryStrategy};
 
     // The paper-default 600 s maps to the former binary's 500 000 rounds;
@@ -1125,14 +1127,14 @@ fn run_adversary(opts: &RunOptions) -> (String, Json) {
     let json = Json::obj()
         .field("rounds", rounds)
         .field("rows", Json::Arr(json_rows));
-    (text, json)
+    (text, json, None)
 }
 
 // ---------------------------------------------------------------------------
 // §7.1 payment-sink throughput (analytic)
 // ---------------------------------------------------------------------------
 
-fn run_capacity(opts: &RunOptions) -> (String, Json) {
+fn run_capacity(opts: &RunOptions) -> (String, Json, Option<Json>) {
     use speakup_core::thinner::{AuctionConfig, AuctionFrontEnd, FrontEnd};
     use speakup_core::types::{ClientId, RequestId, RequestKey};
     use speakup_net::time::SimTime;
@@ -1186,6 +1188,7 @@ fn run_capacity(opts: &RunOptions) -> (String, Json) {
     let total = (((dur_s / 600.0) * (256u64 << 20) as f64) as u64).clamp(4 << 20, 1 << 30);
     let mut rows = Vec::new();
     let mut json_rows = Vec::new();
+    let mut perf_rows = Vec::new();
     for frame in [1500usize, 120] {
         let mbps = sink(total, frame);
         rows.push(vec![
@@ -1196,7 +1199,8 @@ fn run_capacity(opts: &RunOptions) -> (String, Json) {
                 _ => "379 Mbit/s".to_string(),
             },
         ]);
-        json_rows.push(
+        json_rows.push(Json::obj().field("frame_bytes", frame));
+        perf_rows.push(
             Json::obj()
                 .field("frame_bytes", frame)
                 .field("measured_mbps", mbps),
@@ -1218,7 +1222,8 @@ fn run_capacity(opts: &RunOptions) -> (String, Json) {
     let json = Json::obj()
         .field("bytes_per_measurement", total)
         .field("rows", Json::Arr(json_rows));
-    (text, json)
+    let perf = Json::obj().field("rows", Json::Arr(perf_rows));
+    (text, json, Some(perf))
 }
 
 #[cfg(test)]

@@ -5,7 +5,6 @@
 //! each with 2 Mbits/s, over a LAN; c = 100 requests/s; ...").
 
 use speakup_core::client::ClientProfile;
-use speakup_net::link::LinkConfig;
 use speakup_net::time::{SimDuration, SimTime};
 
 /// Which thinner front end the run uses.
@@ -132,9 +131,9 @@ pub struct BottleneckSpec {
 pub enum FaultSpec {
     /// Crash thinner replica `replica` (0-based) at `at`; the node
     /// restarts `down_for` later with freshly initialized app state.
-    /// Surviving replicas detect the digest silence after
-    /// [`Scenario::stale_after`] missed sync periods and absorb the
-    /// crashed replica's capacity share until it re-joins.
+    /// Surviving replicas detect the digest silence after three missed
+    /// sync periods and absorb the crashed replica's capacity share
+    /// until it re-joins.
     ReplicaCrash {
         /// Replica index in `0..thinners`.
         replica: u32,
@@ -190,12 +189,6 @@ pub struct Scenario {
     pub bottleneck: Option<BottleneckSpec>,
     /// Optional Fig 9 web cross-traffic (placed behind the bottleneck).
     pub web: Option<WebSpec>,
-    /// Aggregation-to-thinner link (default: 1 Gbit/s, 100 µs). The paper
-    /// runs clients on a "100 Mbit/s LAN" that its own traffic exactly
-    /// saturates; we provision the aggregation link out of the way so the
-    /// *access links* are the binding constraint, which is the regime the
-    /// paper analyzes.
-    pub hub_link: LinkConfig,
     /// Number of thinner replicas (default 1: the classic single
     /// thinner). With R > 1, aggregation groups and cohorts are
     /// partitioned round-robin across R replicas, each running the
@@ -209,10 +202,6 @@ pub struct Scenario {
     /// Faults to inject (default none: the loss-free deterministic runs
     /// every committed golden was produced from).
     pub faults: Vec<FaultSpec>,
-    /// Failover sensitivity: a replica declares a peer stale — and
-    /// absorbs its capacity share — once the peer's digest epoch lags
-    /// its own by more than this many sync periods (default 3).
-    pub stale_after: u64,
 }
 
 impl Scenario {
@@ -228,11 +217,9 @@ impl Scenario {
             cohorts: Vec::new(),
             bottleneck: None,
             web: None,
-            hub_link: LinkConfig::new(1_000_000_000, SimDuration::from_micros(100)),
             thinners: 1,
             sync_period: SimDuration::from_millis(100),
             faults: Vec::new(),
-            stale_after: 3,
         }
     }
 
@@ -342,20 +329,6 @@ impl Scenario {
             mean_every,
             mean_down,
         });
-        self
-    }
-
-    /// Set the failover sensitivity (missed sync periods before a silent
-    /// peer is declared stale).
-    ///
-    /// # Panics
-    ///
-    /// Panics on zero: replicas publish *at* the sync cadence, so a
-    /// zero threshold would declare every peer stale between any two
-    /// digests and the cluster would flap in steady state.
-    pub fn stale_after(mut self, k: u64) -> Self {
-        assert!(k >= 1, "stale_after must be at least one sync period");
-        self.stale_after = k;
         self
     }
 
@@ -492,8 +465,7 @@ mod tests {
                 SimTime::from_nanos(15_000_000_000),
                 SimDuration::from_secs(10),
             )
-            .link_flaps(7, SimDuration::from_secs(5), SimDuration::from_millis(200))
-            .stale_after(2);
+            .link_flaps(7, SimDuration::from_secs(5), SimDuration::from_millis(200));
         assert_eq!(s.faults.len(), 2);
         assert_eq!(
             s.faults[0],
@@ -503,11 +475,8 @@ mod tests {
                 down_for: SimDuration::from_secs(10),
             }
         );
-        assert_eq!(s.stale_after, 2);
-        // Defaults: no faults, three missed syncs before failover.
-        let d = Scenario::new("d", 100.0, Mode::Auction);
-        assert!(d.faults.is_empty());
-        assert_eq!(d.stale_after, 3);
+        // Default: no faults.
+        assert!(Scenario::new("d", 100.0, Mode::Auction).faults.is_empty());
     }
 
     #[test]
@@ -516,12 +485,6 @@ mod tests {
         let _ = Scenario::new("t", 100.0, Mode::Auction)
             .thinners(2)
             .crash_replica(2, SimTime::from_nanos(1), SimDuration::from_secs(1));
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one sync period")]
-    fn stale_after_rejects_zero() {
-        let _ = Scenario::new("t", 100.0, Mode::Auction).stale_after(0);
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //!    thinner modes. Both are one `CohortAgent` on the same node/link
 //!    layout with the same identity, so this holds bit for bit.
 //! 2. At small N, a cohort-aggregated population matches the fully
-//!    simulated population within the existing `speakup compare`
-//!    tolerances (the statistical claim: superposing N Poisson arrival
+//!    simulated population within the per-metric tolerances of
+//!    `compare::diff` (the statistical claim: superposing N Poisson arrival
 //!    processes and aggregating the access link preserves the figure).
 //! 3. `fig2_xl`'s cohort topology keeps the engine's core invariant:
 //!    reports are byte-identical at every `--shards` count, with the
@@ -149,10 +149,10 @@ fn small_n_scenario(cohort: bool) -> Scenario {
 }
 
 /// Aggregating the population into cohorts changes the RNG sample path
-/// but not the statistics: the Fig 2 metrics stay within the `speakup
-/// compare` tolerance machinery (scaled 3x — two *independent*
-/// 120-second sample paths, where golden comparisons diff the *same*
-/// path against itself).
+/// but not the statistics: the Fig 2 metrics stay within
+/// `compare::diff`'s per-metric tolerances, scaled 3x: two
+/// *independent* 120-second sample paths, where a golden is the *same*
+/// path and must match exactly.
 #[test]
 fn small_n_cohorts_match_full_simulation_statistically() {
     let full = run(&small_n_scenario(false));

@@ -32,7 +32,7 @@ pub struct LinkConfig {
 impl LinkConfig {
     /// A link with the given rate (bits/s) and one-way delay, a 100-packet
     /// (150 kB) queue, and no fault injection.
-    pub fn new(rate_bps: u64, delay: SimDuration) -> Self {
+    pub const fn new(rate_bps: u64, delay: SimDuration) -> Self {
         LinkConfig {
             rate_bps,
             delay,

@@ -2,8 +2,10 @@
 //! `speakup` driver — the CLI path every former `fig*` binary now routes
 //! through.
 //!
-//! * every simulated entry runs for a few simulated seconds and yields a
-//!   sane [`RunReport`] (requests generated, utilization ∈ [0,1]);
+//! * every simulated entry without a golden runs for a few simulated
+//!   seconds and yields a sane [`RunReport`] (requests generated,
+//!   utilization ∈ [0,1]); `tests/goldens.rs` holds the entries with a
+//!   golden to the same predicates on their exact re-runs;
 //! * the same entry + seed produces byte-identical JSON through the
 //!   driver, the determinism contract replicates rely on.
 
@@ -23,7 +25,8 @@ fn quick(seconds: u64, seeds: u32) -> RunOptions {
 #[test]
 fn every_simulated_entry_produces_a_sane_report() {
     for entry in registry::registry() {
-        if !entry.is_simulated() {
+        let golden = format!("{}/golden/{}.json", env!("CARGO_MANIFEST_DIR"), entry.name);
+        if !entry.is_simulated() || std::path::Path::new(&golden).exists() {
             continue;
         }
         let run = driver::execute(entry, &quick(3, 1));
@@ -80,6 +83,14 @@ fn analytic_entries_render_tables_and_json() {
         assert!(
             json.contains("\"analysis\""),
             "{}: missing analysis payload",
+            entry.name
+        );
+        // Host timings go to `perf`: the payload is deterministic.
+        let again = driver::entry_json(&driver::execute(entry, &quick(5, 1)), &quick(5, 1));
+        assert_eq!(
+            json,
+            again.pretty(),
+            "{}: payload differs between runs",
             entry.name
         );
     }
