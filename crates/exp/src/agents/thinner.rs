@@ -531,11 +531,7 @@ impl ThinnerAgent {
     fn publish_digest(&mut self, ctx: &mut Ctx) {
         self.digest.epoch += 1;
         let words = self.digest.encode().into_boxed_slice();
-        let peers = match &self.replica {
-            Some(cfg) => cfg.peers.clone(),
-            None => Vec::new(),
-        };
-        for peer in peers {
+        for &peer in self.replica.iter().flat_map(|cfg| &cfg.peers) {
             ctx.send_control(peer, words.clone());
         }
         self.board.merge(self.digest);

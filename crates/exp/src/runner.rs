@@ -655,6 +655,17 @@ pub fn run_sharded(scenario: &Scenario, shards: u32) -> RunReport {
     let wall_start = std::time::Instant::now();
     sim.run_until(end);
     let wall_secs = wall_start.elapsed().as_secs_f64();
+    // The engine counters, then the engine itself: its queues, flow
+    // tables and links are freed before extraction copies the samples.
+    let shard_events = sim.shard_event_counts();
+    let queue_peak = sim.queue_peaks();
+    let flows_opened = sim.flows_opened();
+    let flows_peak = sim.flow_halves_peaks();
+    let dispatch_counts = sim.dispatch_counts();
+    let window_ends = sim.window_ends();
+    let cross_shard_events = sim.cross_shard_events();
+    let barrier_parks = sim.barrier_parks();
+    let apps = sim.finish();
 
     // ---- extract ----
     // Each identity absorbs as its member count (class totals keep
@@ -664,7 +675,7 @@ pub fn run_sharded(scenario: &Scenario, shards: u32) -> RunReport {
     let mut bad = ClassReport::default();
     let mut per_client = Vec::with_capacity(identities.len());
     for c in &identities {
-        let agent = sim.app::<CohortAgent>(c.node).expect("client agent");
+        let agent = apps.app::<CohortAgent>(c.node).expect("client agent");
         let stats = agent.stats();
         per_client.push(PerClient {
             generated: stats.generated,
@@ -701,7 +712,7 @@ pub fn run_sharded(scenario: &Scenario, shards: u32) -> RunReport {
     let mut rejoin_at = None;
     let mut outage_allocation = Allocation::default();
     for &rn in &replica_nodes {
-        let t = sim.app::<ThinnerAgent>(rn).expect("thinner replica");
+        let t = apps.app::<ThinnerAgent>(rn).expect("thinner replica");
         allocation.good += t.metrics.allocation.good;
         allocation.bad += t.metrics.allocation.bad;
         quanta.good += t.metrics.quanta.good;
@@ -722,7 +733,7 @@ pub fn run_sharded(scenario: &Scenario, shards: u32) -> RunReport {
         outage_allocation.good += w.good;
         outage_allocation.bad += w.bad;
     }
-    let mode = sim
+    let mode = apps
         .app::<ThinnerAgent>(thinner_node)
         .expect("thinner agent")
         .front_end()
@@ -756,20 +767,20 @@ pub fn run_sharded(scenario: &Scenario, shards: u32) -> RunReport {
         bad,
         failover,
         wget_latencies: web_nodes.map(|(_, h, _)| {
-            sim.app::<WgetAgent>(h)
+            apps.app::<WgetAgent>(h)
                 .expect("wget agent")
                 .latencies
                 .clone()
         }),
         per_client,
-        shard_events: sim.shard_event_counts(),
-        queue_peak: sim.queue_peaks(),
-        flows_opened: sim.flows_opened(),
-        flows_peak: sim.flow_halves_peaks(),
-        dispatch_counts: sim.dispatch_counts(),
-        window_ends: sim.window_ends(),
-        cross_shard_events: sim.cross_shard_events(),
-        barrier_parks: sim.barrier_parks(),
+        shard_events,
+        queue_peak,
+        flows_opened,
+        flows_peak,
+        dispatch_counts,
+        window_ends,
+        cross_shard_events,
+        barrier_parks,
         wall_secs,
     };
     report

@@ -27,12 +27,13 @@
 //! wheel has [`LEVELS`] levels of [`SLOTS`] slots each; a slot at level
 //! `l` spans `SLOTS^l` granules, so nine levels cover the full `u64`
 //! nanosecond range with 64 slots (one occupancy bit-word) per level. A
-//! slot is the head of an intrusive list threaded through `Node::next`,
-//! so filing a node is two index writes. An event is filed at the level
-//! of the highest bit in which its granule differs from the *cursor*
-//! (the next granule to drain), which means a level's occupied slots
-//! always lie ahead of the cursor — there is no wrap-around, and finding
-//! the next occupied slot is a handful of `trailing_zeros` calls.
+//! slot is the head of an intrusive list linked both ways through
+//! `Node::next` and `Node::prev`, so filing a node, or taking one out of
+//! the middle of its list, is a few index writes. An event is filed at
+//! the level of the highest bit in which its granule differs from the
+//! *cursor* (the next granule to drain), which means a level's occupied
+//! slots always lie ahead of the cursor — there is no wrap-around, and
+//! finding the next occupied slot is a handful of `trailing_zeros` calls.
 //! Advancing the cursor into a higher-level slot *cascades* it: its
 //! nodes are re-filed, now landing at lower levels. Draining a level-0
 //! slot puts one 32-byte [`Key`] per node into a small *ready* heap
@@ -48,14 +49,18 @@
 //!
 //! An [`EventHandle`] names its node: the arena index plus the sequence
 //! number the push stamped on it. [`EventQueue::cancel`] takes the
-//! payload out and drops it there and then; the emptied node stays filed
-//! until its key tops the ready heap, where it is reaped instead of
-//! fired. Sequence numbers are never reused, so a handle whose event
-//! fired finds either no payload or another sequence number, and
+//! payload out and drops it there and then. A node still filed in the
+//! wheel is unlinked from its slot and freed at once, so far-future
+//! events that are cancelled (retransmission timers, mostly) hold no
+//! memory until their time comes. Only a node whose key was already
+//! drained into the ready heap stays behind, to be reaped when its key
+//! tops the heap. Sequence numbers are never reused, so a handle whose
+//! event fired finds either no payload or another sequence number, and
 //! cancelling it is a free no-op: no side table, no tombstones.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::num::NonZeroU64;
 use std::{iter, mem};
 
 use crate::time::SimTime;
@@ -65,11 +70,12 @@ use crate::time::SimTime;
 /// Carries the event's arena node and the sequence number stamped on it
 /// at push time. Sequence numbers are 64-bit and never reused, so a
 /// stale handle can never alias whatever the node holds next (no ABA
-/// mis-cancel, however long the run).
+/// mis-cancel, however long the run). They start at 1, which gives
+/// `Option<EventHandle>` a niche: a flow's RTO record keeps one.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct EventHandle {
     idx: u32,
-    seq: u64,
+    seq: NonZeroU64,
 }
 
 /// Level-0 slots cover `2^GRANULE_BITS` nanoseconds (~8 µs). Widened
@@ -86,9 +92,15 @@ const SLOTS: usize = 1 << LEVEL_BITS;
 const SLOT_MASK: u64 = (1u64 << LEVEL_BITS) - 1;
 /// Levels needed to cover all 64 − [`GRANULE_BITS`] granule bits.
 const LEVELS: usize = 9;
-/// End-of-list marker in slot heads, `Node::next` and the free list;
-/// never a node index (`push_lane_handle` keeps the arena shorter).
+/// End-of-list marker in slot heads, `Node::next` and the free list, and
+/// the `Node::prev` of a node not linked into the wheel; never a node
+/// index.
 const NIL: u32 = u32::MAX;
+/// The `Node::prev` of a slot's first node names its slot, as
+/// `FIRST_HEAD + h` for the list headed at `heads[h]`. Node indices stay
+/// below it (`push_lane_handle` keeps the arena shorter).
+// lint: allow(cast) — LEVELS * SLOTS = 576, trivially fits u32
+const FIRST_HEAD: u32 = NIL - (LEVELS * SLOTS) as u32;
 
 /// Bit shift of level `level`'s slot-index field within a granule.
 #[inline]
@@ -114,15 +126,18 @@ fn at(idx: u32) -> usize {
 }
 
 /// One arena cell: a filed event, or (payload gone) a cancelled event
-/// awaiting its reap or a free cell on the free list. `Option` costs the
-/// simulator's event enum nothing (niche), so a node is a 32-byte header
-/// plus the payload — about one cache line.
+/// awaiting its reap in the ready heap or a free cell on the free list.
+/// `Option` costs the simulator's event enum nothing (niche), so a node
+/// is a 32-byte header plus the payload — about one cache line.
 struct Node<E> {
     time: SimTime,
     lane: u64,
     seq: u64,
     /// The next node in the same wheel slot, or the next free cell.
     next: u32,
+    /// The previous node in the same wheel slot, the slot itself for its
+    /// first node (see [`FIRST_HEAD`]), or [`NIL`] off the wheel.
+    prev: u32,
     event: Option<E>,
 }
 
@@ -173,8 +188,9 @@ impl PartialOrd for Key {
 
 /// A deterministic time-ordered event queue (hierarchical timing wheel).
 pub struct EventQueue<E> {
-    /// The arena: every filed event (live, or cancelled and not yet
-    /// reaped) and the free cells left by those that fired.
+    /// The arena: every filed event (live, or cancelled after its key was
+    /// drained into `ready` and not yet reaped) and the free cells left by
+    /// those that fired or were cancelled.
     nodes: Vec<Node<E>>,
     /// Head of the LIFO free list.
     free: u32,
@@ -209,7 +225,7 @@ impl<E> EventQueue<E> {
             occupancy: [0; LEVELS],
             cursor: 0,
             ready: BinaryHeap::new(),
-            next_seq: 0,
+            next_seq: 1,
             pending: 0,
         }
     }
@@ -237,13 +253,14 @@ impl<E> EventQueue<E> {
             // Grow the free list by one blank cell.
             self.free = u32::try_from(self.nodes.len())
                 .ok()
-                .filter(|&idx| idx != NIL)
-                .expect("event arena exhausted: 2^32 - 1 events filed at once");
+                .filter(|&idx| idx < FIRST_HEAD)
+                .expect("event arena exhausted: ~2^32 events filed at once");
             self.nodes.push(Node {
                 time: SimTime::ZERO,
                 lane: 0,
                 seq: 0,
                 next: NIL,
+                prev: NIL,
                 event: None,
             });
         }
@@ -256,18 +273,28 @@ impl<E> EventQueue<E> {
         cell.seq = seq;
         cell.event = Some(event);
         self.file(idx);
-        EventHandle { idx, seq }
+        EventHandle {
+            idx,
+            seq: NonZeroU64::new(seq).expect("invariant: sequence numbers start at 1"),
+        }
     }
 
-    /// Cancel a previously scheduled event, dropping its payload now. A
-    /// no-op at no cost if it already fired or was cancelled: its node is
-    /// empty, or recycled under a sequence number the handle lacks.
+    /// Cancel a previously scheduled event, dropping its payload now and,
+    /// unless its key was already drained into the ready heap, freeing its
+    /// node too. A no-op at no cost if it already fired or was cancelled:
+    /// its node is empty, or recycled under a sequence number the handle
+    /// lacks.
     pub fn cancel(&mut self, handle: EventHandle) {
         let Some(node) = self.nodes.get_mut(at(handle.idx)) else {
             return;
         };
-        if node.seq == handle.seq && node.event.take().is_some() {
-            self.pending -= 1;
+        if node.seq != handle.seq.get() || node.event.take().is_none() {
+            return;
+        }
+        self.pending -= 1;
+        if node.prev != NIL {
+            self.unlink(handle.idx);
+            self.release(handle.idx);
         }
     }
 
@@ -311,8 +338,10 @@ impl<E> EventQueue<E> {
         self.pending
     }
 
-    /// The most events ever filed at once (live, plus cancelled and not
-    /// yet reaped): the arena's length, the queue's memory high-water.
+    /// The most events ever filed at once: the arena's length, the queue's
+    /// memory high-water. A cancel frees a node still in the wheel at
+    /// once, so besides live events this counts only cancelled ones whose
+    /// keys were already drained into the ready heap.
     pub fn peak_filed(&self) -> usize {
         self.nodes.len()
     }
@@ -324,6 +353,7 @@ impl<E> EventQueue<E> {
         let node = &mut self.nodes[at(idx)];
         let granule = node.time.as_nanos() >> GRANULE_BITS;
         if granule < self.cursor {
+            node.prev = NIL;
             self.ready.push(node.key(idx));
             return;
         }
@@ -339,8 +369,33 @@ impl<E> EventQueue<E> {
         };
         debug_assert!(level < LEVELS);
         let slot = idx_of((granule >> level_shift(level)) & SLOT_MASK);
-        node.next = mem::replace(&mut self.heads[level * SLOTS + slot], idx);
+        let head = level * SLOTS + slot;
+        let next = mem::replace(&mut self.heads[head], idx);
+        // lint: allow(cast) — head < LEVELS * SLOTS = 576, fits u32
+        node.prev = FIRST_HEAD + head as u32;
+        node.next = next;
+        if next != NIL {
+            self.nodes[at(next)].prev = idx;
+        }
         self.occupancy[level] |= 1 << slot;
+    }
+
+    /// Take node `idx`, which is linked into a wheel slot, out of it.
+    fn unlink(&mut self, idx: u32) {
+        let node = &self.nodes[at(idx)];
+        let (prev, next) = (node.prev, node.next);
+        if next != NIL {
+            self.nodes[at(next)].prev = prev;
+        }
+        if prev < FIRST_HEAD {
+            self.nodes[at(prev)].next = next;
+        } else {
+            let head = at(prev - FIRST_HEAD);
+            self.heads[head] = next;
+            if next == NIL {
+                self.occupancy[head / SLOTS] &= !(1 << (head % SLOTS));
+            }
+        }
     }
 
     /// Empty slot `slot` of `level`, returning the head of its list.
@@ -420,13 +475,14 @@ impl<E> EventQueue<E> {
                 self.cursor = granule + 1;
                 // One `extend`: the heap appends every key, then restores
                 // its order once — measurably cheaper than a sift per key.
-                let nodes = &self.nodes;
+                let nodes = &mut self.nodes;
                 self.ready.extend(iter::from_fn(|| {
                     if head == NIL {
                         return None;
                     }
-                    let (idx, node) = (head, &nodes[at(head)]);
+                    let (idx, node) = (head, &mut nodes[at(head)]);
                     head = node.next;
+                    node.prev = NIL;
                     Some(node.key(idx))
                 }));
                 // If the increment carried across a block boundary, the
@@ -659,11 +715,11 @@ mod tests {
     fn key_and_node_sizes_are_pinned() {
         // Ready-heap traffic is per key and arena traffic per node; a
         // field that widens either silently costs every event of every
-        // run. The last line is the simulator's case: `sim`'s tests pin
-        // its event enum at 40 bytes with a niche for the `Option`.
-        use std::num::NonZeroU64;
+        // run. The header is 32 bytes (`prev` fills what was padding);
+        // the last line is the simulator's case: `sim`'s tests pin its
+        // event enum at 40 bytes with a niche for the `Option`.
         assert_eq!(mem::size_of::<Key>(), 32);
-        assert_eq!(mem::size_of::<Node<()>>(), 32);
+        assert_eq!(mem::size_of::<Option<EventHandle>>(), 16);
         assert_eq!(mem::size_of::<Node<u64>>(), 48);
         assert_eq!(mem::size_of::<Node<(NonZeroU64, [u64; 4])>>(), 72);
     }
@@ -763,10 +819,54 @@ mod tests {
         let h = q.push(SimTime::from_secs(2), Rc::clone(&payload));
         assert_eq!(Rc::strong_count(&payload), 3);
         q.cancel(h);
-        // Dropped by the cancel itself, with the node still filed: the
-        // reap happens only once the cursor gets there.
+        // Dropped by the cancel itself, which also gave the node back.
         assert_eq!(Rc::strong_count(&payload), 2);
         assert_eq!(q.peak_filed(), 2);
+        q.push(SimTime::from_secs(3), Rc::clone(&payload));
+        assert_eq!(q.peak_filed(), 2, "the next push reused the node");
+    }
+
+    #[test]
+    fn cancelled_far_future_events_free_their_nodes_at_once() {
+        // Timers armed a second ahead and cancelled long before they are
+        // due, the way short flows leave their retransmission timers: the
+        // arena must follow the live events, not every timer whose time
+        // has not come yet. Cancels hit heads, middles and tails of slot
+        // lists at several wheel levels.
+        const LIVE: usize = 64;
+        let mut q = EventQueue::new();
+        let mut next_rand = xorshift(0x9e37_79b9_7f4a_7c15);
+        let mut now = SimTime::ZERO;
+        let mut timers: Vec<EventHandle> = Vec::new();
+        for step in 0..100_000u64 {
+            let r = next_rand();
+            let at = now + SimDuration::from_millis(1_000 + r % 500);
+            timers.push(q.push_lane_handle(at, r % 5, step));
+            if timers.len() > LIVE {
+                let h = timers.swap_remove(next_rand() as usize % timers.len());
+                q.cancel(h);
+            }
+            // A near event keeps the clock moving, so later timers file
+            // into slots whose lists already hold earlier ones.
+            q.push_lane(now + SimDuration::from_micros(20), 0, u64::MAX);
+            let (at, ev) = q.pop().expect("invariant: the near event is pending");
+            assert_eq!(ev, u64::MAX, "no timer is due yet");
+            now = at;
+        }
+        assert!(now > SimTime::from_secs(1), "timers crossed the clock");
+        assert_eq!(q.len(), LIVE);
+        assert!(
+            q.peak_filed() <= LIVE + 2,
+            "arena holds {} nodes for {LIVE} live timers",
+            q.peak_filed()
+        );
+        // What is left still pops in order.
+        let mut last = SimTime::ZERO;
+        while let Some((at, _)) = q.pop() {
+            assert!(at >= last);
+            last = at;
+        }
+        assert!(q.is_empty());
     }
 
     #[test]

@@ -270,29 +270,32 @@ fn lane_fault_node(n: NodeId) -> u64 {
 }
 
 /// Lazily re-armed retransmission timer for one flow (see
-/// [`TxHalf::rto`]). Invariant while armed: some wheel sentinel is
-/// outstanding at a time `<= deadline`, so the deadline is never missed.
+/// [`TxHalf::rto`]): one sentinel per flow, cancelled at retire.
+/// Invariant while armed: the flow's sentinel is filed at a time
+/// `<= deadline`, so the deadline is never missed.
 #[derive(Clone, Copy, Default)]
 struct RtoTimer {
     /// The armed expiry; `None` when the timer is logically cancelled.
     deadline: Option<SimTime>,
-    /// Earliest outstanding wheel sentinel, if any. Stale sentinels are
-    /// harmless — popping one re-checks `deadline` — this just avoids
-    /// pushing a sentinel per re-arm.
-    scheduled: Option<SimTime>,
+    /// The flow's one outstanding wheel sentinel, if any: its time and
+    /// the handle that takes it back out. A sentinel that outlives its
+    /// deadline is harmless — popping it re-checks `deadline` — and
+    /// leaving it filed avoids a cancel + push per re-arm.
+    scheduled: Option<(SimTime, EventHandle)>,
 }
 
 /// What the source node's shard holds of a flow.
 struct TxHalf {
     flow: Sender,
-    /// Lazy retransmission timer. Re-arming on every advancing ACK is
-    /// the transport's behaviour, but cancel + re-push against the wheel
-    /// per ACK litters high wheel levels with dead entries that all
-    /// cascade and reap later. Instead the armed deadline lives here —
-    /// in the record the ACK already fetched — and the wheel holds at
-    /// most a couple of sentinel entries per flow: a sentinel that pops
-    /// before the real deadline re-files itself at the deadline, so
-    /// `on_rto` still runs at exactly the armed time.
+    /// Lazy retransmission timer: one sentinel per flow, cancelled at
+    /// retire. Re-arming on every advancing ACK is the transport's
+    /// behaviour; done against the wheel it would cost a cancel and a
+    /// push per ACK. Instead the armed deadline lives here — in the
+    /// record the ACK already fetched — and the wheel holds one sentinel
+    /// per flow: a sentinel that pops before the real deadline re-files
+    /// itself at the deadline, so `on_rto` still runs at exactly the
+    /// armed time. Only an earlier deadline replaces the sentinel, and
+    /// retiring the half takes it out of the wheel.
     rto: RtoTimer,
 }
 
@@ -788,10 +791,14 @@ impl World {
                     // A sentinel at or before the deadline will re-file
                     // itself when it pops; only a later (or missing) one
                     // needs replacing.
-                    if t.scheduled.is_none_or(|s| s > deadline) {
-                        t.scheduled = Some(deadline);
-                        self.queue
-                            .push_lane(deadline, lane_flow(fid), Event::Rto(fid));
+                    if t.scheduled.is_none_or(|(s, _)| s > deadline) {
+                        if let Some((_, stale)) = t.scheduled {
+                            self.queue.cancel(stale);
+                        }
+                        let h =
+                            self.queue
+                                .push_lane_handle(deadline, lane_flow(fid), Event::Rto(fid));
+                        t.scheduled = Some((deadline, h));
                     }
                 }
                 FlowAction::CancelRto => {
@@ -856,12 +863,17 @@ impl World {
         self.retire_half(id, !at_sender);
     }
 
-    /// Drop one half of `id` for good (see the `tx` field).
+    /// Drop one half of `id` for good (see the `tx` field), taking a
+    /// sender's RTO sentinel out of the wheel with it.
     fn retire_half(&mut self, id: FlowId, at_receiver: bool) {
         let gone = if at_receiver {
             self.rx.retire(id).is_some()
         } else {
-            self.tx.retire(id).is_some()
+            let half = self.tx.retire(id);
+            if let Some((_, sentinel)) = half.as_ref().and_then(|h| h.rto.scheduled) {
+                self.queue.cancel(sentinel);
+            }
+            half.is_some()
         };
         debug_assert!(gone, "retiring a half of {id} that is not live");
     }
@@ -924,10 +936,10 @@ impl World {
             Event::Rto(fid) => {
                 // Sentinel pop: fire only if it reached the armed
                 // deadline; re-file it there otherwise (lazy re-arm).
-                let Some(h) = self.tx.get_mut(fid) else {
-                    assert!(self.tx.is_retired(fid), "RTO for a foreign flow");
-                    return;
-                };
+                let h = self
+                    .tx
+                    .get_mut(fid)
+                    .expect("invariant: retiring a sender half cancels its RTO sentinel");
                 h.rto.scheduled = None;
                 match h.rto.deadline {
                     Some(d) if d <= self.now => {
@@ -937,8 +949,10 @@ impl World {
                         self.apply_flow_actions(fid, src, dst, header);
                     }
                     Some(d) => {
-                        h.rto.scheduled = Some(d);
-                        self.queue.push_lane(d, lane_flow(fid), Event::Rto(fid));
+                        let sentinel =
+                            self.queue
+                                .push_lane_handle(d, lane_flow(fid), Event::Rto(fid));
+                        h.rto.scheduled = Some((d, sentinel));
                     }
                     None => {}
                 }
@@ -1789,6 +1803,21 @@ pub struct Simulator<S: AppSet = Box<dyn App>> {
     barrier_watchdog: std::time::Duration,
 }
 
+/// The applications of a finished simulation, by node
+/// ([`Simulator::finish`]).
+pub struct Apps<S: AppSet = Box<dyn App>> {
+    apps: Vec<Option<S>>,
+}
+
+impl<S: AppSet> Apps<S> {
+    /// Downcast the application on `node` to a concrete type.
+    pub fn app<T: App>(&self, node: NodeId) -> Option<&T> {
+        self.apps[node.index()]
+            .as_ref()
+            .and_then(|a| a.as_any().downcast_ref::<T>())
+    }
+}
+
 /// The one place shard threads meet: a shard's cross-shard delivery
 /// buffer, what it published for the window exchange, and its progress
 /// counters for whichever shard's watchdog fires (hence atomics).
@@ -2068,6 +2097,24 @@ impl<S: AppSet> Simulator<S> {
             .and_then(|a| a.as_any().downcast_ref::<T>())
     }
 
+    /// End the simulation, keeping only the applications: every shard's
+    /// event queue, flow tables and links are freed here, so extraction
+    /// that follows allocates into their memory instead of beside it.
+    /// Read the engine counters ([`Simulator::queue_peaks`] and the
+    /// rest) first.
+    pub fn finish(self) -> Apps<S> {
+        let mut shards = self.shards.into_iter();
+        let mut apps = shards.next().expect("invariant: one shard at least").apps;
+        for shard in shards {
+            for (slot, app) in apps.iter_mut().zip(shard.apps) {
+                if app.is_some() {
+                    *slot = app;
+                }
+            }
+        }
+        Apps { apps }
+    }
+
     /// Mutable downcast of the application on `node`.
     pub fn app_mut<T: App>(&mut self, node: NodeId) -> Option<&mut T> {
         let shard = shard_idx(self.assignment[node.index()]);
@@ -2329,7 +2376,7 @@ mod tests {
         // a sender half carries no reassembly or framing, a receiver
         // half no window or timer. The slab stores `Option`s of both.
         use std::mem::size_of;
-        assert!(size_of::<TxHalf>() <= 264, "{}", size_of::<TxHalf>());
+        assert!(size_of::<TxHalf>() <= 256, "{}", size_of::<TxHalf>());
         assert!(size_of::<RxHalf>() <= 96, "{}", size_of::<RxHalf>());
         assert_eq!(size_of::<Option<TxHalf>>(), size_of::<TxHalf>());
         assert_eq!(size_of::<Option<RxHalf>>(), size_of::<RxHalf>());
@@ -2577,6 +2624,70 @@ mod tests {
                 .expect("invariant: TimerApp installed on a")
                 .fired,
             vec![1, 3]
+        );
+    }
+
+    #[test]
+    fn retired_flows_leave_no_rto_sentinel_behind() {
+        // Speak-up's payment channels: open, write, abort a few
+        // milliseconds later, all long before the 1 s initial RTO. Each
+        // write arms the RTO (1 s, or 200 ms once an ACK has sampled the
+        // RTT); retiring the sender half must take its sentinel out of
+        // the wheel, or every flow of the last second or so holds a
+        // filed event until its timer is due.
+        const LIVE: usize = 4;
+        struct ShortFlows {
+            dst: NodeId,
+            open: VecDeque<FlowId>,
+        }
+        impl App for ShortFlows {
+            fn start(&mut self, ctx: &mut Ctx) {
+                ctx.set_timer(SimDuration::from_millis(1), 0);
+            }
+            fn on_timer(&mut self, ctx: &mut Ctx, _token: u64) {
+                let f = ctx.open_default_flow(self.dst);
+                ctx.send(f, 3_000, 1);
+                self.open.push_back(f);
+                if self.open.len() > LIVE {
+                    let old = self
+                        .open
+                        .pop_front()
+                        .expect("invariant: more than LIVE open");
+                    ctx.abort_flow(old);
+                }
+                ctx.set_timer(SimDuration::from_millis(1), 0);
+            }
+        }
+        let (t, a, z) = two_nodes(100_000_000, 1);
+        let mut sim = Simulator::new(t, 7);
+        sim.add_app(
+            a,
+            Box::new(ShortFlows {
+                dst: z,
+                open: VecDeque::new(),
+            }),
+        );
+        sim.add_app(z, Box::new(Receiver::default()));
+        sim.run_until(SimTime::ZERO + SimDuration::from_millis(900));
+        let world = sim.world();
+        assert!(
+            world.flow_count() > 850,
+            "{} flows opened",
+            world.flow_count()
+        );
+        // Per live flow: its sentinel, a few segments or ACKs in flight;
+        // plus the app's timer and the abort records on their way.
+        let bound = 8 * (LIVE + 1);
+        assert!(
+            world.queue.len() <= bound,
+            "{} events pending for {} live flows",
+            world.queue.len(),
+            LIVE + 1
+        );
+        assert!(
+            world.queue.peak_filed() <= bound,
+            "the queue filed {} events at once",
+            world.queue.peak_filed()
         );
     }
 
@@ -3903,9 +4014,10 @@ mod tests {
         // gone at once, so the data already on the wire and the boundary
         // record of the message written at 298 ms (due at 308 ms) find a
         // tombstone. The sender hears at 310 ms and is retired after the
-        // callback: the ACKs still travelling back and the RTO sentinel
-        // armed for the outstanding window find the other one. None of
-        // that is a panic, a callback, or a drop.
+        // callback, which cancels the RTO sentinel armed for the
+        // outstanding window; the ACKs still travelling back find the
+        // other tombstone. None of that is a panic, a callback, or a
+        // drop.
         let out = run_scripts(
             &[
                 (0, Step::Open(NodeId(2), 1_000_000)),
@@ -3925,7 +4037,10 @@ mod tests {
         assert_eq!(out.z_log, vec![], "the aborter hears nothing");
         assert_eq!(out.total_drops, 0, "stragglers are not link drops");
         assert_eq!(out.retired, (true, true));
-        assert!(out.queues_empty, "sentinel and stragglers all popped");
+        assert!(
+            out.queues_empty,
+            "sentinel cancelled, stragglers all popped"
+        );
     }
 
     #[test]
