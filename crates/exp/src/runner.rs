@@ -665,17 +665,17 @@ pub fn run_sharded(scenario: &Scenario, shards: u32) -> RunReport {
     let window_ends = sim.window_ends();
     let cross_shard_events = sim.cross_shard_events();
     let barrier_parks = sim.barrier_parks();
-    let apps = sim.finish();
+    let mut apps = sim.finish();
 
     // ---- extract ----
     // Each identity absorbs as its member count (class totals keep
     // population semantics) and contributes one per-client row, in
-    // identity order.
+    // identity order. Sample sets move out of the finished agents.
     let mut good = ClassReport::default();
     let mut bad = ClassReport::default();
     let mut per_client = Vec::with_capacity(identities.len());
     for c in &identities {
-        let agent = apps.app::<CohortAgent>(c.node).expect("client agent");
+        let agent = apps.app_mut::<CohortAgent>(c.node).expect("client agent");
         let stats = agent.stats();
         per_client.push(PerClient {
             generated: stats.generated,
@@ -690,12 +690,8 @@ pub fn run_sharded(scenario: &Scenario, shards: u32) -> RunReport {
             &mut good
         };
         report.absorb_weighted(stats, c.members as usize);
-        for &v in agent.metrics.payment_time.values() {
-            report.payment_time.push(v);
-        }
-        for &v in agent.metrics.payment_sent.values() {
-            report.payment_bytes.push(v);
-        }
+        report.payment_time.append(&mut agent.metrics.payment_time);
+        report.payment_bytes.append(&mut agent.metrics.payment_sent);
     }
 
     // Every replica folds into empty aggregates by replica index, so
@@ -712,17 +708,13 @@ pub fn run_sharded(scenario: &Scenario, shards: u32) -> RunReport {
     let mut rejoin_at = None;
     let mut outage_allocation = Allocation::default();
     for &rn in &replica_nodes {
-        let t = apps.app::<ThinnerAgent>(rn).expect("thinner replica");
+        let t = apps.app_mut::<ThinnerAgent>(rn).expect("thinner replica");
         allocation.good += t.metrics.allocation.good;
         allocation.bad += t.metrics.allocation.bad;
         quanta.good += t.metrics.quanta.good;
         quanta.bad += t.metrics.quanta.bad;
-        for &v in t.metrics.price_good.values() {
-            price_good.push(v);
-        }
-        for &v in t.metrics.price_bad.values() {
-            price_bad.push(v);
-        }
+        price_good.append(&mut t.metrics.price_good);
+        price_bad.append(&mut t.metrics.price_bad);
         payment_bytes_total += t.metrics.payment_bytes_total;
         thinner_drops += t.metrics.drops;
         util_sum += t.server().utilization(elapsed);

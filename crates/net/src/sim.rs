@@ -1816,6 +1816,14 @@ impl<S: AppSet> Apps<S> {
             .as_ref()
             .and_then(|a| a.as_any().downcast_ref::<T>())
     }
+
+    /// Mutable downcast of the application on `node`: extraction moves
+    /// samples out of the finished applications instead of copying them.
+    pub fn app_mut<T: App>(&mut self, node: NodeId) -> Option<&mut T> {
+        self.apps[node.index()]
+            .as_mut()
+            .and_then(|a| a.as_any_mut().downcast_mut::<T>())
+    }
 }
 
 /// The one place shard threads meet: a shard's cross-shard delivery

@@ -19,6 +19,18 @@ impl Samples {
         self.sorted = false;
     }
 
+    /// Move every sample of `other` onto the end of this set, in
+    /// `other`'s order, leaving `other` empty. Appending to an empty set
+    /// takes `other`'s storage without copying a value.
+    pub fn append(&mut self, other: &mut Samples) {
+        if self.values.is_empty() {
+            std::mem::swap(&mut self.values, &mut other.values);
+        } else {
+            self.values.append(&mut other.values);
+        }
+        self.sorted = false;
+    }
+
     /// Number of samples.
     pub fn len(&self) -> usize {
         self.values.len()
@@ -120,6 +132,24 @@ mod tests {
         assert_eq!(s.percentile(50.0), 3.0);
         s.push(0.5);
         assert_eq!(s.min(), 0.5);
+    }
+
+    #[test]
+    fn append_moves_samples_in_order() {
+        let mut all = Samples::new();
+        let mut a = Samples::new();
+        for v in [3.0, 1.0] {
+            a.push(v);
+        }
+        let mut b = Samples::new();
+        for v in [2.0, 0.5] {
+            b.push(v);
+        }
+        all.append(&mut a);
+        all.append(&mut b);
+        assert_eq!(all.values(), &[3.0, 1.0, 2.0, 0.5]);
+        assert!(a.is_empty() && b.is_empty());
+        assert_eq!(all.min(), 0.5);
     }
 
     #[test]

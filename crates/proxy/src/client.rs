@@ -14,6 +14,11 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
+/// The bytes every POST body is written from, one `write_all` of up to
+/// this block at a time. Payment bytes are dummy by design (§3.3), so one
+/// zero-filled block serves every payer.
+static PAYMENT_BLOCK: [u8; 64 * 1024] = [0; 64 * 1024];
+
 /// What one [`fetch`] did.
 #[derive(Clone, Copy, Debug)]
 pub struct FetchOutcome {
@@ -117,7 +122,6 @@ pub fn fetch(addr: SocketAddr, id: u64, cfg: FetchConfig) -> std::io::Result<Fet
     let mut pay = TcpStream::connect(addr)?;
     pay.set_read_timeout(Some(cfg.read_timeout))?;
     pay.set_nodelay(true).ok();
-    let filler = vec![0x5au8; 16 * 1024];
     'posts: while outcome.posts < cfg.max_posts {
         outcome.posts += 1;
         if pay
@@ -128,8 +132,8 @@ pub fn fetch(addr: SocketAddr, id: u64, cfg: FetchConfig) -> std::io::Result<Fet
         }
         let mut remaining = cfg.post_bytes;
         while remaining > 0 {
-            let n = remaining.min(filler.len() as u64) as usize;
-            match pay.write_all(&filler[..n]) {
+            let n = remaining.min(PAYMENT_BLOCK.len() as u64) as usize;
+            match pay.write_all(&PAYMENT_BLOCK[..n]) {
                 Ok(()) => {
                     outcome.payment_bytes += n as u64;
                     remaining -= n as u64;

@@ -30,6 +30,17 @@
 //! shutdown. Time spent *holding* a GET for its verdict (step 4) is the
 //! thinner's silence, not the peer's, and does not count.
 //!
+//! **Read buffers.** Every connection reads into a 4 KiB head buffer on
+//! its thread's stack: enough for a GET's whole exchange and for a
+//! POST head. Once a head parses as a payment POST, the connection
+//! borrows a 64 KiB sink block from a small pool shared by the proxy and
+//! reads every later byte into it, so a payment body crosses the kernel
+//! in 64 KiB reads; the block goes back to the pool when the connection
+//! ends, and one returned to a pool already holding its cap of idle
+//! blocks is freed. Sink memory thus follows open payment channels, not
+//! connections. Crediting does not depend on either size: the parser
+//! counts body bytes wherever a read splits them.
+//!
 //! The architecture is deliberately boring: a listener thread, a thread
 //! per connection, one back-end "server" thread that sleeps for the
 //! drawn service time (`U[0.9/c, 1.1/c]`), and a housekeeping ticker.
@@ -50,10 +61,10 @@ use speakup_proto::message::{
     classify_request, encode_continue, encode_dropped, encode_encourage, encode_served,
     ClientMessage,
 };
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -100,13 +111,58 @@ struct Shared {
     /// Verdicts for finished requests.
     verdicts: HashMap<u64, Verdict>,
     /// Channels whose payment connection must close.
-    terminated: HashMap<u64, bool>,
+    terminated: HashSet<u64>,
     /// Requests the front end knows about.
-    known: HashMap<u64, ()>,
+    known: HashSet<u64>,
     /// Counters.
     payment_bytes: u64,
     served: u64,
     dropped: u64,
+}
+
+/// Bytes a connection reads at a time until a head parses as a payment
+/// POST (see the module docs).
+const HEAD_READ: usize = 4 * 1024;
+/// Bytes a payment connection reads at a time, into its sink block.
+const SINK_BLOCK: usize = 64 * 1024;
+/// Idle sink blocks the pool keeps for the next payment connection.
+const SINK_POOL_IDLE: usize = 4;
+
+/// Sink blocks for payment connections: up to [`SINK_POOL_IDLE`] idle
+/// ones, and a count of those lent out.
+#[derive(Default)]
+struct SinkPool {
+    idle: Mutex<Vec<Box<[u8]>>>,
+    lent: AtomicUsize,
+}
+
+impl SinkPool {
+    /// An idle block, or a fresh one when none is idle.
+    fn lend(&self) -> SinkBlock<'_> {
+        let block = self.idle.lock().expect("sink pool").pop();
+        self.lent.fetch_add(1, Ordering::Relaxed);
+        SinkBlock {
+            pool: self,
+            block: block.unwrap_or_else(|| vec![0; SINK_BLOCK].into_boxed_slice()),
+        }
+    }
+}
+
+/// A lent sink block; dropping it gives the block back to its pool, or
+/// frees it when the pool already holds its cap of idle blocks.
+struct SinkBlock<'a> {
+    pool: &'a SinkPool,
+    block: Box<[u8]>,
+}
+
+impl Drop for SinkBlock<'_> {
+    fn drop(&mut self) {
+        self.pool.lent.fetch_sub(1, Ordering::Relaxed);
+        let mut idle = self.pool.idle.lock().expect("sink pool");
+        if idle.len() < SINK_POOL_IDLE {
+            idle.push(std::mem::take(&mut self.block));
+        }
+    }
 }
 
 struct Inner {
@@ -117,6 +173,7 @@ struct Inner {
     idle_limit: SimDuration,
     server_tx: Mutex<mpsc::Sender<(RequestKey, Duration)>>,
     shutdown: AtomicBool,
+    sinks: SinkPool,
 }
 
 impl Inner {
@@ -145,7 +202,7 @@ impl Inner {
                     self.wake.notify_all();
                 }
                 Directive::TerminateChannel(k) => {
-                    shared.terminated.insert(k.req.0, true);
+                    shared.terminated.insert(k.req.0);
                 }
                 Directive::Suspend(_) | Directive::Resume(_) | Directive::AbortRequest(_) => {
                     unreachable!("auction front end never emits §5 directives")
@@ -228,6 +285,7 @@ pub fn spawn(config: ProxyConfig) -> std::io::Result<ProxyHandle> {
         idle_limit: config.auction.channel_timeout,
         server_tx: Mutex::new(server_tx),
         shutdown: AtomicBool::new(false),
+        sinks: SinkPool::default(),
     });
 
     let mut threads = Vec::new();
@@ -320,7 +378,7 @@ fn await_verdict(inner: &Inner, id: u64) -> Verdict {
         if let Some(v) = shared.verdicts.get(&id) {
             return *v;
         }
-        if inner.shutdown.load(Ordering::SeqCst) || !shared.known.contains_key(&id) {
+        if inner.shutdown.load(Ordering::SeqCst) || !shared.known.contains(&id) {
             return Verdict::Dropped;
         }
         let (guard, _) = inner
@@ -335,7 +393,9 @@ fn handle_connection(inner: &Inner, mut stream: TcpStream) -> std::io::Result<()
     stream.set_read_timeout(Some(Duration::from_millis(100)))?;
     stream.set_nodelay(true).ok();
     let mut parser = RequestParser::new();
-    let mut buf = [0u8; 16 * 1024];
+    let mut head_buf = [0u8; HEAD_READ];
+    // Lent once a head parses as a payment POST (see the module docs).
+    let mut sink: Option<SinkBlock> = None;
     // The id of the payment channel this connection carries, if any.
     let mut paying_for: Option<u64> = None;
     let mut last_byte = inner.now();
@@ -347,12 +407,15 @@ fn handle_connection(inner: &Inner, mut stream: TcpStream) -> std::io::Result<()
         // If this is a payment connection whose channel was terminated,
         // close it — that is how the thinner ends the §3.3 channel.
         if let Some(id) = paying_for {
-            let shared = inner.state.lock().expect("state");
-            if shared.terminated.get(&id).copied().unwrap_or(false) {
+            if inner.state.lock().expect("state").terminated.contains(&id) {
                 return Ok(());
             }
         }
-        let n = match stream.read(&mut buf) {
+        let buf = match sink.as_mut() {
+            Some(sink) => &mut sink.block[..],
+            None => &mut head_buf[..],
+        };
+        let n = match stream.read(buf) {
             Ok(0) => return Ok(()), // peer closed
             Ok(n) => n,
             Err(e)
@@ -378,6 +441,7 @@ fn handle_connection(inner: &Inner, mut stream: TcpStream) -> std::io::Result<()
                     }
                     Ok(ClientMessage::Payment(id, _len)) => {
                         paying_for = Some(id);
+                        sink.get_or_insert_with(|| inner.sinks.lend());
                     }
                     Err(_) => {
                         let _ = stream.write_all(&encode_dropped());
@@ -396,11 +460,7 @@ fn handle_connection(inner: &Inner, mut stream: TcpStream) -> std::io::Result<()
                 ParseEvent::Complete => {
                     if let Some(id) = paying_for {
                         // Full POST and no win yet: ask for another.
-                        let terminated = {
-                            let shared = inner.state.lock().expect("state");
-                            shared.terminated.get(&id).copied().unwrap_or(false)
-                        };
-                        if terminated {
+                        if inner.state.lock().expect("state").terminated.contains(&id) {
                             return Ok(());
                         }
                         stream.write_all(&encode_continue())?;
@@ -425,8 +485,7 @@ fn serve_get(inner: &Inner, stream: &mut TcpStream, id: u64) -> std::io::Result<
         let mut shared = inner.state.lock().expect("state");
         if let Some(&v) = shared.verdicts.get(&id) {
             Next::Verdict(v)
-        } else if let std::collections::hash_map::Entry::Vacant(e) = shared.known.entry(id) {
-            e.insert(());
+        } else if shared.known.insert(id) {
             let mut admitted = false;
             inner.with_fe(&mut shared, |fe, now, out| {
                 fe.on_request(now, key, out);
@@ -465,6 +524,7 @@ fn serve_get(inner: &Inner, stream: &mut TcpStream, id: u64) -> std::io::Result<
 mod tests {
     use super::*;
     use crate::client::{fetch, FetchConfig};
+    use speakup_proto::message::encode_payment_head;
 
     /// Sizes of the three per-request maps once they settle: a fetch
     /// returns as soon as its verdict is read, a moment before the
@@ -514,6 +574,84 @@ mod tests {
         let held = holder.join().expect("join").expect("fetch");
         assert_eq!(held.verdict, Verdict::Served);
         assert_eq!(retained(&proxy), (0, 0, 0), "verdicts, known, terminated");
+        proxy.shutdown();
+    }
+
+    /// (idle, lent) sink blocks, once no block is lent or after 5 s: a
+    /// fetch returns a moment before the connection thread that read its
+    /// payment returns the block.
+    fn sink_blocks(proxy: &ProxyHandle) -> (usize, usize) {
+        let pool = &proxy.inner.sinks;
+        let counts = || {
+            let idle = pool.idle.lock().expect("sink pool").len();
+            (idle, pool.lent.load(Ordering::Relaxed))
+        };
+        for _ in 0..500 {
+            if counts().1 == 0 {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        counts()
+    }
+
+    #[test]
+    fn sink_blocks_are_lent_per_payment_channel_and_pooled_up_to_the_cap() {
+        let proxy = spawn(ProxyConfig {
+            capacity: 50.0,
+            seed: 5,
+            auction: AuctionConfig {
+                channel_timeout: SimDuration::from_secs(5),
+            },
+        })
+        .expect("spawn");
+        let addr = proxy.addr();
+
+        // More payment channels open at once than the pool keeps idle,
+        // beside a GET, which reads through its head buffer only.
+        let open = SINK_POOL_IDLE + 3;
+        let payers: Vec<TcpStream> = (0..open as u64)
+            .map(|i| {
+                let mut pay = TcpStream::connect(addr).expect("connect");
+                pay.write_all(&encode_payment_head(1_000 + i, 1 << 20))
+                    .expect("POST head");
+                pay
+            })
+            .collect();
+        let served = fetch(addr, 999, FetchConfig::default()).expect("fetch");
+        assert_eq!((served.verdict, served.posts), (Verdict::Served, 0));
+        let lent = || proxy.inner.sinks.lent.load(Ordering::Relaxed);
+        for _ in 0..500 {
+            if lent() == open {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        assert_eq!(
+            lent(),
+            open,
+            "one block per payment channel, none for the GET"
+        );
+        drop(payers);
+        assert_eq!(sink_blocks(&proxy), (SINK_POOL_IDLE, 0), "(idle, lent)");
+
+        // Rounds of six concurrent fetches, one round after another: the
+        // server takes one request per round at once, the rest pay.
+        for round in 0..4 {
+            let fetches: Vec<_> = (1..=6)
+                .map(|i| {
+                    std::thread::spawn(move || fetch(addr, round * 10 + i, FetchConfig::default()))
+                })
+                .collect();
+            for f in fetches {
+                let out = f.join().expect("join").expect("fetch");
+                assert_eq!(out.verdict, Verdict::Served, "round {round}");
+            }
+        }
+        assert!(proxy.payment_bytes() > 0, "contenders paid");
+        let (idle, lent) = sink_blocks(&proxy);
+        assert!(idle <= SINK_POOL_IDLE, "{idle} idle blocks");
+        assert_eq!(lent, 0, "no block outlives its connection");
         proxy.shutdown();
     }
 }

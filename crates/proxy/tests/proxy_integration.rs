@@ -195,8 +195,9 @@ fn payment_is_credited_to_the_byte_across_posts() {
     let proxy = spawn(cfg(1.0)).expect("spawn");
     let addr = proxy.addr();
     let holder = hold_server(addr, 1);
-    // 100 003 is a multiple of no buffer on the path (16 KiB writes and
-    // reads), so every POST ends mid-buffer.
+    // 100 003 is a multiple of no buffer on the path (the client's
+    // 64 KiB writes, the proxy's 4 KiB head and 64 KiB sink reads), so
+    // every POST ends mid-buffer.
     let budget = FetchConfig {
         post_bytes: 100_003,
         max_posts: 3,
@@ -244,6 +245,51 @@ fn pipelined_posts_are_credited_to_the_byte() {
         );
     }
     assert_eq!(proxy.payment_bytes(), 1700);
+    drop((get, pay));
+    assert_eq!(holder.join().expect("join"), Verdict::Served);
+    proxy.shutdown();
+}
+
+#[test]
+fn posts_split_across_head_and_sink_reads_are_credited_to_the_byte() {
+    const BLOCK: usize = 64 * 1024;
+    let proxy = spawn(cfg(1.0)).expect("spawn");
+    let addr = proxy.addr();
+    let holder = hold_server(addr, 1);
+    let mut get = TcpStream::connect(addr).expect("connect");
+    get.write_all(&encode_service_request(2)).expect("GET");
+    assert!(matches!(
+        read_message(&mut get, &mut Vec::new()),
+        ThinnerMessage::Encourage { .. }
+    ));
+
+    let mut pay = TcpStream::connect(addr).expect("connect");
+    pay.set_nodelay(true).expect("nodelay");
+    // Body lengths that are multiples of no read size. The first POST
+    // goes out head and all but its last byte in one write, so the
+    // connection's first read (the 4 KiB head buffer) holds the head and
+    // the start of the body, and the rest arrives through the sink
+    // block. Its last byte, the whole next head and the first 1000 bytes
+    // of that body go out in one write well under a sink block.
+    let (first_len, second_len) = (3 * BLOCK + 1, 2 * BLOCK + 777);
+    let mut first = encode_payment_head(2, first_len as u64).to_vec();
+    first.resize(first.len() + first_len - 1, 0);
+    pay.write_all(&first).expect("first POST");
+    let mut pipelined = vec![0];
+    pipelined.extend_from_slice(&encode_payment_head(2, second_len as u64));
+    pipelined.resize(pipelined.len() + 1000, 0);
+    pay.write_all(&pipelined).expect("pipelined head");
+    pay.write_all(&vec![0; second_len - 1000])
+        .expect("second body");
+    let mut carry = Vec::new();
+    for post in 1..=2 {
+        assert_eq!(
+            read_message(&mut pay, &mut carry),
+            ThinnerMessage::Continue,
+            "POST {post}"
+        );
+    }
+    assert_eq!(proxy.payment_bytes(), (first_len + second_len) as u64);
     drop((get, pay));
     assert_eq!(holder.join().expect("join"), Verdict::Served);
     proxy.shutdown();
